@@ -6,10 +6,10 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	$(PYTHON) -m pytest -q
+	PYTHONPATH=src $(PYTHON) -m pytest -q
 
 accept:
-	$(PYTHON) -m pytest -s -q tests/test_acceptance.py
+	PYTHONPATH=src $(PYTHON) -m pytest -s -q tests/test_acceptance.py
 
 verify:
-	$(PYTHON) scripts/verify_reference_values.py
+	PYTHONPATH=src $(PYTHON) scripts/verify_reference_values.py

@@ -13,13 +13,14 @@ from .channels import ChoiOperator, DensityMatrix, require_valid_choi
 from .errors import DimensionMismatchError
 from .models import ModelSpec, analytic_r, damping_channel, shifter_closed_forms
 from .solver import SolverOptions, solve
-from .targets import StateFamily, default_phi_nodes, evaluate_family, fidelity_bound
+from .targets import StateFamily, default_phi_nodes, fidelity_bound, integrand_rows, sphere_samples
+
+PPT_TOL = 1e-10  # negativity tolerance on the partial-transpose spectrum
 
 
 def _pointwise_fidelities(chi: ChoiOperator, family: StateFamily, thetas, phis) -> np.ndarray:
     # <psi_out| E(|psi_in><psi_in|) |psi_out> = v† chi v with v = conj(psi_in) (x) psi_out
-    pin, pout = evaluate_family(family, thetas, phis)
-    v = np.einsum("si,sk->sik", pin.conj(), pout).reshape(len(pin), chi.dim)
+    v = integrand_rows(family, thetas, phis)
     return np.einsum("sa,ab,sb->s", v.conj(), chi.matrix, v).real
 
 
@@ -40,10 +41,7 @@ def mc_fidelity(chi: ChoiOperator, family: StateFamily, samples: int, seed: int)
             f"({family.dim_in},{family.dim_out})"
         )
     require_valid_choi(chi)
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, samples)
-    phis = rng.uniform(0.0, 2.0 * np.pi, samples)
-    f = _pointwise_fidelities(chi, family, np.arccos(u), phis)
+    f = _pointwise_fidelities(chi, family, *sphere_samples(samples, seed))
     return McEstimate(float(f.mean()), float(f.std(ddof=1) / np.sqrt(samples)))
 
 
@@ -80,13 +78,13 @@ class PptReport:
     certifies_separability: bool
 
 
-def ppt_check(rho: DensityMatrix, dim_a: int, dim_b: int, tol: float = 1e-10) -> PptReport:
+def ppt_check(rho: DensityMatrix, dim_a: int, dim_b: int) -> PptReport:
     """Positivity of the partial transpose of a bipartite state."""
     if dim_a * dim_b != rho.dim:
         raise DimensionMismatchError(f"{dim_a}x{dim_b} does not factor dim {rho.dim}")
     pt = linalg.partial_transpose(rho.matrix, dim_a, dim_b, which="second")
     wmin = float(np.linalg.eigvalsh(linalg.hermitian_part(pt)).min())
-    ppt = wmin >= -tol
+    ppt = wmin >= -PPT_TOL
     certifies = ppt and sorted((dim_a, dim_b)) in ([2, 2], [2, 3])
     return PptReport(wmin, ppt, certifies)
 

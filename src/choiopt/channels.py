@@ -29,12 +29,6 @@ TP_TOL = 1e-9
 KRAUS_CUTOFF = 1e-10
 
 
-def _frozen_array(values) -> np.ndarray:
-    a = np.array(values, dtype=np.complex128)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ChoiOperator:
     """Process matrix of a channel, with its input/output dimensions."""
@@ -52,7 +46,7 @@ class ChoiOperator:
             raise DimensionMismatchError(
                 f"process matrix shape {m.shape} does not match dims ({self.dim_in},{self.dim_out})"
             )
-        object.__setattr__(self, "matrix", _frozen_array(m))
+        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
     @property
     def dim(self) -> int:
@@ -69,14 +63,14 @@ class DensityMatrix:
         m = linalg.as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise InvalidDensityError(f"density matrix is {m.shape[0]}x{m.shape[1]}")
-        if np.abs(m - m.conj().T).max() > 1e-10:
+        herm_dev, w = linalg.hermitian_spectrum(m)
+        if herm_dev > 1e-10:
             raise InvalidDensityError("density matrix is not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise InvalidDensityError(f"trace {np.trace(m):.12g} is not 1 within 1e-10")
-        wmin = np.linalg.eigvalsh(linalg.hermitian_part(m)).min()
-        if wmin < -1e-10:
-            raise InvalidDensityError(f"minimum eigenvalue {wmin:.3e} below -1e-10")
-        object.__setattr__(self, "matrix", _frozen_array(m))
+        if w.min() < -1e-10:
+            raise InvalidDensityError(f"minimum eigenvalue {w.min():.3e} below -1e-10")
+        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
     @property
     def dim(self) -> int:
@@ -99,7 +93,7 @@ class KrausSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(_frozen_array(a) for a in self.operators))
+        object.__setattr__(self, "operators", tuple(linalg.frozen_copy(a) for a in self.operators))
         frozen = np.array(self.weights, dtype=float)
         frozen.setflags(write=False)
         object.__setattr__(self, "weights", frozen)
@@ -124,29 +118,27 @@ class ChoiReport:
 
 def validate_choi(chi: ChoiOperator) -> ChoiReport:
     """Measure constraint violations; the caller decides pass/fail."""
-    m = chi.matrix
-    herm_dev = float(np.abs(m - m.conj().T).max())
-    wmin = float(np.linalg.eigvalsh(linalg.hermitian_part(m)).min())
-    marg = linalg.partial_trace(m, chi.dim_in, chi.dim_out, keep="first")
+    herm_dev, w = linalg.hermitian_spectrum(chi.matrix)
+    marg = linalg.partial_trace(chi.matrix, chi.dim_in, chi.dim_out, keep="first")
     tp_dev = float(np.abs(marg - np.eye(chi.dim_in)).max())
-    return ChoiReport(wmin, tp_dev, herm_dev)
+    return ChoiReport(float(w.min()), tp_dev, herm_dev)
 
 
-def require_valid_choi(chi: ChoiOperator, psd_tol: float = PSD_TOL, tp_tol: float = TP_TOL) -> None:
-    """Raise InvalidChoiError when chi violates the channel constraints."""
+def require_valid_choi(chi: ChoiOperator) -> None:
+    """Raise InvalidChoiError when chi is not finite or violates the channel constraints."""
     report = validate_choi(chi)
-    if report.hermiticity_deviation > psd_tol:
+    if report.hermiticity_deviation > PSD_TOL:
         raise InvalidChoiError(
-            f"hermiticity deviation {report.hermiticity_deviation:.3e} exceeds {psd_tol:.1e}"
+            f"hermiticity deviation {report.hermiticity_deviation:.3e} exceeds {PSD_TOL:.1e}"
         )
-    if report.min_eigenvalue < -psd_tol:
+    if report.min_eigenvalue < -PSD_TOL:
         raise InvalidChoiError(
-            f"minimum eigenvalue {report.min_eigenvalue:.3e} below -{psd_tol:.1e}"
+            f"minimum eigenvalue {report.min_eigenvalue:.3e} below -{PSD_TOL:.1e}"
         )
-    if report.trace_preservation_deviation > tp_tol:
+    if report.trace_preservation_deviation > TP_TOL:
         raise InvalidChoiError(
             f"trace-preservation deviation {report.trace_preservation_deviation:.3e} "
-            f"exceeds {tp_tol:.1e}"
+            f"exceeds {TP_TOL:.1e}"
         )
 
 

@@ -9,7 +9,6 @@ validate.  Exit codes: 0 success, 2 usage error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -51,11 +50,8 @@ def _fmt(x: float) -> str:
 
 
 def _add_model_args(p: argparse.ArgumentParser, required: bool = False) -> None:
-    p.add_argument(
-        "--model",
-        choices=["unot", "cloner", "entangler-a", "entangler-b", "shifter", "identity"],
-        required=required,
-    )
+    choices = [kind.replace("_", "-") for kind in models.MODEL_KINDS]
+    p.add_argument("--model", choices=choices, required=required)
     p.add_argument("--copies", type=int, default=1, help="copy count N for unot/cloner")
     p.add_argument("--alpha", type=float, default=0.0, help="shift angle in radians")
 
@@ -304,18 +300,13 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ChoiOptError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidSpecError, OutOfRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ChoiOptError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        # Spec errors are ChoiOptErrors and LinAlgError is a ValueError, so
+        # the usage-or-numerical split cannot follow the class tree alone.
+        if isinstance(exc, (InvalidSpecError, OutOfRangeError)):
+            return 2
+        return 3 if isinstance(exc, (ChoiOptError, np.linalg.LinAlgError)) else 2
 
 
 if __name__ == "__main__":

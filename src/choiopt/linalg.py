@@ -19,6 +19,9 @@ from .errors import (
     NotHermitianError,
 )
 
+HERMITICITY_TOL = 1e-10  # relative Frobenius bound on the anti-Hermitian part
+CLIP_TOL = 1e-12  # psd_sqrt treats eigenvalues below this as round-off zeros
+
 
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a 2-D complex128 array."""
@@ -34,15 +37,34 @@ def hermitian_part(m) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def frozen_copy(values) -> np.ndarray:
+    """Read-only complex128 copy."""
+    a = np.array(values, dtype=np.complex128)
+    a.setflags(write=False)
+    return a
+
+
 def _check_square(m: np.ndarray) -> None:
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
 
 
-def _check_hermitian(m: np.ndarray, tol: float) -> None:
+def _check_hermitian(m: np.ndarray) -> None:
     dev = np.linalg.norm(m - m.conj().T)
-    if dev > tol * max(1.0, np.linalg.norm(m)):
-        raise NotHermitianError(f"Hermiticity deviation {dev:.3e} exceeds tolerance {tol:.1e}")
+    if dev > HERMITICITY_TOL * max(1.0, np.linalg.norm(m)):
+        raise NotHermitianError(
+            f"Hermiticity deviation {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
+        )
+
+
+def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
+    """Largest entrywise |m - m†| and ascending eigenvalues of the Hermitian
+    part of a square m.  A non-finite m reports (inf, NaNs) without reaching
+    the eigensolver, so every caller's deviation check rejects it."""
+    m = as_matrix(m)
+    if not np.isfinite(m).all():
+        return float("inf"), np.full(len(m), np.nan)
+    return float(np.abs(m - m.conj().T).max()), np.linalg.eigvalsh(hermitian_part(m))
 
 
 @dataclass(frozen=True)
@@ -62,42 +84,42 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def herm_eig(m, hermiticity_tol: float = 1e-10) -> EigenDecomposition:
+def herm_eig(m) -> EigenDecomposition:
     """Full spectral decomposition of the Hermitian part of m.
 
     Raises NonSquareError / NotHermitianError when m is not square or the
-    anti-Hermitian part exceeds hermiticity_tol relative to max(1, ||m||_F).
+    anti-Hermitian part exceeds HERMITICITY_TOL relative to max(1, ||m||_F).
     LAPACK convergence failures propagate as numpy.linalg.LinAlgError.
     """
     m = as_matrix(m)
     _check_square(m)
-    _check_hermitian(m, hermiticity_tol)
+    _check_hermitian(m)
     w, v = np.linalg.eigh(hermitian_part(m))
     return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def psd_sqrt(m, clip_tol: float = 1e-12, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(m) -> np.ndarray:
     """Positive-semidefinite Hermitian square root.
 
-    Eigenvalues below clip_tol are treated as exact zeros (round-off guard);
-    an eigenvalue below -clip_tol raises NegativeEigenvalueError.
+    Eigenvalues below CLIP_TOL are treated as exact zeros (round-off guard);
+    an eigenvalue below -CLIP_TOL raises NegativeEigenvalueError.
     """
-    eig = herm_eig(m, hermiticity_tol)
+    eig = herm_eig(m)
     w = eig.eigenvalues
-    if w.min() < -clip_tol:
-        raise NegativeEigenvalueError(f"eigenvalue {w.min():.3e} below -{clip_tol:.1e}")
-    w = np.where(w < clip_tol, 0.0, w)
+    if w.min() < -CLIP_TOL:
+        raise NegativeEigenvalueError(f"eigenvalue {w.min():.3e} below -{CLIP_TOL:.1e}")
+    w = np.where(w < CLIP_TOL, 0.0, w)
     v = eig.eigenvectors
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def reg_inverse(m, rel_cutoff: float = 1e-12, hermiticity_tol: float = 1e-10) -> np.ndarray:
+def reg_inverse(m, rel_cutoff: float = 1e-12) -> np.ndarray:
     """Hermitian pseudo-inverse with a relative eigenvalue cutoff.
 
     Eigenvalues w >= rel_cutoff * w_max are inverted, the rest map to zero,
     which keeps the result well-defined on the support of m.
     """
-    eig = herm_eig(m, hermiticity_tol)
+    eig = herm_eig(m)
     w = eig.eigenvalues
     wmax = w.max(initial=0.0)
     if wmax <= 0.0:

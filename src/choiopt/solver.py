@@ -23,13 +23,16 @@ from .channels import ChoiOperator, fidelity, maxmix_choi, require_valid_choi
 from .errors import AllZeroError, DimensionMismatchError, InvalidSpecError, SingularLambdaError
 from .targets import TargetOperator, fidelity_bound
 
+CHI_TOL = 1e-10  # second stopping rule: Frobenius change of chi (see SolverOptions)
+PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff of the multiplier pseudo-inverse
+
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration controls.
 
     The loop stops when the fidelity change drops below fid_tol or the
-    Frobenius change of chi drops below chi_tol, whichever fires first;
+    Frobenius change of chi drops below CHI_TOL, whichever fires first;
     fidelity may plateau while chi still drifts along a degenerate optimal
     manifold, so both deltas are monitored.  init is "maxmix", "random:SEED",
     or an explicit ChoiOperator.
@@ -37,16 +40,13 @@ class SolverOptions:
 
     max_iters: int = 10000
     fid_tol: float = 1e-12
-    chi_tol: float = 1e-10
-    pinv_cutoff: float = 1e-12
     init: str | ChoiOperator = "maxmix"
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidSpecError("max_iters must be >= 1")
-        for name in ("fid_tol", "chi_tol", "pinv_cutoff"):
-            if getattr(self, name) <= 0:
-                raise InvalidSpecError(f"{name} must be > 0")
+        if self.fid_tol <= 0:
+            raise InvalidSpecError("fid_tol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,11 @@ class SolverResult:
     lambda_gap: float = float("nan")
 
 
+def _multiplier(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """lambda = (Tr_K m)^{1/2}."""
+    return linalg.psd_sqrt(linalg.partial_trace(m, dim_in, dim_out, keep="first"))
+
+
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     """Random admissible process matrix: a Wishart sample rescaled to satisfy
     the trace constraint exactly."""
@@ -70,7 +75,7 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     n = dim_in * dim_out
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     raw = w @ w.conj().T
-    lam = linalg.psd_sqrt(linalg.partial_trace(raw, dim_in, dim_out, keep="first"))
+    lam = _multiplier(raw, dim_in, dim_out)
     scale = linalg.kron(linalg.reg_inverse(lam), np.eye(dim_out))
     return ChoiOperator(dim_in, dim_out, linalg.hermitian_part(scale @ raw @ scale))
 
@@ -81,6 +86,7 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
             raise DimensionMismatchError(
                 f"init dims ({init.dim_in},{init.dim_out}) != target dims ({r.dim_in},{r.dim_out})"
             )
+        require_valid_choi(init)
         return init
     if init == "maxmix":
         return maxmix_choi(r.dim_in, r.dim_out)
@@ -89,16 +95,16 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
     raise InvalidSpecError(f"unknown init {init!r}")
 
 
-def iterate_once(chi: ChoiOperator, r: TargetOperator, pinv_cutoff: float = 1e-12) -> ChoiOperator:
+def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
     """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized."""
     if (chi.dim_in, chi.dim_out) != (r.dim_in, r.dim_out):
         raise DimensionMismatchError(
             f"process dims ({chi.dim_in},{chi.dim_out}) != target dims ({r.dim_in},{r.dim_out})"
         )
     m = r.matrix @ chi.matrix @ r.matrix
-    lam = linalg.psd_sqrt(linalg.partial_trace(m, r.dim_in, r.dim_out, keep="first"))
+    lam = _multiplier(m, r.dim_in, r.dim_out)
     try:
-        lam_inv = linalg.reg_inverse(lam, pinv_cutoff)
+        lam_inv = linalg.reg_inverse(lam, PINV_CUTOFF)
     except AllZeroError as exc:
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating") from exc
     sandwich = linalg.kron(lam_inv, np.eye(r.dim_out))
@@ -106,8 +112,7 @@ def iterate_once(chi: ChoiOperator, r: TargetOperator, pinv_cutoff: float = 1e-1
 
 
 def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
-    m = r.matrix @ chi.matrix @ r.matrix
-    lam = linalg.psd_sqrt(linalg.partial_trace(m, r.dim_in, r.dim_out, keep="first"))
+    lam = _multiplier(r.matrix @ chi.matrix @ r.matrix, r.dim_in, r.dim_out)
     w = np.linalg.eigvalsh(lam)
     if len(w) < 2:
         return float("inf")
@@ -129,13 +134,13 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iters + 1):
-        new = iterate_once(chi, r, opts.pinv_cutoff)
+        new = iterate_once(chi, r)
         f = fidelity(new, r)
         trace.append(f)
         d_chi = float(np.linalg.norm(new.matrix - chi.matrix))
         d_f = abs(f - f_prev)
         chi, f_prev = new, f
-        if d_f < opts.fid_tol or d_chi < opts.chi_tol:
+        if d_f < opts.fid_tol or d_chi < CHI_TOL:
             converged = True
             break
     require_valid_choi(chi)

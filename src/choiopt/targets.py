@@ -12,7 +12,7 @@ so building R once reduces every fidelity evaluation to Tr[chi R].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -48,12 +48,12 @@ class StateFamily:
 @dataclass(frozen=True)
 class TargetOperator:
     """Positive unit-trace operator on input (x) output whose overlap with a
-    process matrix is the mean fidelity."""
+    process matrix is the mean fidelity; lambda_max is its largest eigenvalue."""
 
     dim_in: int
     dim_out: int
     matrix: np.ndarray
-    lambda_max: float | None = None
+    lambda_max: float = field(init=False)
 
     def __post_init__(self):
         m = linalg.as_matrix(self.matrix)
@@ -62,18 +62,15 @@ class TargetOperator:
             raise DimensionMismatchError(
                 f"target shape {m.shape} does not match dims ({self.dim_in},{self.dim_out})"
             )
-        if np.abs(m - m.conj().T).max() > 1e-10:
+        herm_dev, w = linalg.hermitian_spectrum(m)
+        if herm_dev > 1e-10:
             raise InvalidChoiError("target operator is not Hermitian within 1e-10")
-        w = np.linalg.eigvalsh(linalg.hermitian_part(m))
         if w.min() < -1e-10:
             raise InvalidChoiError(f"target minimum eigenvalue {w.min():.3e} below -1e-10")
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise InvalidChoiError(f"target trace {np.trace(m).real:.12g} is not 1 within 1e-9")
-        frozen = np.array(m)
-        frozen.setflags(write=False)
-        object.__setattr__(self, "matrix", frozen)
-        if self.lambda_max is None:
-            object.__setattr__(self, "lambda_max", float(w.max()))
+        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
+        object.__setattr__(self, "lambda_max", float(w.max()))
 
 
 def fidelity_bound(r: TargetOperator) -> float:
@@ -111,13 +108,24 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
             pout[s] = np.asarray(b, dtype=np.complex128).ravel()
     for name, arr in (("input", pin), ("output", pout)):
         dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0).max()
-        if dev > NORM_TOL:
+        if not dev <= NORM_TOL:  # NaN fails too
             raise NormViolationError(f"{name} state norm deviates by {dev:.3e}")
     return pin, pout
 
 
-def _integrand_rows(family: StateFamily, thetas, phis) -> np.ndarray:
-    # Row s is v_s = conj(psi_in) (x) psi_out, so the integrand is v_s v_s†.
+def sphere_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform sphere angles (thetas, phis): cos(theta) uniform on [-1, 1],
+    then phi uniform on [0, 2pi), drawn in that fixed order from numpy's PCG64
+    stream, so each sample is reproducible per (seed, sample index)."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, samples)
+    phis = rng.uniform(0.0, 2.0 * np.pi, samples)
+    return np.arccos(u), phis
+
+
+def integrand_rows(family: StateFamily, thetas, phis) -> np.ndarray:
+    """Rows v_s = conj(psi_in) (x) psi_out, one per sample: the integrand of R
+    is v_s v_s†, and v_s† chi v_s is the channel's fidelity on sample s."""
     pin, pout = evaluate_family(family, thetas, phis)
     v = np.einsum("si,sk->sik", pin.conj(), pout)
     return v.reshape(len(pin), family.dim_in * family.dim_out)
@@ -153,23 +161,15 @@ def build_r_quadrature(
     phis = 2.0 * np.pi * np.arange(np_) / np_
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
     wg = np.repeat(weights, np_)
-    v = _integrand_rows(family, tg.ravel(), pg.ravel())
+    v = integrand_rows(family, tg.ravel(), pg.ravel())
     m = np.einsum("s,sa,sb->ab", wg, v, v.conj())
     return TargetOperator(family.dim_in, family.dim_out, linalg.hermitian_part(m))
 
 
 def build_r_montecarlo(family: StateFamily, samples: int, seed: int) -> TargetOperator:
-    """Target operator as a seeded Monte-Carlo mean over uniform sphere samples.
-
-    Sampling draws cos(theta) uniform on [-1, 1] and then phi uniform on
-    [0, 2pi) from numpy's PCG64 stream, in that fixed order, so the estimate
-    is reproducible per (seed, sample index).
-    """
+    """Target operator as a seeded Monte-Carlo mean over sphere_samples."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, samples)
-    phis = rng.uniform(0.0, 2.0 * np.pi, samples)
-    v = _integrand_rows(family, np.arccos(u), phis)
+    v = integrand_rows(family, *sphere_samples(samples, seed))
     m = np.einsum("sa,sb->ab", v, v.conj()) / samples
     return TargetOperator(family.dim_in, family.dim_out, linalg.hermitian_part(m))

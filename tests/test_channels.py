@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from choiopt import channels, models
-from choiopt.errors import DimensionMismatchError, InvalidChoiError, TraceConditionError
+from choiopt.errors import (
+    DimensionMismatchError,
+    InvalidChoiError,
+    InvalidDensityError,
+    TraceConditionError,
+)
 from choiopt.solver import random_choi
 from choiopt.targets import TargetOperator, fidelity_bound
 from helpers import (
@@ -171,3 +176,28 @@ class TestDensityMatrix:
     def test_rejects_unnormalized(self):
         with pytest.raises(Exception):
             channels.DensityMatrix(np.eye(2))
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value, entry):
+        m = np.eye(2, dtype=complex) / 2
+        m[entry] = value
+        with pytest.raises(InvalidDensityError):
+            channels.DensityMatrix(m)
+
+
+class TestNonFiniteChoi:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_require_valid_choi_rejects(self, value):
+        m = np.array(channels.identity_choi(2).matrix)
+        m[3, 3] = value
+        chi = channels.ChoiOperator(2, 2, m)
+        with pytest.raises(InvalidChoiError, match="hermiticity deviation inf"):
+            channels.require_valid_choi(chi)
+
+    def test_report_is_infinite_not_raised(self):
+        m = np.array(channels.maxmix_choi(2, 2).matrix)
+        m[0, 0] = np.nan
+        report = channels.validate_choi(channels.ChoiOperator(2, 2, m))
+        assert report.hermiticity_deviation == np.inf
+        assert not report.within(1e-10)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from choiopt import serialize
-from choiopt.channels import apply, density_from_state
-from choiopt.cli import main
-from choiopt.models import bloch_state
+from choiopt.channels import apply, density_from_state, identity_choi
+from choiopt.cli import _build_parser, main
+from choiopt.models import MODEL_KINDS, ModelSpec, analytic_r, bloch_state
 from choiopt.solver import random_choi
 
 
@@ -210,3 +210,73 @@ class TestUsage:
         chi_file = tmp_path / "chi.json"
         serialize.dump_json(serialize.choi_to_obj(random_choi(2, 2, seed=2)), chi_file)
         assert run(capsys, "apply", "--chi", str(chi_file))[0] == 2
+
+
+class TestExitCodes:
+    def test_lapack_failure_is_numerical(self, capsys, tmp_path, monkeypatch):
+        chi_file = tmp_path / "chi.json"
+        serialize.dump_json(serialize.choi_to_obj(random_choi(2, 2, seed=0)), chi_file)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, _, err = run(capsys, "kraus", "--chi", str(chi_file))
+        assert code == 3
+        assert err == "error: Eigenvalues did not converge\n"
+
+    def test_spec_errors_stay_usage_errors(self, capsys):
+        assert run(capsys, "bound", "--model", "unot", "--copies", "0")[0] == 2
+        assert run(capsys, "bound", "--model", "shifter", "--alpha", "4")[0] == 2
+
+    def test_model_choices_follow_model_kinds(self):
+        parser = _build_parser()
+        (commands,) = [a for a in parser._actions if a.dest == "command"]
+        hyphenated = [kind.replace("_", "-") for kind in MODEL_KINDS]
+        seen = 0
+        for sub in commands.choices.values():
+            for action in sub._actions:
+                if action.dest == "model":
+                    assert list(action.choices) == hyphenated
+                    seen += 1
+        assert seen == 6  # solve, bound, rmatrix, scan, curve, validate
+
+
+def _poisoned(obj: dict, value: float) -> dict:
+    obj = dict(obj, data=[list(z) for z in obj["data"]])
+    obj["data"][0][0] = value
+    return obj
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--r", "{r}"),
+        ("bound", "--r", "{r}"),
+        ("solve", "--model", "identity", "--init", "{chi}"),
+        ("kraus", "--chi", "{chi}"),
+        ("dilate", "--chi", "{chi}"),
+        ("apply", "--chi", "{chi}", "--state", "0.3,0.4"),
+        ("apply", "--chi", "{good_chi}", "--rho", "{rho}"),
+        ("curve", "--model", "identity", "--chi", "{chi}", "--steps", "5", "--csv", "{csv}"),
+        ("validate", "--model", "identity", "--chi", "{chi}", "--samples", "100"),
+    ],
+    ids=["solve-r", "bound-r", "solve-init", "kraus", "dilate", "apply-chi", "apply-rho", "curve", "validate"],
+)
+def test_non_finite_input_is_a_numerical_failure(capsys, tmp_path, argv, value):
+    good_chi = serialize.choi_to_obj(identity_choi(2))
+    files = {
+        "r": serialize.target_to_obj(analytic_r(ModelSpec("identity"))),
+        "chi": good_chi,
+        "rho": serialize.matrix_to_obj(np.eye(2) / 2),
+    }
+    paths = {"good_chi": tmp_path / "good_chi.json", "csv": tmp_path / "curve.csv"}
+    serialize.dump_json(good_chi, paths["good_chi"])
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        serialize.dump_json(_poisoned(obj, value), paths[name])
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -181,3 +181,27 @@ class TestPartialTranspose:
         pt = linalg.partial_transpose(m, 3, 2, which="first")
         assert abs(np.trace(pt) - np.trace(m)) <= 1e-12
         assert np.abs(pt - pt.conj().T).max() <= 1e-12
+
+
+class TestHermitianSpectrum:
+    def test_matches_eigvalsh(self):
+        m = random_hermitian(np.random.default_rng(4), 5)
+        dev, w = linalg.hermitian_spectrum(m)
+        assert dev == 0.0
+        assert np.array_equal(w, np.linalg.eigvalsh(m))
+
+    def test_reports_entrywise_deviation(self):
+        dev, _ = linalg.hermitian_spectrum(np.array([[1.0, 0.5], [0.25, 1.0]]))
+        assert dev == 0.25
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_never_reaches_the_eigensolver(self, value, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        m = np.eye(3, dtype=complex)
+        m[2, 1] = value
+        dev, w = linalg.hermitian_spectrum(m)
+        assert dev == np.inf
+        assert w.shape == (3,) and np.isnan(w).all()

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from choiopt.channels import apply_matrix, maxmix_choi, validate_choi
-from choiopt.errors import DimensionMismatchError, InvalidSpecError, SingularLambdaError
+from choiopt.channels import ChoiOperator, apply_matrix, maxmix_choi, validate_choi
+from choiopt.errors import (
+    DimensionMismatchError,
+    InvalidChoiError,
+    InvalidSpecError,
+    SingularLambdaError,
+)
 from choiopt.models import (
     ModelSpec,
     analytic_r,
@@ -154,6 +159,26 @@ class TestOptionsAndInit:
     def test_initial_choi_explicit_dim_check(self):
         with pytest.raises(DimensionMismatchError):
             initial_choi(UNOT1, maxmix_choi(2, 3))
+
+    def test_initial_choi_rejects_non_psd_start(self):
+        # Hermitian and trace-preserving (Tr_K of Z (x) Z vanishes), but with
+        # eigenvalue -1/2.
+        z = np.diag([1.0, -1.0])
+        start = ChoiOperator(2, 2, np.eye(4) / 2 + np.kron(z, z))
+        with pytest.raises(InvalidChoiError, match="minimum eigenvalue"):
+            initial_choi(UNOT1, start)
+        with pytest.raises(InvalidChoiError):
+            solve(UNOT1, SolverOptions(init=start))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_initial_choi_rejects_non_finite_start(self, value):
+        m = np.eye(4) / 2
+        m[1, 1] = value
+        start = ChoiOperator(2, 2, m)
+        with pytest.raises(InvalidChoiError):
+            initial_choi(UNOT1, start)
+        with pytest.raises(InvalidChoiError):
+            solve(UNOT1, SolverOptions(init=start))
 
     def test_initial_choi_unknown_keyword(self):
         with pytest.raises(InvalidSpecError):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiopt.errors import NormViolationError
+from choiopt.errors import InvalidChoiError, NormViolationError
 from choiopt.models import ModelSpec, analytic_r, bloch_state, model_family, orthogonal_state
 from choiopt.targets import (
     StateFamily,
+    TargetOperator,
     build_r_montecarlo,
     build_r_quadrature,
     evaluate_family,
@@ -72,6 +73,12 @@ class TestQuadrature:
         with pytest.raises(NormViolationError):
             build_r_quadrature(family)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_is_a_norm_violation(self, value):
+        bad = lambda t, p: (bloch_state(t, p), np.full(np.shape(t) + (2,), value, dtype=complex))
+        with pytest.raises(NormViolationError), np.errstate(invalid="ignore"):
+            evaluate_family(StateFamily(2, 2, bad, 4), [0.1, 0.2], [0.3, 0.4])
+
 
 class TestMonteCarlo:
     def test_single_sample_is_the_integrand(self):
@@ -129,6 +136,22 @@ class TestFidelityBound:
     def test_entangler_b(self):
         bound = fidelity_bound(analytic_r(ModelSpec("entangler_b")))
         assert abs(bound - 1 / 3) <= 1e-12
+
+
+class TestTargetOperator:
+    def test_lambda_max_is_derived(self):
+        r = TargetOperator(2, 2, np.diag([0.4, 0.3, 0.2, 0.1]))
+        assert r.lambda_max == 0.4
+        with pytest.raises(TypeError):
+            TargetOperator(2, 2, np.eye(4) / 4, 0.9)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, value, entry):
+        m = unot_r_matrix()
+        m[entry] = value
+        with pytest.raises(InvalidChoiError, match="not Hermitian"):
+            TargetOperator(2, 2, m)
 
 
 class TestStateFamilies:
