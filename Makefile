@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: install test accept verify
+.PHONY: install test accept verify bench bench-smoke
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,3 +13,9 @@ accept:
 
 verify:
 	PYTHONPATH=src $(PYTHON) scripts/verify_reference_values.py
+
+bench:
+	$(PYTHON) perfbench/run.py
+
+bench-smoke:
+	$(PYTHON) perfbench/run.py --workload shifter-scan --seconds 0 --size smoke

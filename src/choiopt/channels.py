@@ -179,7 +179,7 @@ def fidelity(chi: ChoiOperator, target) -> float:
     r = target.matrix if hasattr(target, "matrix") else linalg.as_matrix(target)
     if r.shape != chi.matrix.shape:
         raise DimensionMismatchError(f"target shape {r.shape} != process shape {chi.matrix.shape}")
-    value = np.trace(chi.matrix @ r)
+    value = np.einsum("ij,ji->", chi.matrix, r)  # Tr[chi R] without forming chi R
     if abs(value.imag) > 1e-10:
         raise InvalidChoiError(f"fidelity has imaginary part {value.imag:.3e}")
     return float(value.real)

@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (_UsageError, ChoiOptError, OSError, KeyError, ValueError) as exc:
+    except (_UsageError, ChoiOptError, OSError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Spec errors are ChoiOptErrors and LinAlgError is a ValueError, so
         # the usage-or-numerical split cannot follow the class tree alone.

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChoiOperator, KrausSet, require_valid_choi
+from .errors import InvalidChoiError
 from .solver import SolverResult
 from .targets import TargetOperator
 
@@ -30,13 +31,21 @@ def matrix_to_obj(m: np.ndarray) -> dict:
     }
 
 
+def _checked(obj, key: str, kind: type = int):
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if type(obj[key]) is not kind or (kind is int and obj[key] < 1):
+        raise ValueError(f"{key!r} must be a {'positive ' * (kind is int)}{kind.__name__}")
+    return obj[key]
+
+
 def matrix_from_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = obj["data"]
+    rows, cols, data = _checked(obj, "rows"), _checked(obj, "cols"), _checked(obj, "data", list)
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != rows*cols {rows * cols}")
-    flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    return flat.reshape(rows, cols)
+    if not all(type(z) is list and len(z) == 2 and {*map(type, z)} <= {int, float} for z in data):
+        raise ValueError("matrix data entries must be [re, im] pairs of numbers")
+    return np.array([complex(re, im) for re, im in data], dtype=np.complex128).reshape(rows, cols)
 
 
 def choi_to_obj(chi: ChoiOperator) -> dict:
@@ -46,11 +55,14 @@ def choi_to_obj(chi: ChoiOperator) -> dict:
 
 
 def choi_from_obj(obj: dict, validate: bool = True) -> ChoiOperator:
+    dims = _checked(obj, "dim_in"), _checked(obj, "dim_out")
     if obj.get("ordering", ORDERING) != ORDERING:
         raise ValueError(f"unsupported ordering {obj.get('ordering')!r}")
-    chi = ChoiOperator(int(obj["dim_in"]), int(obj["dim_out"]), matrix_from_obj(obj))
+    chi = ChoiOperator(*dims, matrix_from_obj(obj))
     if validate:
         require_valid_choi(chi)
+    elif not np.isfinite(chi.matrix).all():
+        raise InvalidChoiError("process matrix has non-finite entries")
     return chi
 
 
@@ -61,9 +73,10 @@ def target_to_obj(r: TargetOperator) -> dict:
 
 
 def target_from_obj(obj: dict) -> TargetOperator:
+    dims = _checked(obj, "dim_in"), _checked(obj, "dim_out")
     if obj.get("ordering", ORDERING) != ORDERING:
         raise ValueError(f"unsupported ordering {obj.get('ordering')!r}")
-    return TargetOperator(int(obj["dim_in"]), int(obj["dim_out"]), matrix_from_obj(obj))
+    return TargetOperator(*dims, matrix_from_obj(obj))
 
 
 def kraus_to_obj(kraus: KrausSet) -> dict:
@@ -101,7 +114,10 @@ def dump_json(obj: dict, path) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(obj).__name__}")
+    return obj
 
 
 def format_float(x: float) -> str:

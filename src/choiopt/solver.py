@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .channels import ChoiOperator, fidelity, maxmix_choi, require_valid_choi
-from .errors import AllZeroError, DimensionMismatchError, InvalidSpecError, SingularLambdaError
+from .errors import DimensionMismatchError, InvalidSpecError, NegativeEigenvalueError, SingularLambdaError
 from .targets import TargetOperator, fidelity_bound
 
 CHI_TOL = 1e-10  # second stopping rule: Frobenius change of chi (see SolverOptions)
@@ -63,9 +63,21 @@ class SolverResult:
     lambda_gap: float = float("nan")
 
 
-def _multiplier(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
-    """lambda = (Tr_K m)^{1/2}."""
-    return linalg.psd_sqrt(linalg.partial_trace(m, dim_in, dim_out, keep="first"))
+def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda^{-1} m Lambda^{-1}, re-Hermitized, and the ascending eigenvalues of
+    lambda = (Tr_K m)^{1/2}, from one eigh of Tr_K m.  Lambda^{-1} = lambda^{-1} (x) 1_K
+    left-multiplies the (dim_in, -1) view of m, then of the half-product's adjoint."""
+    w, v = np.linalg.eigh(linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out)))
+    if w[0] < -linalg.CLIP_TOL:
+        raise NegativeEigenvalueError(f"eigenvalue {w[0]:.3e} below -{linalg.CLIP_TOL:.1e}")
+    roots = np.sqrt(np.where(w < linalg.CLIP_TOL, 0.0, w))
+    if roots[-1] <= 0.0:
+        raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
+    inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots >= PINV_CUTOFF * roots[-1])
+    lam_inv = (v * inv) @ v.conj().T
+    half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
+    full = (lam_inv @ half.conj().T.reshape(dim_in, -1)).reshape(m.shape)
+    return roots, (full + full.conj().T) / 2
 
 
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
@@ -74,10 +86,7 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     rng = np.random.default_rng(seed)
     n = dim_in * dim_out
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    raw = w @ w.conj().T
-    lam = _multiplier(raw, dim_in, dim_out)
-    scale = linalg.kron(linalg.reg_inverse(lam), np.eye(dim_out))
-    return ChoiOperator(dim_in, dim_out, linalg.hermitian_part(scale @ raw @ scale))
+    return ChoiOperator(dim_in, dim_out, _extremal_step(w @ w.conj().T, dim_in, dim_out)[1])
 
 
 def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
@@ -102,21 +111,12 @@ def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
             f"process dims ({chi.dim_in},{chi.dim_out}) != target dims ({r.dim_in},{r.dim_out})"
         )
     m = r.matrix @ chi.matrix @ r.matrix
-    lam = _multiplier(m, r.dim_in, r.dim_out)
-    try:
-        lam_inv = linalg.reg_inverse(lam, PINV_CUTOFF)
-    except AllZeroError as exc:
-        raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating") from exc
-    sandwich = linalg.kron(lam_inv, np.eye(r.dim_out))
-    return ChoiOperator(r.dim_in, r.dim_out, linalg.hermitian_part(sandwich @ m @ sandwich))
+    return ChoiOperator(r.dim_in, r.dim_out, _extremal_step(m, r.dim_in, r.dim_out)[1])
 
 
 def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
-    lam = _multiplier(r.matrix @ chi.matrix @ r.matrix, r.dim_in, r.dim_out)
-    w = np.linalg.eigvalsh(lam)
-    if len(w) < 2:
-        return float("inf")
-    return float(np.diff(w).min())
+    roots, _ = _extremal_step(r.matrix @ chi.matrix @ r.matrix, r.dim_in, r.dim_out)
+    return float(np.diff(roots).min(initial=np.inf))
 
 
 def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:

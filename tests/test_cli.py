@@ -1,5 +1,13 @@
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choiopt import serialize
 from choiopt.channels import apply, density_from_state, identity_choi
@@ -280,3 +288,114 @@ def test_non_finite_input_is_a_numerical_failure(capsys, tmp_path, argv, value):
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_validate_prints_no_report_for_non_finite_chi(capsys, tmp_path):
+    chi_file = tmp_path / "chi.json"
+    serialize.dump_json(_poisoned(serialize.choi_to_obj(identity_choi(2)), float("nan")), chi_file)
+    code, out, err = run(capsys, "validate", "--model", "identity", "--chi", str(chi_file))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        None,
+        {"rows": None},
+        {"data": [["a", "b"]] * 16},
+        {"data": [1] * 16},
+        {"data": 5},
+        {"data": [[10**400, 0]] * 16},
+    ],
+    ids=["list-top-level", "rows-null", "string-pairs", "scalar-entries", "data-scalar", "huge-int"],
+)
+@pytest.mark.parametrize("argv", [("bound", "--r"), ("kraus", "--chi")], ids=["bound", "kraus"])
+def test_malformed_json_is_a_usage_error(capsys, tmp_path, argv, change):
+    path = tmp_path / "m.json"
+    obj = serialize.choi_to_obj(identity_choi(2))
+    path.write_text(json.dumps([1, 2] if change is None else dict(obj, **change)))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Each file-reading subcommand, with the slot that receives the mangled file.
+_FILE_COMMANDS = [
+    (("solve", "--r", "{bad}"), "r"),
+    (("bound", "--r", "{bad}"), "r"),
+    (("solve", "--model", "identity", "--init", "{bad}"), "chi"),
+    (("kraus", "--chi", "{bad}"), "chi"),
+    (("dilate", "--chi", "{bad}"), "chi"),
+    (("apply", "--chi", "{bad}", "--state", "0.3,0.4"), "chi"),
+    (("apply", "--chi", "{good_chi}", "--rho", "{bad}"), "rho"),
+    (("curve", "--model", "identity", "--chi", "{bad}", "--steps", "5", "--csv", "{csv}"), "chi"),
+    (("validate", "--model", "identity", "--chi", "{bad}", "--samples", "100"), "chi"),
+]
+_GOOD = {
+    "r": serialize.target_to_obj(analytic_r(ModelSpec("identity"))),
+    "chi": serialize.choi_to_obj(identity_choi(2)),
+    "rho": serialize.matrix_to_obj(np.eye(2) / 2),
+}
+_TEXT = st.text(max_size=3)
+_NOT_INT = st.one_of(st.none(), st.booleans(), st.floats(), _TEXT, st.lists(st.integers(), max_size=2))
+_JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(_TEXT, inner, max_size=2)),
+    max_leaves=4,
+)
+_NON_PAIR = _JSON_VALUE.filter(
+    lambda v: not (isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v))
+)
+
+
+@st.composite
+def _mangled(draw, kind: str):
+    """A JSON value that a loader of `kind` files must reject."""
+    obj = dict(_GOOD[kind], data=list(_GOOD[kind]["data"]))
+    n = obj["rows"]
+    how = draw(st.sampled_from(["shape", "ragged", "entry", "field", "top"]))
+    if how == "shape":
+        rows, cols = draw(
+            st.tuples(st.integers(-2, 2 * n), st.integers(-2, 2 * n)).filter(lambda rc: rc != (n, n))
+        )
+        obj.update(rows=rows, cols=cols)
+        if draw(st.booleans()) and rows * cols > 0:
+            obj["data"] = [[0.25, 0.0]] * (rows * cols)
+    elif how == "ragged":
+        size = draw(st.integers(0, 2 * n * n).filter(lambda k: k != n * n))
+        obj["data"] = (obj["data"] * 2)[:size]
+    elif how == "entry":
+        obj["data"][draw(st.integers(0, n * n - 1))] = draw(_NON_PAIR)
+    elif how == "field":
+        key = draw(st.sampled_from(sorted(k for k in obj if k != "kind")))
+        obj[key] = draw(_NOT_INT if key != "ordering" else _JSON_VALUE.filter(lambda v: v != obj[key]))
+    else:
+        top = st.one_of(st.lists(_JSON_VALUE, max_size=3), st.integers(), st.floats(), _TEXT, st.none())
+        return draw(top)
+    return obj
+
+
+@st.composite
+def _mangled_command(draw):
+    argv, kind = draw(st.sampled_from(_FILE_COMMANDS))
+    return argv, draw(_mangled(kind))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_mangled_command())
+def test_mangled_json_never_succeeds(case):
+    argv, bad = case
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.json" for name in ("bad", "good_chi")}
+        paths["csv"] = Path(tmp) / "curve.csv"
+        paths["bad"].write_text(json.dumps(bad))
+        serialize.dump_json(_GOOD["chi"], paths["good_chi"])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(**paths) for a in argv])
+    assert code in (2, 3), (code, out.getvalue())
+    assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()

@@ -35,6 +35,35 @@ class TestMatrixFormat:
         with pytest.raises(ValueError):
             serialize.matrix_from_obj({"rows": 2, "cols": 2, "data": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"rows": None},
+            {"cols": 2.0},
+            {"rows": True},
+            {"rows": -2, "cols": -2},
+            {"data": 5},
+            {"data": [["a", "b"]] * 4},
+            {"data": [1] * 4},
+            {"data": [[1.0, 0.0, 0.0]] * 4},
+            {"data": [[True, False]] * 4},
+        ],
+        ids=repr,
+    )
+    def test_shape_and_type_checks(self, change):
+        obj = dict(serialize.matrix_to_obj(np.eye(2)), **change)
+        with pytest.raises(ValueError):
+            serialize.matrix_from_obj(obj)
+
+    @pytest.mark.parametrize("top", [[1, 2], 3, "text", None])
+    def test_top_level_must_be_an_object(self, tmp_path, top):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(top))
+        with pytest.raises(ValueError, match="JSON object"):
+            serialize.load_json(path)
+        with pytest.raises(ValueError, match="JSON object"):
+            serialize.matrix_from_obj(top)
+
 
 class TestChoiFormat:
     def test_fields(self):
@@ -57,6 +86,20 @@ class TestChoiFormat:
             serialize.choi_from_obj(obj)
         lenient = serialize.choi_from_obj(obj, validate=False)
         assert lenient.matrix[0, 0] == 5.0
+
+    @pytest.mark.parametrize("change", [{"dim_in": None}, {"dim_out": "2"}, {"dim_in": 0}], ids=repr)
+    def test_dims_must_be_positive_integers(self, change):
+        obj = dict(serialize.choi_to_obj(random_choi(2, 2, seed=3)), **change)
+        with pytest.raises(ValueError):
+            serialize.choi_from_obj(obj)
+        with pytest.raises(ValueError):
+            serialize.target_from_obj(obj)
+
+    def test_non_finite_rejected_without_validation(self):
+        obj = serialize.choi_to_obj(random_choi(2, 2, seed=2))
+        obj["data"][0] = [float("nan"), 0.0]
+        with pytest.raises(InvalidChoiError, match="non-finite"):
+            serialize.choi_from_obj(obj, validate=False)
 
     def test_rejects_foreign_ordering(self):
         obj = serialize.choi_to_obj(random_choi(2, 2, seed=3))

@@ -1,22 +1,30 @@
 import numpy as np
 import pytest
 
-from choiopt.channels import ChoiOperator, apply_matrix, maxmix_choi, validate_choi
+from choiopt.channels import ChoiOperator, apply_matrix, fidelity, maxmix_choi, validate_choi
 from choiopt.errors import (
     DimensionMismatchError,
     InvalidChoiError,
     InvalidSpecError,
+    NegativeEigenvalueError,
     SingularLambdaError,
 )
+from choiopt.linalg import hermitian_part, partial_trace, psd_sqrt, reg_inverse
 from choiopt.models import (
     ModelSpec,
     analytic_r,
     damping_channel,
     known_optimum,
 )
-from choiopt.solver import SolverOptions, initial_choi, iterate_once, random_choi, solve
+from choiopt.solver import PINV_CUTOFF, SolverOptions, initial_choi, iterate_once, random_choi, solve
 from choiopt.targets import TargetOperator
-from helpers import entangler_b_mixed_state, random_density, unot_channel_action
+from helpers import (
+    entangler_b_mixed_state,
+    random_density,
+    random_hermitian,
+    random_target_matrix,
+    unot_channel_action,
+)
 
 UNOT1 = analytic_r(ModelSpec("unot", copies=1))
 
@@ -60,6 +68,55 @@ class TestIterateOnce:
         constant_one = damping_channel(np.pi / 2)
         with pytest.raises(SingularLambdaError):
             iterate_once(constant_one, target)
+
+
+def reference_step(chi: ChoiOperator, r: TargetOperator) -> np.ndarray:
+    """The update as the paper writes it: a Kronecker sandwich with
+    Lambda^{-1} = (Tr_K[R chi R])^{-1/2} (x) 1_K."""
+    m = r.matrix @ chi.matrix @ r.matrix
+    lam_inv = reg_inverse(psd_sqrt(partial_trace(m, r.dim_in, r.dim_out)), PINV_CUTOFF)
+    sandwich = np.kron(lam_inv, np.eye(r.dim_out))
+    return hermitian_part(sandwich @ m @ sandwich)
+
+
+class TestStepAgainstReference:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (31, 2)], ids=str)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_start(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        r = TargetOperator(*dims, random_target_matrix(rng, dims[0] * dims[1]))
+        chi = random_choi(*dims, seed=seed)
+        assert np.abs(iterate_once(chi, r).matrix - reference_step(chi, r)).max() <= 1e-13
+
+    def test_rank_deficient_multiplier(self):
+        # R lives on input |0> only, so lambda is singular and its
+        # pseudo-inverse drops the |1> direction.
+        r = TargetOperator(2, 2, np.diag([0.5, 0.5, 0.0, 0.0]))
+        chi = random_choi(2, 2, seed=5)
+        assert np.abs(iterate_once(chi, r).matrix - reference_step(chi, r)).max() <= 1e-13
+
+    def test_negative_marginal_raises(self):
+        # Hermitian chi whose marginal Tr_K chi = diag(1, -1) is indefinite;
+        # with R = 1/4 the marginal of R chi R keeps that sign.
+        r = TargetOperator(2, 2, np.eye(4) / 4)
+        chi = ChoiOperator(2, 2, np.kron(np.diag([1.0, -1.0]), np.eye(2) / 2))
+        with pytest.raises(NegativeEigenvalueError):
+            iterate_once(chi, r)
+
+    def test_marginal_below_clip_tolerance_is_singular(self):
+        # Tr_K[R chi R] = diag(1e-13, 0): every eigenvalue clips to zero.
+        r = TargetOperator(2, 2, np.diag([1.0, 0.0, 0.0, 0.0]))
+        chi = ChoiOperator(2, 2, np.diag([1e-13, 1.0, 1.0, 0.0]))
+        with pytest.raises(SingularLambdaError):
+            iterate_once(chi, r)
+
+    @pytest.mark.parametrize("n", [4, 6, 62])
+    def test_fidelity_matches_trace_of_product(self, n):
+        rng = np.random.default_rng(n)
+        chi = random_hermitian(rng, n) / n
+        r = random_hermitian(rng, n) / n
+        got = fidelity(ChoiOperator(n // 2, 2, chi), r)
+        assert abs(got - np.trace(chi @ r).real) <= 1e-14
 
 
 class TestSolve:
