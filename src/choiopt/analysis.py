@@ -19,6 +19,12 @@ PPT_TOL = 1e-10  # negativity tolerance on the partial-transpose spectrum
 
 
 def _pointwise_fidelities(chi: ChoiOperator, family: StateFamily, thetas, phis) -> np.ndarray:
+    if (chi.dim_in, chi.dim_out) != (family.dim_in, family.dim_out):
+        raise DimensionMismatchError(
+            f"channel dims ({chi.dim_in},{chi.dim_out}) != family dims "
+            f"({family.dim_in},{family.dim_out})"
+        )
+    require_valid_choi(chi)
     # <psi_out| E(|psi_in><psi_in|) |psi_out> = v† chi v with v = conj(psi_in) (x) psi_out
     v = integrand_rows(family, thetas, phis)
     return np.einsum("sa,ab,sb->s", v.conj(), chi.matrix, v).real
@@ -35,12 +41,6 @@ def mc_fidelity(chi: ChoiOperator, family: StateFamily, samples: int, seed: int)
     formula; deterministic per seed."""
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    if (chi.dim_in, chi.dim_out) != (family.dim_in, family.dim_out):
-        raise DimensionMismatchError(
-            f"channel dims ({chi.dim_in},{chi.dim_out}) != family dims "
-            f"({family.dim_in},{family.dim_out})"
-        )
-    require_valid_choi(chi)
     f = _pointwise_fidelities(chi, family, *sphere_samples(samples, seed))
     return McEstimate(float(f.mean()), float(f.std(ddof=1) / np.sqrt(samples)))
 
@@ -53,9 +53,6 @@ def state_fidelity_curve(chi: ChoiOperator, family: StateFamily, theta_steps: in
     """
     if theta_steps < 2:
         raise ValueError("theta_steps must be >= 2")
-    if (chi.dim_in, chi.dim_out) != (family.dim_in, family.dim_out):
-        raise DimensionMismatchError("channel and family dimensions differ")
-    require_valid_choi(chi)
     n_phi = default_phi_nodes(family.trig_degree)
     thetas = np.linspace(0.0, np.pi, theta_steps)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi

@@ -48,10 +48,6 @@ class ChoiOperator:
             )
         object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
-    @property
-    def dim(self) -> int:
-        return self.dim_in * self.dim_out
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -64,12 +60,12 @@ class DensityMatrix:
         if m.shape[0] != m.shape[1]:
             raise InvalidDensityError(f"density matrix is {m.shape[0]}x{m.shape[1]}")
         herm_dev, w = linalg.hermitian_spectrum(m)
-        if herm_dev > 1e-10:
-            raise InvalidDensityError("density matrix is not Hermitian within 1e-10")
-        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
-            raise InvalidDensityError(f"trace {np.trace(m):.12g} is not 1 within 1e-10")
-        if w.min() < -1e-10:
-            raise InvalidDensityError(f"minimum eigenvalue {w.min():.3e} below -1e-10")
+        if herm_dev > PSD_TOL:
+            raise InvalidDensityError(f"density matrix is not Hermitian within {PSD_TOL:.1e}")
+        if abs(np.trace(m).real - 1.0) > PSD_TOL or abs(np.trace(m).imag) > PSD_TOL:
+            raise InvalidDensityError(f"trace {np.trace(m):.12g} is not 1 within {PSD_TOL:.1e}")
+        if w.min() < -PSD_TOL:
+            raise InvalidDensityError(f"minimum eigenvalue {w.min():.3e} below -{PSD_TOL:.1e}")
         object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
     @property
@@ -180,7 +176,7 @@ def fidelity(chi: ChoiOperator, target) -> float:
     if r.shape != chi.matrix.shape:
         raise DimensionMismatchError(f"target shape {r.shape} != process shape {chi.matrix.shape}")
     value = np.einsum("ij,ji->", chi.matrix, r)  # Tr[chi R] without forming chi R
-    if abs(value.imag) > 1e-10:
+    if abs(value.imag) > PSD_TOL:
         raise InvalidChoiError(f"fidelity has imaginary part {value.imag:.3e}")
     return float(value.real)
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import analysis, models, serialize, solver
 from .channels import (
+    KRAUS_CUTOFF,
     DensityMatrix,
     apply,
     density_from_state,
@@ -173,7 +174,7 @@ def _cmd_scan(args) -> int:
     if args.model != "shifter":
         raise _UsageError("scan supports only --model shifter")
     alphas = np.linspace(args.start, args.stop, args.steps)
-    rows = analysis.alpha_scan(alphas, solver_opts=solver.SolverOptions(), jobs=args.jobs)
+    rows = analysis.alpha_scan(alphas, jobs=args.jobs)
     serialize.write_scan_csv(rows, args.csv)
     failed = [row for row in rows if row.error is not None]
     print(f"wrote {args.csv}  rows = {len(rows)}  failed = {len(failed)}")
@@ -223,9 +224,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve for the optimal channel")
     _add_model_args(p)
     p.add_argument("--r", help="target-operator JSON file instead of --model")
-    p.add_argument("--tol", type=float, default=1e-12, help="fidelity-delta stopping tolerance")
-    p.add_argument("--max-iters", type=int, default=10000)
-    p.add_argument("--init", default="maxmix", help="maxmix | random:SEED | process-matrix JSON file")
+    defaults = solver.SolverOptions  # the CLI defaults are its field defaults
+    p.add_argument("--tol", type=float, default=defaults.fid_tol, help="fidelity-delta tolerance")
+    p.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    p.add_argument("--init", default=defaults.init, help="maxmix | random:SEED | chi JSON file")
     p.add_argument("--strict", action="store_true", help="exit 4 when not converged")
     p.add_argument("--out", help="write the solver result as JSON")
     p.set_defaults(handler=_cmd_solve)
@@ -245,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kraus", help="Kraus operators of a process matrix")
     p.add_argument("--chi", required=True)
-    p.add_argument("--cutoff", type=float, default=1e-10)
+    p.add_argument("--cutoff", type=float, default=KRAUS_CUTOFF)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_kraus)
 

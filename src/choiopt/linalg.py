@@ -51,7 +51,7 @@ def _check_square(m: np.ndarray) -> None:
 
 def _check_hermitian(m: np.ndarray) -> None:
     dev = np.linalg.norm(m - m.conj().T)
-    if dev > HERMITICITY_TOL * max(1.0, np.linalg.norm(m)):
+    if not dev <= HERMITICITY_TOL * max(1.0, np.linalg.norm(m)) < np.inf:  # NaN/Inf fail too
         raise NotHermitianError(
             f"Hermiticity deviation {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
         )
@@ -108,9 +108,8 @@ def psd_sqrt(m) -> np.ndarray:
     w = eig.eigenvalues
     if w.min() < -CLIP_TOL:
         raise NegativeEigenvalueError(f"eigenvalue {w.min():.3e} below -{CLIP_TOL:.1e}")
-    w = np.where(w < CLIP_TOL, 0.0, w)
-    v = eig.eigenvectors
-    return (v * np.sqrt(w)) @ v.conj().T
+    roots = np.sqrt(np.where(w < CLIP_TOL, 0.0, w))
+    return EigenDecomposition(roots, eig.eigenvectors).reconstruct()
 
 
 def reg_inverse(m, rel_cutoff: float = 1e-12) -> np.ndarray:
@@ -127,8 +126,7 @@ def reg_inverse(m, rel_cutoff: float = 1e-12) -> np.ndarray:
     keep = (w >= rel_cutoff * wmax) & (w > 0.0)
     winv = np.zeros_like(w)
     winv[keep] = 1.0 / w[keep]
-    v = eig.eigenvectors
-    return (v * winv) @ v.conj().T
+    return EigenDecomposition(winv, eig.eigenvectors).reconstruct()
 
 
 def kron(a, b) -> np.ndarray:

@@ -369,9 +369,7 @@ def known_optimum(spec: ModelSpec) -> KnownOptimum:
     if spec.kind == "cloner":
         return KnownOptimum(2.0 / (n + 1), None)
     if spec.kind == "entangler_a":
-        w = np.zeros(8, dtype=np.complex128)
-        w[0:4] = KET_00  # |0> (x) |00>
-        w[4:8] = PSI_PLUS  # |1> (x) |Psi+>
+        w = entangler_a_isometry().T.ravel()  # |0>|00> + |1>|Psi+>
         return KnownOptimum(ENTANGLER_A_FIDELITY, ChoiOperator(2, 4, np.outer(w, w.conj())))
     if spec.kind == "entangler_b":
         chi = ChoiOperator(2, 4, linalg.kron(np.eye(2), entangler_b_output_state()))

@@ -20,6 +20,7 @@ from .solver import SolverResult
 from .targets import TargetOperator
 
 ORDERING = "in_tensor_out"
+_SCAN_FIELDS = ("alpha", "beta_opt", "F_solver", "F_closed", "F_bound")
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
@@ -48,17 +49,25 @@ def matrix_from_obj(obj: dict) -> np.ndarray:
     return np.array([complex(re, im) for re, im in data], dtype=np.complex128).reshape(rows, cols)
 
 
-def choi_to_obj(chi: ChoiOperator) -> dict:
-    obj = {"dim_in": chi.dim_in, "dim_out": chi.dim_out, "ordering": ORDERING}
-    obj.update(matrix_to_obj(chi.matrix))
+def _operator_obj(op, **extra) -> dict:
+    obj = {"dim_in": op.dim_in, "dim_out": op.dim_out, "ordering": ORDERING, **extra}
+    obj.update(matrix_to_obj(op.matrix))
     return obj
 
 
-def choi_from_obj(obj: dict, validate: bool = True) -> ChoiOperator:
+def _dims(obj: dict) -> tuple[int, int]:
     dims = _checked(obj, "dim_in"), _checked(obj, "dim_out")
     if obj.get("ordering", ORDERING) != ORDERING:
         raise ValueError(f"unsupported ordering {obj.get('ordering')!r}")
-    chi = ChoiOperator(*dims, matrix_from_obj(obj))
+    return dims
+
+
+def choi_to_obj(chi: ChoiOperator) -> dict:
+    return _operator_obj(chi)
+
+
+def choi_from_obj(obj: dict, validate: bool = True) -> ChoiOperator:
+    chi = ChoiOperator(*_dims(obj), matrix_from_obj(obj))
     if validate:
         require_valid_choi(chi)
     elif not np.isfinite(chi.matrix).all():
@@ -67,16 +76,11 @@ def choi_from_obj(obj: dict, validate: bool = True) -> ChoiOperator:
 
 
 def target_to_obj(r: TargetOperator) -> dict:
-    obj = {"dim_in": r.dim_in, "dim_out": r.dim_out, "ordering": ORDERING, "kind": "target"}
-    obj.update(matrix_to_obj(r.matrix))
-    return obj
+    return _operator_obj(r, kind="target")
 
 
 def target_from_obj(obj: dict) -> TargetOperator:
-    dims = _checked(obj, "dim_in"), _checked(obj, "dim_out")
-    if obj.get("ordering", ORDERING) != ORDERING:
-        raise ValueError(f"unsupported ordering {obj.get('ordering')!r}")
-    return TargetOperator(*dims, matrix_from_obj(obj))
+    return TargetOperator(*_dims(obj), matrix_from_obj(obj))
 
 
 def kraus_to_obj(kraus: KrausSet) -> dict:
@@ -89,13 +93,14 @@ def kraus_to_obj(kraus: KrausSet) -> dict:
 
 
 def kraus_from_obj(obj: dict) -> KrausSet:
-    ops = tuple(matrix_from_obj(o) for o in obj["operators"])
-    return KrausSet(
-        int(obj["dim_in"]),
-        int(obj["dim_out"]),
-        ops,
-        np.array([float(w) for w in obj["weights"]]),
-    )
+    dim_in, dim_out = _dims(obj)
+    ops = tuple(matrix_from_obj(o) for o in _checked(obj, "operators", list))
+    if any(a.shape != (dim_out, dim_in) for a in ops):
+        raise ValueError(f"Kraus operators must be {dim_out}x{dim_in}")
+    weights = _checked(obj, "weights", list)
+    if len(weights) != len(ops) or not {*map(type, weights)} <= {int, float}:
+        raise ValueError("weights must hold one number per Kraus operator")
+    return KrausSet(dim_in, dim_out, ops, np.array([float(w) for w in weights]))
 
 
 def result_to_obj(result: SolverResult) -> dict:
@@ -125,20 +130,14 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def write_scan_csv(rows, path) -> None:
-    lines = ["alpha,beta_opt,F_solver,F_closed,F_bound"]
-    for row in rows:
-        lines.append(
-            ",".join(
-                format_float(v)
-                for v in (row.alpha, row.beta_opt, row.F_solver, row.F_closed, row.F_bound)
-            )
-        )
+def _write_csv(path, header, rows) -> None:
+    lines = [",".join(header)] + [",".join(map(format_float, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_scan_csv(rows, path) -> None:
+    _write_csv(path, _SCAN_FIELDS, ([getattr(row, f) for f in _SCAN_FIELDS] for row in rows))
 
 
 def write_curve_csv(curve: np.ndarray, path) -> None:
-    lines = ["theta,F"]
-    for theta, f in curve:
-        lines.append(f"{format_float(theta)},{format_float(f)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, ("theta", "F"), curve)

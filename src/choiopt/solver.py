@@ -45,8 +45,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidSpecError("max_iters must be >= 1")
-        if self.fid_tol <= 0:
-            raise InvalidSpecError("fid_tol must be > 0")
+        if not 0 < self.fid_tol < np.inf:  # NaN fails too
+            raise InvalidSpecError(f"fid_tol must be finite and > 0, got {self.fid_tol}")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
+from .channels import PSD_TOL, TP_TOL
 from .errors import DimensionMismatchError, InvalidChoiError, NormViolationError
 
 NORM_TOL = 1e-12
@@ -63,12 +64,13 @@ class TargetOperator:
                 f"target shape {m.shape} does not match dims ({self.dim_in},{self.dim_out})"
             )
         herm_dev, w = linalg.hermitian_spectrum(m)
-        if herm_dev > 1e-10:
-            raise InvalidChoiError("target operator is not Hermitian within 1e-10")
-        if w.min() < -1e-10:
-            raise InvalidChoiError(f"target minimum eigenvalue {w.min():.3e} below -1e-10")
-        if abs(np.trace(m).real - 1.0) > 1e-9:
-            raise InvalidChoiError(f"target trace {np.trace(m).real:.12g} is not 1 within 1e-9")
+        if herm_dev > PSD_TOL:
+            raise InvalidChoiError(f"target operator is not Hermitian within {PSD_TOL:.1e}")
+        if w.min() < -PSD_TOL:
+            raise InvalidChoiError(f"target minimum eigenvalue {w.min():.3e} below -{PSD_TOL:.1e}")
+        trace = np.trace(m).real
+        if abs(trace - 1.0) > TP_TOL:
+            raise InvalidChoiError(f"target trace {trace:.12g} is not 1 within {TP_TOL:.1e}")
         object.__setattr__(self, "matrix", linalg.frozen_copy(m))
         object.__setattr__(self, "lambda_max", float(w.max()))
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import choiopt.analysis
 from choiopt.analysis import alpha_scan, mc_fidelity, ppt_check, state_fidelity_curve
 from choiopt.channels import DensityMatrix, fidelity
 from choiopt.errors import DimensionMismatchError
@@ -15,6 +16,7 @@ from choiopt.models import (
     shifter_closed_forms,
 )
 from choiopt.solver import SolverOptions
+from choiopt.targets import fidelity_bound
 from helpers import entangler_b_mixed_state
 
 
@@ -176,3 +178,36 @@ class TestAlphaScan:
         rows = alpha_scan([0.5], solver_opts=SolverOptions(max_iters=1))
         assert rows[0].error is None  # non-convergence is reported, not an error
         assert not rows[0].converged
+
+
+class TestTypedErrors:
+    def test_mc_fidelity_needs_two_samples(self):
+        spec = ModelSpec("identity")
+        with pytest.raises(ValueError, match="samples"):
+            mc_fidelity(known_optimum(spec).chi, model_family(spec), samples=1, seed=0)
+
+    def test_curve_needs_two_steps(self):
+        spec = ModelSpec("identity")
+        with pytest.raises(ValueError, match="theta_steps"):
+            state_fidelity_curve(known_optimum(spec).chi, model_family(spec), theta_steps=1)
+
+    def test_curve_dim_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            state_fidelity_curve(
+                known_optimum(ModelSpec("identity")).chi,
+                model_family(ModelSpec("entangler_a")),
+                theta_steps=5,
+            )
+
+    def test_scan_row_records_a_solver_exception(self, monkeypatch):
+        def fail(r, opts):
+            raise RuntimeError("no convergence today")
+
+        monkeypatch.setattr(choiopt.analysis, "solve", fail)
+        (row,) = alpha_scan([1.2], jobs=1)
+        assert row.alpha == 1.2
+        assert row.F_closed == shifter_closed_forms(1.2).fidelity
+        assert row.F_bound == fidelity_bound(analytic_r(ModelSpec("shifter", alpha=1.2)))
+        assert row.converged is False
+        assert np.isnan(row.F_solver) and np.isnan(row.beta_opt)
+        assert row.error == "RuntimeError: no convergence today"

@@ -201,3 +201,27 @@ class TestNonFiniteChoi:
         report = channels.validate_choi(channels.ChoiOperator(2, 2, m))
         assert report.hermiticity_deviation == np.inf
         assert not report.within(1e-10)
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("dims", [(0, 2), (2, 0)])
+    def test_choi_dimension_below_one(self, dims):
+        with pytest.raises(DimensionMismatchError):
+            channels.ChoiOperator(*dims, np.zeros((0, 0)))
+
+    def test_density_negative_eigenvalue(self):
+        with pytest.raises(InvalidDensityError, match="minimum eigenvalue"):
+            channels.DensityMatrix(np.diag([1.5, -0.5]))
+
+    def test_apply_matrix_wrong_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            channels.apply_matrix(channels.identity_choi(2), np.eye(3))
+
+    def test_fidelity_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            channels.fidelity(channels.maxmix_choi(2, 2), np.eye(6) / 6)
+
+    def test_fidelity_of_non_hermitian_chi(self):
+        chi = channels.ChoiOperator(2, 2, np.eye(4) / 2 + 0.1j * np.eye(4))
+        with pytest.raises(InvalidChoiError, match="imaginary part"):
+            channels.fidelity(chi, TargetOperator(2, 2, unot_r_matrix()))

@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiopt import serialize
-from choiopt.channels import apply, density_from_state, identity_choi
+from choiopt.channels import KRAUS_CUTOFF, apply, density_from_state, identity_choi
 from choiopt.cli import _build_parser, main
 from choiopt.models import MODEL_KINDS, ModelSpec, analytic_r, bloch_state
-from choiopt.solver import random_choi
+from choiopt.solver import SolverOptions, random_choi
 
 
 def run(capsys, *argv):
@@ -399,3 +399,22 @@ def test_mangled_json_never_succeeds(case):
     assert code in (2, 3), (code, out.getvalue())
     assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_non_finite_tol_is_a_usage_error(capsys, tol):
+    code, out, err = run(capsys, "solve", "--model", "shifter", "--alpha", "0.7", "--tol", tol)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "fid_tol" in err and err.count("\n") == 1
+
+
+def test_defaults_are_the_library_defaults():
+    solve_args = _build_parser().parse_args(["solve", "--model", "unot"])
+    opts = SolverOptions()
+    assert (solve_args.tol, solve_args.max_iters, solve_args.init) == (
+        opts.fid_tol,
+        opts.max_iters,
+        opts.init,
+    )
+    assert _build_parser().parse_args(["kraus", "--chi", "chi.json"]).cutoff == KRAUS_CUTOFF

@@ -205,3 +205,29 @@ class TestHermitianSpectrum:
         dev, w = linalg.hermitian_spectrum(m)
         assert dev == np.inf
         assert w.shape == (3,) and np.isnan(w).all()
+
+
+class TestNonFiniteIsNotHermitian:
+    @pytest.mark.parametrize("fn", [linalg.herm_eig, linalg.psd_sqrt, linalg.reg_inverse])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entries", [[(0, 0)], [(0, 1)], [(0, 1), (1, 0)]])
+    def test_raises(self, fn, value, entries):
+        m = np.eye(2, dtype=complex)
+        for entry in entries:
+            m[entry] = value
+        with pytest.raises(NotHermitianError):
+            fn(m)
+
+
+class TestTypedErrors:
+    def test_as_matrix_rejects_a_vector(self):
+        with pytest.raises(DimensionMismatchError):
+            linalg.as_matrix(np.ones(4))
+
+    def test_partial_trace_rejects_unknown_keep(self):
+        with pytest.raises(ValueError, match="keep"):
+            linalg.partial_trace(np.eye(4), 2, 2, keep="both")
+
+    def test_partial_transpose_rejects_unknown_which(self):
+        with pytest.raises(ValueError, match="which"):
+            linalg.partial_transpose(np.eye(4), 2, 2, which="both")

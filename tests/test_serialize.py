@@ -172,3 +172,59 @@ class TestCsv:
 
     def test_significant_digits(self):
         assert serialize.format_float(2 / 3) == "0.666666666666667"
+
+
+def _kraus_obj():
+    # random_choi(2, 3) has full rank, so the set holds six 3x2 operators.
+    return serialize.kraus_to_obj(kraus_from_choi(random_choi(2, 3, seed=4)))
+
+
+def _set(key, value):
+    def change(obj):
+        obj[key] = value
+
+    return change
+
+
+def _reshape_first_operator(obj):
+    obj["operators"][0] = serialize.matrix_to_obj(np.zeros((2, 3)))
+
+
+def _drop_a_weight(obj):
+    obj["weights"].pop()
+
+
+def _string_weight(obj):
+    obj["weights"][0] = "0.5"
+
+
+class TestKrausReader:
+    def test_json_text_round_trip_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "k1.json", tmp_path / "k2.json"
+        serialize.dump_json(_kraus_obj(), first)
+        back = serialize.kraus_from_obj(serialize.load_json(first))
+        serialize.dump_json(serialize.kraus_to_obj(back), second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            _set("dim_in", 2.0),
+            _set("dim_in", "2"),
+            _set("dim_in", 0),
+            _set("dim_out", 0),
+            _set("ordering", "out_tensor_in"),
+            _set("operators", "A"),
+            _set("operators", {"rows": 3, "cols": 2}),
+            _reshape_first_operator,
+            _set("dim_in", 3),
+            _drop_a_weight,
+            _string_weight,
+            _set("weights", None),
+        ],
+    )
+    def test_rejects_malformed(self, change):
+        obj = _kraus_obj()
+        change(obj)
+        with pytest.raises(ValueError):
+            serialize.kraus_from_obj(obj)

@@ -240,3 +240,13 @@ class TestOptionsAndInit:
     def test_initial_choi_unknown_keyword(self):
         with pytest.raises(InvalidSpecError):
             initial_choi(UNOT1, "warmstart")
+
+
+class TestFidTolMustBeFinite:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_rejected(self, tol):
+        with pytest.raises(InvalidSpecError, match="fid_tol"):
+            SolverOptions(fid_tol=tol)
+
+    def test_smallest_positive_accepted(self):
+        assert SolverOptions(fid_tol=5e-324).fid_tol > 0

@@ -162,3 +162,17 @@ class TestStateFamilies:
         pin, pout = evaluate_family(family, [theta], [phi])
         assert abs(np.linalg.norm(pin[0]) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(pout[0]) - 1.0) <= 1e-12
+
+
+class TestTypedErrors:
+    def test_target_negative_eigenvalue(self):
+        with pytest.raises(InvalidChoiError, match="minimum eigenvalue"):
+            TargetOperator(2, 2, np.diag([0.6, 0.6, -0.2, 0.0]))
+
+    def test_target_trace_not_one(self):
+        with pytest.raises(InvalidChoiError, match="trace"):
+            TargetOperator(2, 2, np.eye(4) / 2)
+
+    def test_montecarlo_needs_a_sample(self):
+        with pytest.raises(ValueError, match="samples"):
+            build_r_montecarlo(model_family(ModelSpec("identity")), samples=0, seed=0)
