@@ -141,14 +141,17 @@ def _scan_one(args) -> ScanRow:
 def alpha_scan(alphas, solver_opts: SolverOptions | None = None, jobs: int = 1) -> list[ScanRow]:
     """Solve the shifter for each angle; rows come back ordered by alpha.
 
-    Rows are independent, so jobs > 1 distributes them over processes without
-    changing the output.
+    Rows are independent, so jobs > 1 distributes them over up to jobs
+    processes, never more than there are rows, without changing the output.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     opts = solver_opts or SolverOptions()
     work = [(float(a), opts) for a in alphas]
-    if jobs == 1:
+    workers = min(jobs, len(work))
+    if workers <= 1:
         rows = [_scan_one(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_one, work))
     return sorted(rows, key=lambda row: row.alpha)

@@ -182,11 +182,9 @@ def fidelity(chi: ChoiOperator, target) -> float:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    # Make the largest-magnitude entry real positive so outputs are deterministic.
-    i = int(np.argmax(np.abs(v)))
-    pivot = v[i]
-    if abs(pivot) == 0.0:
-        return v
+    # Make the largest-magnitude entry real positive so outputs are deterministic;
+    # v is a unit eigenvector, so that entry is at least 1/sqrt(len(v)) in size.
+    pivot = v[int(np.argmax(np.abs(v)))]
     return v * (pivot.conjugate() / abs(pivot))
 
 

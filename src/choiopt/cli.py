@@ -72,11 +72,12 @@ def _resolve_target(args):
     return serialize.target_from_obj(serialize.load_json(args.r))
 
 
-def _load_choi(path: str, validate: bool = True):
+def _load_choi(path: str):
+    # Finite check only: every library call that takes chi validates it.
     obj = serialize.load_json(path)
     if "chi" in obj:  # accept solver-result files directly
         obj = obj["chi"]
-    return serialize.choi_from_obj(obj, validate=validate)
+    return serialize.choi_from_obj(obj, validate=False)
 
 
 def _parse_init(value: str):
@@ -196,7 +197,7 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    chi = _load_choi(args.chi, validate=False)
+    chi = _load_choi(args.chi)
     spec = _model_spec(args)
     report = validate_choi(chi)
     print(
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=os.cpu_count() or 1,
-        help="worker processes for the scan rows (default: processor count)",
+        help="worker processes, at most one per row (default: processor count)",
     )
     p.add_argument("--csv", required=True)
     p.set_defaults(handler=_cmd_scan)

@@ -50,8 +50,8 @@ def _check_square(m: np.ndarray) -> None:
 
 
 def _check_hermitian(m: np.ndarray) -> None:
-    dev = np.linalg.norm(m - m.conj().T)
-    if not dev <= HERMITICITY_TOL * max(1.0, np.linalg.norm(m)) < np.inf:  # NaN/Inf fail too
+    dev = np.linalg.norm(m - m.conj().T) if np.isfinite(m).all() else np.inf  # m - m† warns on NaN/Inf
+    if not dev <= HERMITICITY_TOL * max(1.0, np.linalg.norm(m)) < np.inf:
         raise NotHermitianError(
             f"Hermiticity deviation {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
         )

@@ -23,7 +23,6 @@ from .channels import ChoiOperator, fidelity, maxmix_choi, require_valid_choi
 from .errors import DimensionMismatchError, InvalidSpecError, NegativeEigenvalueError, SingularLambdaError
 from .targets import TargetOperator, fidelity_bound
 
-CHI_TOL = 1e-10  # second stopping rule: Frobenius change of chi (see SolverOptions)
 PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff of the multiplier pseudo-inverse
 
 
@@ -31,11 +30,9 @@ PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff of the multiplier pseudo-inver
 class SolverOptions:
     """Iteration controls.
 
-    The loop stops when the fidelity change drops below fid_tol or the
-    Frobenius change of chi drops below CHI_TOL, whichever fires first;
-    fidelity may plateau while chi still drifts along a degenerate optimal
-    manifold, so both deltas are monitored.  init is "maxmix", "random:SEED",
-    or an explicit ChoiOperator.
+    The loop stops after the first step whose fidelity differs from the
+    previous one by less than fid_tol, or after max_iters steps without one.
+    init is "maxmix", "random:SEED", or an explicit ChoiOperator.
     """
 
     max_iters: int = 10000
@@ -120,36 +117,27 @@ def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
 
 
 def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
-    """Iterate the extremal update from the chosen start until a stopping
-    criterion fires or max_iters is reached.
+    """Iterate the extremal update from the chosen start until successive
+    fidelities differ by less than fid_tol or max_iters is reached.
 
     Non-convergence is not an error: the result carries converged=False and
     the full fidelity trace.
     """
     opts = opts or SolverOptions()
     chi = initial_choi(r, opts.init)
-    bound = fidelity_bound(r)
-    f_prev = fidelity(chi, r)
-    trace: list[float] = []
+    fids = [fidelity(chi, r)]  # F_0 of the start; the reported trace begins at F_1
     converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        new = iterate_once(chi, r)
-        f = fidelity(new, r)
-        trace.append(f)
-        d_chi = float(np.linalg.norm(new.matrix - chi.matrix))
-        d_f = abs(f - f_prev)
-        chi, f_prev = new, f
-        if d_f < opts.fid_tol or d_chi < CHI_TOL:
-            converged = True
-            break
+    while not converged and len(fids) <= opts.max_iters:
+        chi = iterate_once(chi, r)
+        fids.append(fidelity(chi, r))
+        converged = abs(fids[-1] - fids[-2]) < opts.fid_tol
     require_valid_choi(chi)
     return SolverResult(
         chi=chi,
-        fidelity=f_prev,
-        bound=bound,
-        iterations=iterations,
+        fidelity=fids[-1],
+        bound=fidelity_bound(r),
+        iterations=len(fids) - 1,
         converged=converged,
-        fidelity_trace=tuple(trace),
+        fidelity_trace=tuple(fids[1:]),
         lambda_gap=_multiplier_gap(chi, r),
     )

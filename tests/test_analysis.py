@@ -180,6 +180,42 @@ class TestAlphaScan:
         assert not rows[0].converged
 
 
+class TestScanWorkers:
+    @pytest.fixture()
+    def pools(self, monkeypatch):
+        made = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(choiopt.analysis, "ProcessPoolExecutor", RecordingPool)
+        return made
+
+    def test_one_row_builds_no_pool(self, pools):
+        (row,) = alpha_scan([1.2], jobs=8)
+        assert pools == [] and row.error is None
+
+    def test_never_more_workers_than_rows(self, pools):
+        rows = alpha_scan([2.0, 0.5, 1.2], jobs=8)
+        assert pools == [3]
+        assert [row.alpha for row in rows] == [0.5, 1.2, 2.0]
+
+    def test_zero_jobs_rejected(self, pools):
+        with pytest.raises(ValueError, match="jobs"):
+            alpha_scan([1.2], jobs=0)
+        assert pools == []
+
+
 class TestTypedErrors:
     def test_mc_fidelity_needs_two_samples(self):
         spec = ModelSpec("identity")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiopt import serialize
-from choiopt.channels import KRAUS_CUTOFF, apply, density_from_state, identity_choi
+from choiopt.channels import KRAUS_CUTOFF, ChoiOperator, apply, density_from_state, identity_choi
 from choiopt.cli import _build_parser, main
 from choiopt.models import MODEL_KINDS, ModelSpec, analytic_r, bloch_state
 from choiopt.solver import SolverOptions, random_choi
@@ -288,6 +288,28 @@ def test_non_finite_input_is_a_numerical_failure(capsys, tmp_path, argv, value):
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--model", "identity", "--init", "{chi}"),
+        ("kraus", "--chi", "{chi}"),
+        ("dilate", "--chi", "{chi}"),
+        ("apply", "--chi", "{chi}", "--state", "0.3,0.4"),
+        ("curve", "--model", "identity", "--chi", "{chi}", "--steps", "5", "--csv", "{csv}"),
+    ],
+    ids=["solve-init", "kraus", "dilate", "apply", "curve"],
+)
+def test_non_psd_chi_is_a_numerical_failure(capsys, tmp_path, argv):
+    # Finite, Hermitian and trace-preserving, with eigenvalue -1/2.
+    chi = ChoiOperator(2, 2, [[1, 0, 0, 1.5], [0, 0, 0, 0], [0, 0, 0, 0], [1.5, 0, 0, 1]])
+    paths = {"chi": tmp_path / "chi.json", "csv": tmp_path / "curve.csv"}
+    serialize.dump_json(serialize.choi_to_obj(chi), paths["chi"])
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 3 and out == ""
+    assert err.startswith("error: minimum eigenvalue") and err.count("\n") == 1
+    assert not paths["csv"].exists()
 
 
 def test_validate_prints_no_report_for_non_finite_chi(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,6 +219,16 @@ class TestNonFiniteIsNotHermitian:
             m[entry] = value
         with pytest.raises(NotHermitianError):
             fn(m)
+
+    @pytest.mark.parametrize("fn", [linalg.herm_eig, linalg.psd_sqrt, linalg.reg_inverse])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_raises_without_a_numpy_warning(self, fn, value):
+        m = np.eye(2, dtype=complex)
+        m[0, 0] = value  # inf - inf on the diagonal of m - m†
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError):
+                fn(m)
 
 
 class TestTypedErrors:

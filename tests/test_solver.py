@@ -191,6 +191,16 @@ class TestSolve:
         assert result.converged
         assert result.iterations == 1
 
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec("shifter", alpha=0.5), ModelSpec("cloner", copies=10)], ids=str
+    )
+    def test_stops_when_successive_fidelities_agree(self, spec):
+        # Here chi moves by less than 1e-10 per step before the fidelity settles.
+        result = solve(analytic_r(spec))
+        trace = result.fidelity_trace
+        assert result.converged
+        assert abs(trace[-1] - trace[-2]) < SolverOptions().fid_tol
+
     def test_random_init_deterministic(self):
         a = solve(UNOT1, SolverOptions(init="random:7"))
         b = solve(UNOT1, SolverOptions(init="random:7"))
