@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: install test accept verify bench bench-smoke
+.PHONY: install test accept verify bench bench-smoke bench-record
 
 install:
 	pip install -e . --no-build-isolation
@@ -19,3 +19,7 @@ bench:
 
 bench-smoke:
 	$(PYTHON) perfbench/run.py --workload shifter-scan --seconds 0 --size smoke
+
+# make bench-record PR=N writes BENCH_N.json (end-to-end metrics of every workload)
+bench-record:
+	$(PYTHON) scripts/bench_record.py --pr $(PR)

@@ -1,0 +1,59 @@
+#!/usr/bin/env python3
+"""Record the benchmark's end-to-end metrics as one JSON file per change.
+
+Runs `perfbench/run.py --workload W --trace 0` for every workload that
+BENCHMARK.json lists and writes BENCH_<pr>.json at the repository root (or
+--out), holding the seed, the run settings, the commit (`git describe
+--always --dirty`) and, per workload, the end-to-end metrics with the
+attempted/failed item counts:
+
+    python3 scripts/bench_record.py --pr N [--seed S] [--seconds T] [--size full|smoke]
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def commit() -> str:
+    # The ceiling keeps git from describing a repository that merely encloses this checkout.
+    env = {**os.environ, "GIT_CEILING_DIRECTORIES": str(ROOT.parent)}
+    cmd = ["git", "describe", "--always", "--dirty"]
+    out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pr", type=int, required=True, help="change number, names BENCH_<pr>.json")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--size", choices=("full", "smoke"), default="full")
+    ap.add_argument("--out", type=Path, help="output file (default: BENCH_<pr>.json at the root)")
+    args = ap.parse_args(argv)
+    record = {"pr": args.pr, "commit": commit(), "seed": args.seed, "seconds": args.seconds,
+              "size": args.size, "workloads": {}}
+    for workload in WORKLOADS:
+        cmd = [
+            sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--trace", "0",
+            "--seed", str(args.seed), "--seconds", str(args.seconds), "--size", args.size,
+        ]
+        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+        if proc.returncode != 0:
+            print(f"error: {workload}: {proc.stderr.strip()}", file=sys.stderr)
+            return 1
+        record["workloads"][workload] = json.loads(proc.stdout.strip().splitlines()[-1])
+    out = args.out or ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

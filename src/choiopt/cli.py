@@ -9,7 +9,7 @@ validate.  Exit codes: 0 success, 2 usage error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import sys
 
 import numpy as np
@@ -215,6 +215,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: building costs ~20x a parse_args
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="choiopt",
@@ -272,8 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes, at most one per row (default: processor count)",
+        default=1,
+        help="worker processes, at most one per row (default: 1, the serial loop)",
     )
     p.add_argument("--csv", required=True)
     p.set_defaults(handler=_cmd_scan)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choiopt import serialize
+from choiopt import solver as solver_module
 from choiopt.channels import KRAUS_CUTOFF, ChoiOperator, apply, density_from_state, identity_choi
 from choiopt.cli import _build_parser, main
 from choiopt.models import MODEL_KINDS, ModelSpec, analytic_r, bloch_state
@@ -440,3 +441,28 @@ def test_defaults_are_the_library_defaults():
         opts.init,
     )
     assert _build_parser().parse_args(["kraus", "--chi", "chi.json"]).cutoff == KRAUS_CUTOFF
+
+
+def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
+    seen = []
+    real_solve = solver_module.solve
+
+    def recording_solve(r, opts):
+        seen.append(opts)
+        return real_solve(r, opts)
+
+    monkeypatch.setattr(solver_module, "solve", recording_solve)
+    assert _build_parser() is _build_parser()
+    model = ["--model", "shifter", "--alpha", "0.9", "--max-iters", "1"]
+    assert run(capsys, "solve", *model, "--tol", "1e-6", "--init", "random:3", "--strict")[0] == 4
+    # Not converged after one step either, but --strict did not carry over.
+    assert run(capsys, "solve", *model)[0] == 0
+    assert seen == [
+        SolverOptions(max_iters=1, fid_tol=1e-6, init="random:3"),
+        SolverOptions(max_iters=1),
+    ]
+
+
+def test_scan_runs_serially_by_default():
+    argv = ["scan", "--model", "shifter", "--from", "0", "--to", "1", "--steps", "3"]
+    assert _build_parser().parse_args([*argv, "--csv", "s.csv"]).jobs == 1

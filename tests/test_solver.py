@@ -18,6 +18,9 @@ from choiopt.models import (
 )
 from choiopt.solver import PINV_CUTOFF, SolverOptions, initial_choi, iterate_once, random_choi, solve
 from choiopt.targets import TargetOperator
+from choiopt import solver as solver_module
+from choiopt.models import ALPHA_THRESHOLD, model_family, shifter_closed_forms
+from choiopt.targets import build_r_montecarlo
 from helpers import (
     entangler_b_mixed_state,
     random_density,
@@ -260,3 +263,86 @@ class TestFidTolMustBeFinite:
 
     def test_smallest_positive_accepted(self):
         assert SolverOptions(fid_tol=5e-324).fid_tol > 0
+
+
+def plain_iteration(r: TargetOperator, opts: SolverOptions):
+    """The fixed-point loop alone: iterate_once until successive fidelities
+    agree within fid_tol or max_iters steps are done."""
+    chi = initial_choi(r, opts.init)
+    fids = [fidelity(chi, r)]
+    while len(fids) <= opts.max_iters:
+        chi = iterate_once(chi, r)
+        fids.append(fidelity(chi, r))
+        if abs(fids[-1] - fids[-2]) < opts.fid_tol:
+            break
+    return chi, tuple(fids[1:])
+
+
+@pytest.fixture
+def endgame_calls(monkeypatch):
+    """Replace the dual endgame by a recorder that reports failure."""
+    calls = []
+
+    def fake(r, chi):
+        calls.append((r.dim_in, r.dim_out))
+        return None
+
+    monkeypatch.setattr(solver_module, "_dual_endgame", fake)
+    return calls
+
+
+class TestDualEndgame:
+    @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.7, 3.13], ids=str)
+    def test_slow_shifter_rows_finish_certified(self, alpha):
+        result = solve(analytic_r(ModelSpec("shifter", alpha=alpha)))
+        assert result.converged
+        assert result.iterations == solver_module.ENDGAME_AFTER + 1
+        assert result.gap <= SolverOptions().fid_tol
+        assert abs(result.fidelity - shifter_closed_forms(alpha).fidelity) <= 1e-12
+        assert len(result.fidelity_trace) == result.iterations
+        assert np.diff(result.fidelity_trace).min() >= -1e-15
+
+    def test_fixed_point_stop_has_no_gap(self):
+        assert np.isnan(solve(analytic_r(ModelSpec("shifter", alpha=0.5))).gap)
+
+    @pytest.mark.parametrize("alpha", [0.71, 3.0], ids=str)
+    def test_failed_endgame_leaves_the_iteration_unchanged(self, alpha, endgame_calls):
+        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+        opts = SolverOptions()
+        result = solve(r, opts)
+        chi, trace = plain_iteration(r, opts)
+        assert endgame_calls == [(2, 2)]
+        assert np.array_equal(result.chi.matrix, chi.matrix)
+        assert result.fidelity_trace == trace
+        assert result.iterations == len(trace) > solver_module.ENDGAME_AFTER
+        assert np.isnan(result.gap)
+
+    def test_uncertified_endgame_is_discarded(self):
+        # No gap reaches fid_tol = 1e-300, so the endgame's answer is dropped.
+        r = analytic_r(ModelSpec("shifter", alpha=0.7))
+        opts = SolverOptions(max_iters=300, fid_tol=1e-300)
+        result = solve(r, opts)
+        chi, trace = plain_iteration(r, opts)
+        assert not result.converged
+        assert np.array_equal(result.chi.matrix, chi.matrix)
+        assert result.fidelity_trace == trace
+
+    def test_not_called_within_the_step_budget(self, endgame_calls):
+        r = analytic_r(ModelSpec("shifter", alpha=0.7))
+        result = solve(r, SolverOptions(max_iters=solver_module.ENDGAME_AFTER))
+        assert not result.converged
+        assert endgame_calls == []
+
+    def test_not_called_when_the_solve_stops_early(self, endgame_calls):
+        result = solve(analytic_r(ModelSpec("shifter", alpha=0.5)))
+        assert result.iterations < solver_module.ENDGAME_AFTER
+        assert endgame_calls == []
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_not_called_when_dim_in_exceeds_dim_out(self, copies, endgame_calls):
+        # A sampled unot target loses its degenerate optimum and runs long.
+        r = build_r_montecarlo(model_family(ModelSpec("unot", copies=copies)), 500, 1)
+        assert r.dim_in > r.dim_out
+        result = solve(r, SolverOptions(max_iters=300))
+        assert result.iterations == 300
+        assert endgame_calls == []
