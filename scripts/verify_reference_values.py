@@ -8,6 +8,7 @@ is below its tolerance, 1 otherwise.  Run via `make verify` or directly:
     python3 scripts/verify_reference_values.py
 """
 
+import bisect
 import math
 import sys
 
@@ -27,13 +28,20 @@ from choiopt.solver import solve
 
 
 def solver_alpha_threshold(step=5e-4, window=0.02):
-    """Locate where damping starts to beat the identity channel, from solver runs."""
+    """Locate where damping starts to beat the identity channel, from solver runs.
+
+    Bisects the grid for its first angle where it does, which relies on the
+    solver's advantage being monotone in alpha over the window; NaN when even
+    the last grid angle shows none.
+    """
     alphas = np.arange(ALPHA_THRESHOLD - window, ALPHA_THRESHOLD + window, step)
-    for alpha in alphas:
+
+    def damping_wins(alpha):
         result = solve(analytic_r(ModelSpec("shifter", alpha=float(alpha))))
-        if result.fidelity - 0.5 * (1.0 + math.cos(alpha)) > 1e-9:
-            return float(alpha)
-    return float("nan")
+        return bool(result.fidelity - 0.5 * (1.0 + math.cos(alpha)) > 1e-9)
+
+    i = bisect.bisect_left(alphas, True, key=damping_wins)
+    return float(alphas[i]) if i < len(alphas) else float("nan")
 
 
 def main():

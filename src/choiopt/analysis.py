@@ -3,7 +3,6 @@ separability checks, and shift-angle scans."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +108,7 @@ def _extract_beta(chi: ChoiOperator) -> tuple[float, float]:
     return beta, residual
 
 
-def _scan_one(args) -> ScanRow:
-    alpha, opts = args
+def _scan_one(alpha: float, opts: SolverOptions) -> ScanRow:
     closed = shifter_closed_forms(alpha)
     r = analytic_r(ModelSpec("shifter", alpha=alpha))
     bound = fidelity_bound(r)
@@ -138,20 +136,8 @@ def _scan_one(args) -> ScanRow:
     )
 
 
-def alpha_scan(alphas, solver_opts: SolverOptions | None = None, jobs: int = 1) -> list[ScanRow]:
-    """Solve the shifter for each angle; rows come back ordered by alpha.
-
-    Rows are independent, so jobs > 1 distributes them over up to jobs
-    processes, never more than there are rows, without changing the output.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+def alpha_scan(alphas, solver_opts: SolverOptions | None = None) -> list[ScanRow]:
+    """Solve the shifter for each angle, one row after another in this
+    process; rows come back ordered by alpha."""
     opts = solver_opts or SolverOptions()
-    work = [(float(a), opts) for a in alphas]
-    workers = min(jobs, len(work))
-    if workers <= 1:
-        rows = [_scan_one(w) for w in work]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_one, work))
-    return sorted(rows, key=lambda row: row.alpha)
+    return sorted((_scan_one(float(a), opts) for a in alphas), key=lambda row: row.alpha)

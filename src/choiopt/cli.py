@@ -172,10 +172,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.model != "shifter":
-        raise _UsageError("scan supports only --model shifter")
     alphas = np.linspace(args.start, args.stop, args.steps)
-    rows = analysis.alpha_scan(alphas, jobs=args.jobs)
+    rows = analysis.alpha_scan(alphas)
     serialize.write_scan_csv(rows, args.csv)
     failed = [row for row in rows if row.error is not None]
     print(f"wrote {args.csv}  rows = {len(rows)}  failed = {len(failed)}")
@@ -266,16 +264,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_apply)
 
     p = sub.add_parser("scan", help="shift-angle scan of the shifter model")
-    _add_model_args(p, required=True)
+    p.add_argument("--model", choices=["shifter"], required=True)
     p.add_argument("--from", dest="start", type=float, required=True)
     p.add_argument("--to", dest="stop", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes, at most one per row (default: 1, the serial loop)",
-    )
     p.add_argument("--csv", required=True)
     p.set_defaults(handler=_cmd_scan)
 

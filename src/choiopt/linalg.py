@@ -2,7 +2,8 @@
 
 All operators live on composite spaces indexed as i_first * dim_second +
 i_second; every routine in the package assumes this one convention.
-Matrices are plain complex128 ndarrays.
+Matrices are plain complex128 ndarrays.  herm_eig, psd_sqrt, reg_inverse
+and EigenDecomposition are public utilities that the solver does not call.
 """
 
 from __future__ import annotations

@@ -165,55 +165,10 @@ class TestAlphaScan:
                 want = shifter_closed_forms(r.alpha).beta_opt
                 assert abs(np.cos(r.beta_opt) - np.cos(want)) <= 1e-5
 
-    def test_parallel_jobs_identical(self):
-        alphas = np.linspace(0.2, 2.8, 6)
-        serial = alpha_scan(alphas, jobs=1)
-        parallel = alpha_scan(alphas, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert a.alpha == b.alpha
-            assert a.F_solver == b.F_solver
-            assert a.beta_opt == b.beta_opt
-
     def test_row_flagged_on_failure(self):
         rows = alpha_scan([0.5], solver_opts=SolverOptions(max_iters=1))
         assert rows[0].error is None  # non-convergence is reported, not an error
         assert not rows[0].converged
-
-
-class TestScanWorkers:
-    @pytest.fixture()
-    def pools(self, monkeypatch):
-        made = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work):
-                return map(fn, work)
-
-        monkeypatch.setattr(choiopt.analysis, "ProcessPoolExecutor", RecordingPool)
-        return made
-
-    def test_one_row_builds_no_pool(self, pools):
-        (row,) = alpha_scan([1.2], jobs=8)
-        assert pools == [] and row.error is None
-
-    def test_never_more_workers_than_rows(self, pools):
-        rows = alpha_scan([2.0, 0.5, 1.2], jobs=8)
-        assert pools == [3]
-        assert [row.alpha for row in rows] == [0.5, 1.2, 2.0]
-
-    def test_zero_jobs_rejected(self, pools):
-        with pytest.raises(ValueError, match="jobs"):
-            alpha_scan([1.2], jobs=0)
-        assert pools == []
 
 
 class TestTypedErrors:
@@ -240,7 +195,7 @@ class TestTypedErrors:
             raise RuntimeError("no convergence today")
 
         monkeypatch.setattr(choiopt.analysis, "solve", fail)
-        (row,) = alpha_scan([1.2], jobs=1)
+        (row,) = alpha_scan([1.2])
         assert row.alpha == 1.2
         assert row.F_closed == shifter_closed_forms(1.2).fidelity
         assert row.F_bound == fidelity_bound(analytic_r(ModelSpec("shifter", alpha=1.2)))

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -178,6 +181,18 @@ class TestScanCurve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["--alpha", "2"], ["--jobs", "2"]])
+    def test_scan_rejects_options_it_does_not_read(self, capsys, tmp_path, extra):
+        csv = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys,
+            "scan", "--model", "shifter", "--from", "0", "--to", "1", "--steps", "2",
+            *extra, "--csv", str(csv),
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not csv.exists()
+
     def test_curve(self, capsys, tmp_path):
         chi_file = tmp_path / "chi.json"
         run(capsys, "solve", "--model", "entangler-a", "--out", str(chi_file))
@@ -243,10 +258,11 @@ class TestExitCodes:
         (commands,) = [a for a in parser._actions if a.dest == "command"]
         hyphenated = [kind.replace("_", "-") for kind in MODEL_KINDS]
         seen = 0
-        for sub in commands.choices.values():
+        for name, sub in commands.choices.items():
             for action in sub._actions:
                 if action.dest == "model":
-                    assert list(action.choices) == hyphenated
+                    # scan solves only the shifter, so that is the one model it offers
+                    assert list(action.choices) == (["shifter"] if name == "scan" else hyphenated)
                     seen += 1
         assert seen == 6  # solve, bound, rmatrix, scan, curve, validate
 
@@ -463,6 +479,14 @@ def test_parser_is_built_once_and_calls_stay_independent(capsys, monkeypatch):
     ]
 
 
-def test_scan_runs_serially_by_default():
-    argv = ["scan", "--model", "shifter", "--from", "0", "--to", "1", "--steps", "3"]
-    assert _build_parser().parse_args([*argv, "--csv", "s.csv"]).jobs == 1
+def test_import_starts_no_process_machinery():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, choiopt, choiopt.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
