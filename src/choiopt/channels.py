@@ -59,13 +59,7 @@ class DensityMatrix:
         m = linalg.as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise InvalidDensityError(f"density matrix is {m.shape[0]}x{m.shape[1]}")
-        herm_dev, w = linalg.hermitian_spectrum(m)
-        if herm_dev > PSD_TOL:
-            raise InvalidDensityError(f"density matrix is not Hermitian within {PSD_TOL:.1e}")
-        if abs(np.trace(m).real - 1.0) > PSD_TOL or abs(np.trace(m).imag) > PSD_TOL:
-            raise InvalidDensityError(f"trace {np.trace(m):.12g} is not 1 within {PSD_TOL:.1e}")
-        if w.min() < -PSD_TOL:
-            raise InvalidDensityError(f"minimum eigenvalue {w.min():.3e} below -{PSD_TOL:.1e}")
+        require_admissible(m, 1, len(m), InvalidDensityError)
         object.__setattr__(self, "matrix", linalg.frozen_copy(m))
 
     @property
@@ -97,7 +91,8 @@ class KrausSet:
 
 @dataclass(frozen=True)
 class ChoiReport:
-    """Deviations of a candidate process matrix from the channel constraints."""
+    """Deviations of a process matrix from the channel constraints; a target or
+    a density matrix is measured as the dim_in = 1 case (unit trace)."""
 
     min_eigenvalue: float
     trace_preservation_deviation: float
@@ -112,30 +107,37 @@ class ChoiReport:
         )
 
 
+def measure_admissibility(m, dim_in: int, dim_out: int) -> tuple[ChoiReport, np.ndarray]:
+    """ChoiReport of m on C^dim_in (x) C^dim_out, and its ascending eigenvalues."""
+    herm_dev, w = linalg.hermitian_spectrum(m)
+    marg = linalg.partial_trace(m, dim_in, dim_out, keep="first")
+    tp_dev = float(np.abs(marg - np.eye(dim_in)).max())
+    return ChoiReport(float(w.min()), tp_dev, herm_dev), w
+
+
+def require_admissible(m, dim_in: int, dim_out: int, error: type) -> np.ndarray:
+    """Raise error unless m is Hermitian and positive within PSD_TOL and meets
+    its trace condition within TP_TOL; return its ascending eigenvalues."""
+    report, w = measure_admissibility(m, dim_in, dim_out)
+    herm_dev, tp_dev = report.hermiticity_deviation, report.trace_preservation_deviation
+    if herm_dev > PSD_TOL:  # a non-finite m reports inf here
+        raise error(f"not Hermitian: hermiticity deviation {herm_dev:.3e} exceeds {PSD_TOL:.1e}")
+    if report.min_eigenvalue < -PSD_TOL:
+        raise error(f"minimum eigenvalue {report.min_eigenvalue:.3e} below -{PSD_TOL:.1e}")
+    if tp_dev > TP_TOL:
+        raise error(f"trace deviation {tp_dev:.3e} exceeds {TP_TOL:.1e}")
+    return w
+
+
 def validate_choi(chi: ChoiOperator) -> ChoiReport:
-    """Measure constraint violations; the caller decides pass/fail."""
-    herm_dev, w = linalg.hermitian_spectrum(chi.matrix)
-    marg = linalg.partial_trace(chi.matrix, chi.dim_in, chi.dim_out, keep="first")
-    tp_dev = float(np.abs(marg - np.eye(chi.dim_in)).max())
-    return ChoiReport(float(w.min()), tp_dev, herm_dev)
+    """measure_admissibility of chi, which measures targets and states too; the
+    caller decides pass/fail."""
+    return measure_admissibility(chi.matrix, chi.dim_in, chi.dim_out)[0]
 
 
 def require_valid_choi(chi: ChoiOperator) -> None:
     """Raise InvalidChoiError when chi is not finite or violates the channel constraints."""
-    report = validate_choi(chi)
-    if report.hermiticity_deviation > PSD_TOL:
-        raise InvalidChoiError(
-            f"hermiticity deviation {report.hermiticity_deviation:.3e} exceeds {PSD_TOL:.1e}"
-        )
-    if report.min_eigenvalue < -PSD_TOL:
-        raise InvalidChoiError(
-            f"minimum eigenvalue {report.min_eigenvalue:.3e} below -{PSD_TOL:.1e}"
-        )
-    if report.trace_preservation_deviation > TP_TOL:
-        raise InvalidChoiError(
-            f"trace-preservation deviation {report.trace_preservation_deviation:.3e} "
-            f"exceeds {TP_TOL:.1e}"
-        )
+    require_admissible(chi.matrix, chi.dim_in, chi.dim_out, InvalidChoiError)
 
 
 def identity_choi(dim: int) -> ChoiOperator:
@@ -196,8 +198,8 @@ def kraus_from_choi(chi: ChoiOperator, cutoff: float = KRAUS_CUTOFF) -> KrausSet
     are fixed for reproducibility.
     """
     require_valid_choi(chi)
-    eig = linalg.herm_eig(chi.matrix)
-    w, v = eig.eigenvalues, eig.eigenvectors
+    w, v = np.linalg.eigh(linalg.hermitian_part(chi.matrix))
+    w, v = w[::-1], v[:, ::-1]  # descending
     wmax = w.max(initial=0.0)
     operators = []
     weights = []

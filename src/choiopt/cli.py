@@ -53,8 +53,8 @@ def _fmt(x: float) -> str:
 def _add_model_args(p: argparse.ArgumentParser, required: bool = False) -> None:
     choices = [kind.replace("_", "-") for kind in models.MODEL_KINDS]
     p.add_argument("--model", choices=choices, required=required)
-    p.add_argument("--copies", type=int, default=1, help="copy count N for unot/cloner")
-    p.add_argument("--alpha", type=float, default=0.0, help="shift angle in radians")
+    p.add_argument("--copies", type=int, default=1, help="copy count N (unot and cloner only)")
+    p.add_argument("--alpha", type=float, default=0.0, help="shift angle in radians (shifter only)")
 
 
 def _model_spec(args) -> models.ModelSpec:

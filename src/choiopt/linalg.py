@@ -3,7 +3,7 @@
 All operators live on composite spaces indexed as i_first * dim_second +
 i_second; every routine in the package assumes this one convention.
 Matrices are plain complex128 ndarrays.  herm_eig, psd_sqrt, reg_inverse
-and EigenDecomposition are public utilities that the solver does not call.
+and EigenDecomposition are public utilities no other module calls.
 """
 
 from __future__ import annotations

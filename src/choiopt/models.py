@@ -42,7 +42,7 @@ PAULI = (
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the built-in models, with its parameters."""
+    """A built-in model; copies is read by unot and cloner only, alpha by shifter only."""
 
     kind: str
     copies: int = 1
@@ -51,9 +51,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidSpecError(f"unknown model kind {self.kind!r}")
-        if self.kind in ("unot", "cloner") and self.copies < 1:
-            raise InvalidSpecError("copies must be >= 1")
-        if self.kind == "shifter" and not 0.0 <= self.alpha <= math.pi:
+        if not isinstance(self.copies, (int, np.integer)) or self.copies < 1:
+            raise InvalidSpecError(f"copies must be an integer >= 1, got {self.copies!r}")
+        if self.kind not in ("unot", "cloner") and self.copies != 1:
+            raise InvalidSpecError(f"{self.kind} takes no copies (only unot and cloner do)")
+        if self.kind != "shifter" and self.alpha != 0.0:
+            raise InvalidSpecError(f"{self.kind} takes no alpha (only shifter does)")
+        if not 0.0 <= self.alpha <= math.pi:
             raise OutOfRangeError(f"alpha {self.alpha} outside [0, pi]")
 
     @property
@@ -146,14 +150,11 @@ def model_family(spec: ModelSpec) -> StateFamily:
     elif spec.kind == "entangler_b":
         ev = lambda t, p: (bloch_state(t, p), _entangler_b_output(t, p))
         degree = 6
-    elif spec.kind == "shifter":
+    else:  # shifter, and identity as the shifter at alpha = 0
         alpha = spec.alpha
         # Evaluated literally at theta + alpha even past the pole; that is the
         # convention under which the closed-form target below is derived.
         ev = lambda t, p: (bloch_state(t, p), bloch_state(np.asarray(t, dtype=float) + alpha, p))
-        degree = 4
-    else:  # identity
-        ev = lambda t, p: (bloch_state(t, p), bloch_state(t, p))
         degree = 4
     return StateFamily(dim_in, dim_out, ev, degree)
 
@@ -244,10 +245,8 @@ def analytic_r(spec: ModelSpec) -> TargetOperator:
         m = _r_entangler_a()
     elif spec.kind == "entangler_b":
         m = _r_entangler_b()
-    elif spec.kind == "shifter":
+    else:  # shifter or identity
         m = _r_shifter(spec.alpha)
-    else:
-        m = _r_shifter(0.0)
     return TargetOperator(dim_in, dim_out, m)
 
 
@@ -374,7 +373,5 @@ def known_optimum(spec: ModelSpec) -> KnownOptimum:
     if spec.kind == "entangler_b":
         chi = ChoiOperator(2, 4, linalg.kron(np.eye(2), entangler_b_output_state()))
         return KnownOptimum(1.0 / 3.0, chi)
-    if spec.kind == "shifter":
-        opt = shifter_closed_forms(spec.alpha)
-        return KnownOptimum(opt.fidelity, damping_channel(opt.beta_opt))
-    return KnownOptimum(1.0, damping_channel(0.0))  # identity
+    opt = shifter_closed_forms(spec.alpha)  # shifter or identity
+    return KnownOptimum(opt.fidelity, damping_channel(opt.beta_opt))

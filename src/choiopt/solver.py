@@ -23,6 +23,7 @@ iteration continues as if the attempt had not been made.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,10 @@ NEWTON_TOL = 1e-4  # squared Newton decrement that ends a barrier stage
 MAX_NEWTON = 50  # Newton steps allowed per barrier stage
 
 
+def _named_init(init) -> bool:
+    return isinstance(init, str) and re.fullmatch(r"maxmix|random:[0-9]+", init) is not None
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Iteration controls.
@@ -57,7 +62,7 @@ class SolverOptions:
     or at step ENDGAME_AFTER + 1 when max_iters allows it, dim_in <= dim_out
     and the dual endgame certifies a gap of at most fid_tol.  converged means
     that the fidelity rule fired or the endgame certified its gap.
-    init is "maxmix", "random:SEED", or an explicit ChoiOperator.
+    init is "maxmix", "random:SEED" with an integer SEED >= 0, or a ChoiOperator.
     """
 
     max_iters: int = 10000
@@ -69,6 +74,8 @@ class SolverOptions:
             raise InvalidSpecError("max_iters must be >= 1")
         if not 0 < self.fid_tol < np.inf:  # NaN fails too
             raise InvalidSpecError(f"fid_tol must be finite and > 0, got {self.fid_tol}")
+        if not isinstance(self.init, ChoiOperator) and not _named_init(self.init):
+            raise InvalidSpecError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +129,11 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
             )
         require_valid_choi(init)
         return init
+    if not _named_init(init):
+        raise InvalidSpecError(f"unknown init {init!r}")
     if init == "maxmix":
         return maxmix_choi(r.dim_in, r.dim_out)
-    if isinstance(init, str) and init.startswith("random:"):
-        return random_choi(r.dim_in, r.dim_out, int(init.split(":", 1)[1]))
-    raise InvalidSpecError(f"unknown init {init!r}")
+    return random_choi(r.dim_in, r.dim_out, int(init.removeprefix("random:")))
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .channels import PSD_TOL, TP_TOL
+from .channels import require_admissible
 from .errors import DimensionMismatchError, InvalidChoiError, NormViolationError
 
 NORM_TOL = 1e-12
@@ -63,14 +63,7 @@ class TargetOperator:
             raise DimensionMismatchError(
                 f"target shape {m.shape} does not match dims ({self.dim_in},{self.dim_out})"
             )
-        herm_dev, w = linalg.hermitian_spectrum(m)
-        if herm_dev > PSD_TOL:
-            raise InvalidChoiError(f"target operator is not Hermitian within {PSD_TOL:.1e}")
-        if w.min() < -PSD_TOL:
-            raise InvalidChoiError(f"target minimum eigenvalue {w.min():.3e} below -{PSD_TOL:.1e}")
-        trace = np.trace(m).real
-        if abs(trace - 1.0) > TP_TOL:
-            raise InvalidChoiError(f"target trace {trace:.12g} is not 1 within {TP_TOL:.1e}")
+        w = require_admissible(m, 1, n, InvalidChoiError)
         object.__setattr__(self, "matrix", linalg.frozen_copy(m))
         object.__setattr__(self, "lambda_max", float(w.max()))
 

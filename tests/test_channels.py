@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from choiopt import channels, models
+from choiopt import linalg
 from choiopt.errors import (
     DimensionMismatchError,
     InvalidChoiError,
@@ -225,3 +226,103 @@ class TestTypedErrors:
         chi = channels.ChoiOperator(2, 2, np.eye(4) / 2 + 0.1j * np.eye(4))
         with pytest.raises(InvalidChoiError, match="imaginary part"):
             channels.fidelity(chi, TargetOperator(2, 2, unot_r_matrix()))
+
+
+def _borderline(kind: str, offset: float) -> np.ndarray:
+    """A 2x2 operator whose deviation of the given kind is offset; all other
+    constraints hold exactly."""
+    m = np.diag([0.5, 0.5]).astype(complex)
+    if kind == "hermiticity":
+        m[0, 1] += offset
+    elif kind == "eigenvalue":
+        m = np.diag([1.0 + offset, -offset]).astype(complex)
+    else:
+        m[1, 1] += offset
+    return m
+
+
+def _outcome(build):
+    try:
+        build()
+    except (InvalidChoiError, InvalidDensityError) as exc:
+        return str(exc)
+    return None
+
+
+class TestOneAdmissibilityRule:
+    # (kind, bound): Hermiticity and positivity are held to PSD_TOL, the trace
+    # condition to TP_TOL, for process, target and density matrices alike.
+    @pytest.mark.parametrize(
+        "kind, bound",
+        [("hermiticity", channels.PSD_TOL), ("eigenvalue", channels.PSD_TOL), ("trace", channels.TP_TOL)],
+    )
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_state_target_and_channel_agree(self, kind, bound, factor):
+        m = _borderline(kind, factor * bound)
+        outcomes = [
+            _outcome(lambda: channels.DensityMatrix(m)),
+            _outcome(lambda: TargetOperator(1, 2, m)),
+            _outcome(lambda: channels.require_valid_choi(channels.ChoiOperator(1, 2, m))),
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert (outcomes[0] is None) == (factor < 1)
+
+    def test_each_caller_keeps_its_error_type(self):
+        m = _borderline("eigenvalue", 1e-6)
+        with pytest.raises(InvalidDensityError, match="minimum eigenvalue"):
+            channels.DensityMatrix(m)
+        with pytest.raises(InvalidChoiError, match="minimum eigenvalue"):
+            TargetOperator(1, 2, m)
+
+    def test_measurement_returns_report_and_spectrum(self):
+        report, w = channels.measure_admissibility(_borderline("trace", 1e-3), 1, 2)
+        assert report == channels.ChoiReport(0.5, report.trace_preservation_deviation, 0.0)
+        assert abs(report.trace_preservation_deviation - 1e-3) <= 1e-15
+        assert list(w) == sorted(w) and w[-1] == 0.501
+
+    def test_target_lambda_max_is_the_returned_spectrum_top(self):
+        m = np.diag([0.4, 0.3, 0.2, 0.1 + 5e-10])
+        assert TargetOperator(2, 2, m).lambda_max == 0.4
+
+
+def _trace_off_identity():
+    # Trace-preservation deviation 5.0e-10: inside TP_TOL.
+    m = np.array(channels.identity_choi(2).matrix)
+    m[0, 0] *= 1 + 5e-10
+    return channels.ChoiOperator(2, 2, m)
+
+
+def _hermiticity_off_identity():
+    # Entrywise Hermiticity deviation 9.8e-11: inside PSD_TOL, though the
+    # relative Frobenius measure of linalg.herm_eig reads 3.4e-10.
+    m = np.array(channels.identity_choi(2).matrix)
+    m[~np.eye(4, dtype=bool)] += 4.9e-11j
+    return channels.ChoiOperator(2, 2, m)
+
+
+class TestValidChannelsAreAccepted:
+    def test_apply_accepts_a_channel_within_tp_tol(self):
+        chi = _trace_off_identity()
+        channels.require_valid_choi(chi)
+        out = channels.apply(chi, channels.density_from_state([1.0, 0.0]))
+        assert abs(out.matrix[0, 0] - 1.0) <= 1e-9
+        assert np.abs(out.matrix - np.diag([out.matrix[0, 0], 0.0])).max() == 0.0
+
+    def test_kraus_and_dilation_accept_a_channel_within_psd_tol(self):
+        chi = _hermiticity_off_identity()
+        assert channels.validate_choi(chi).hermiticity_deviation <= channels.PSD_TOL
+        kraus = channels.kraus_from_choi(chi)
+        rebuilt = channels.choi_from_kraus(kraus)
+        assert np.abs(rebuilt.matrix - channels.identity_choi(2).matrix).max() <= 1e-10
+        iso = channels.dilation(kraus)
+        assert np.abs(iso.conj().T @ iso - np.eye(2)).max() <= 1e-12
+
+    def test_kraus_does_not_judge_hermiticity_again(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("herm_eig called")
+
+        monkeypatch.setattr(linalg, "herm_eig", fail)
+        chi = random_choi(2, 3, seed=4)
+        kraus = channels.kraus_from_choi(chi)
+        assert list(kraus.weights) == sorted(kraus.weights, reverse=True)
+        assert np.abs(channels.choi_from_kraus(kraus).matrix - chi.matrix).max() <= 1e-12

@@ -490,3 +490,48 @@ def test_import_starts_no_process_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _near_identity(kind: str) -> ChoiOperator:
+    m = np.array(identity_choi(2).matrix)
+    if kind == "trace":  # trace-preservation deviation 5.0e-10 < TP_TOL
+        m[0, 0] *= 1 + 5e-10
+    else:  # entrywise Hermiticity deviation 9.8e-11 < PSD_TOL
+        m[~np.eye(4, dtype=bool)] += 4.9e-11j
+    return ChoiOperator(2, 2, m)
+
+
+@pytest.mark.parametrize("kind", ["trace", "hermiticity"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--model", "identity", "--chi", "{chi}", "--samples", "100"),
+        ("apply", "--chi", "{chi}", "--state", "0,0"),
+        ("kraus", "--chi", "{chi}"),
+        ("dilate", "--chi", "{chi}"),
+    ],
+    ids=lambda a: a[0] if isinstance(a, tuple) else a,
+)
+def test_every_subcommand_accepts_what_validate_accepts(capsys, tmp_path, kind, argv):
+    chi_file = tmp_path / "chi.json"
+    serialize.dump_json(serialize.choi_to_obj(_near_identity(kind)), chi_file)
+    code, out, err = run(capsys, *(a.format(chi=chi_file) for a in argv))
+    assert (code, err) == (0, "")
+    assert out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--model", "identity", "--alpha", "0.5"),
+        ("bound", "--model", "entangler-a", "--copies", "4"),
+        ("rmatrix", "--model", "unot", "--alpha", "1"),
+        ("solve", "--model", "unot", "--init", "random:x"),
+        ("solve", "--model", "unot", "--init", "random:-1"),
+    ],
+    ids=" ".join,
+)
+def test_options_the_model_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -24,6 +24,7 @@ from choiopt.models import (
     symmetric_state,
 )
 from choiopt.targets import evaluate_family
+from choiopt.targets import build_r_quadrature
 from helpers import unot_r_matrix
 
 
@@ -236,3 +237,43 @@ class TestEntanglerAFidelity:
     def test_mean_value_constant(self):
         assert ENTANGLER_A_FIDELITY == pytest.approx(0.9804911966, abs=1e-10)
         assert ENTANGLER_A_MIN_FIDELITY == pytest.approx(0.9705627485, abs=1e-10)
+
+
+class TestSpecReadsOnlyItsParameters:
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("identity", {"alpha": 0.5}),
+            ("unot", {"alpha": 0.1}),
+            ("cloner", {"alpha": 1.0}),
+            ("entangler_a", {"alpha": float("nan")}),
+            ("entangler_a", {"copies": 4}),
+            ("entangler_b", {"copies": 2}),
+            ("shifter", {"copies": 2, "alpha": 1.0}),
+            ("identity", {"copies": 3}),
+            ("unot", {"copies": 2.5}),
+            ("cloner", {"copies": 2.0}),
+            ("unot", {"copies": "2"}),
+            ("shifter", {"copies": 1.0, "alpha": 1.0}),
+        ],
+        ids=str,
+    )
+    def test_rejected(self, kind, params):
+        with pytest.raises(InvalidSpecError):
+            ModelSpec(kind, **params)
+
+    def test_numpy_integer_copies_pass(self):
+        spec = ModelSpec("unot", copies=np.int64(3))
+        assert spec.dims == (4, 2)
+        assert np.array_equal(analytic_r(spec).matrix, analytic_r(ModelSpec("unot", copies=3)).matrix)
+
+
+class TestIdentityIsTheShifterAtZero:
+    def test_targets_and_optimum_are_bit_identical(self):
+        ident, shift = ModelSpec("identity"), ModelSpec("shifter", alpha=0.0)
+        assert np.array_equal(analytic_r(ident).matrix, analytic_r(shift).matrix)
+        quad = [build_r_quadrature(model_family(s)).matrix for s in (ident, shift)]
+        assert np.array_equal(*quad)
+        a, b = known_optimum(ident), known_optimum(shift)
+        assert a.fidelity == b.fidelity == 1.0
+        assert np.array_equal(a.chi.matrix, b.chi.matrix)

@@ -346,3 +346,21 @@ class TestDualEndgame:
         result = solve(r, SolverOptions(max_iters=300))
         assert result.iterations == 300
         assert endgame_calls == []
+
+
+class TestInitCheckedWhereBuilt:
+    @pytest.mark.parametrize(
+        "init", ["bogus", "random:abc", "random:", "random:1.5", "random:-1", "random: 3", "maxmix ", None, 5]
+    )
+    def test_rejected_by_the_options(self, init):
+        with pytest.raises(InvalidSpecError, match="unknown init"):
+            SolverOptions(init=init)
+
+    @pytest.mark.parametrize("init", ["random:abc", "random:", "random:1.5", "random:-1"])
+    def test_rejected_by_initial_choi(self, init):
+        with pytest.raises(InvalidSpecError, match="unknown init"):
+            initial_choi(UNOT1, init)
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:0", "random:12"])
+    def test_accepted(self, init):
+        assert SolverOptions(init=init).init == init
