@@ -14,8 +14,6 @@ from .models import ModelSpec, analytic_r, damping_channel, shifter_closed_forms
 from .solver import SolverOptions, solve
 from .targets import StateFamily, default_phi_nodes, fidelity_bound, integrand_rows, sphere_samples
 
-PPT_TOL = 1e-10  # negativity tolerance on the partial-transpose spectrum
-
 
 def _pointwise_fidelities(chi: ChoiOperator, family: StateFamily, thetas, phis) -> np.ndarray:
     if (chi.dim_in, chi.dim_out) != (family.dim_in, family.dim_out):
@@ -80,7 +78,7 @@ def ppt_check(rho: DensityMatrix, dim_a: int, dim_b: int) -> PptReport:
         raise DimensionMismatchError(f"{dim_a}x{dim_b} does not factor dim {rho.dim}")
     pt = linalg.partial_transpose(rho.matrix, dim_a, dim_b, which="second")
     wmin = float(np.linalg.eigvalsh(linalg.hermitian_part(pt)).min())
-    ppt = wmin >= -PPT_TOL
+    ppt = wmin >= -linalg.PSD_TOL
     certifies = ppt and sorted((dim_a, dim_b)) in ([2, 2], [2, 3])
     return PptReport(wmin, ppt, certifies)
 

@@ -23,8 +23,8 @@ from .errors import (
     InvalidDensityError,
     TraceConditionError,
 )
+from .linalg import PSD_TOL
 
-PSD_TOL = 1e-10
 TP_TOL = 1e-9
 KRAUS_CUTOFF = 1e-10
 
@@ -38,15 +38,19 @@ class ChoiOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise DimensionMismatchError("dimensions must be >= 1")
-        m = linalg.as_matrix(self.matrix)
-        n = self.dim_in * self.dim_out
-        if m.shape != (n, n):
-            raise DimensionMismatchError(
-                f"process matrix shape {m.shape} does not match dims ({self.dim_in},{self.dim_out})"
-            )
-        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
+        m = operator_matrix(self.matrix, self.dim_in, self.dim_out, "process matrix")
+        object.__setattr__(self, "matrix", m)
+
+
+def operator_matrix(m, dim_in, dim_out, what: str) -> np.ndarray:
+    """Read-only copy of m, an operator on C^dim_in (x) C^dim_out; raises
+    DimensionMismatchError unless both dims are integers >= 1 that fit m."""
+    if not (linalg.is_count(dim_in) and linalg.is_count(dim_out)):
+        raise DimensionMismatchError(f"dimensions must be integers >= 1, got ({dim_in!r}, {dim_out!r})")
+    m = linalg.as_matrix(m)
+    if m.shape != (dim_in * dim_out,) * 2:
+        raise DimensionMismatchError(f"{what} shape {m.shape} does not match dims ({dim_in},{dim_out})")
+    return linalg.frozen_copy(m)
 
 
 @dataclass(frozen=True)
@@ -119,13 +123,11 @@ def require_admissible(m, dim_in: int, dim_out: int, error: type) -> np.ndarray:
     """Raise error unless m is Hermitian and positive within PSD_TOL and meets
     its trace condition within TP_TOL; return its ascending eigenvalues."""
     report, w = measure_admissibility(m, dim_in, dim_out)
-    herm_dev, tp_dev = report.hermiticity_deviation, report.trace_preservation_deviation
-    if herm_dev > PSD_TOL:  # a non-finite m reports inf here
-        raise error(f"not Hermitian: hermiticity deviation {herm_dev:.3e} exceeds {PSD_TOL:.1e}")
+    linalg.require_hermitian(report.hermiticity_deviation, error)  # a non-finite m reports inf
     if report.min_eigenvalue < -PSD_TOL:
         raise error(f"minimum eigenvalue {report.min_eigenvalue:.3e} below -{PSD_TOL:.1e}")
-    if tp_dev > TP_TOL:
-        raise error(f"trace deviation {tp_dev:.3e} exceeds {TP_TOL:.1e}")
+    if report.trace_preservation_deviation > TP_TOL:
+        raise error(f"trace deviation {report.trace_preservation_deviation:.3e} exceeds {TP_TOL:.1e}")
     return w
 
 
@@ -178,8 +180,9 @@ def fidelity(chi: ChoiOperator, target) -> float:
     if r.shape != chi.matrix.shape:
         raise DimensionMismatchError(f"target shape {r.shape} != process shape {chi.matrix.shape}")
     value = np.einsum("ij,ji->", chi.matrix, r)  # Tr[chi R] without forming chi R
-    if abs(value.imag) > PSD_TOL:
-        raise InvalidChoiError(f"fidelity has imaginary part {value.imag:.3e}")
+    if abs(value.imag) > PSD_TOL:  # admissible chi and R can leave up to ~PSD_TOL * n * dim_in
+        dev = max(linalg.hermiticity_deviation(chi.matrix), linalg.hermiticity_deviation(r))
+        linalg.require_hermitian(dev, InvalidChoiError, f"fidelity has imaginary part {value.imag:.3e}")
     return float(value.real)
 
 

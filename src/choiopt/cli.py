@@ -134,10 +134,7 @@ def _cmd_rmatrix(args) -> int:
 def _cmd_kraus(args) -> int:
     chi = _load_choi(args.chi)
     ks = kraus_from_choi(chi, cutoff=args.cutoff)
-    print(
-        f"operators = {len(ks.operators)}  "
-        f"trace_condition_deviation = {kraus_trace_deviation(ks):.3e}"
-    )
+    print(f"operators = {len(ks.operators)}  trace_condition_deviation = {kraus_trace_deviation(ks):.3e}")
     if args.out:
         serialize.dump_json(serialize.kraus_to_obj(ks), args.out)
     return 0

@@ -2,8 +2,10 @@
 
 All operators live on composite spaces indexed as i_first * dim_second +
 i_second; every routine in the package assumes this one convention.
-Matrices are plain complex128 ndarrays.  herm_eig, psd_sqrt, reg_inverse
-and EigenDecomposition are public utilities no other module calls.
+Matrices are plain complex128 ndarrays.  Hermiticity is judged here once
+for the package: require_hermitian holds hermiticity_deviation, the largest
+entrywise |m - m†|, to PSD_TOL.  herm_eig, psd_sqrt, reg_inverse and
+EigenDecomposition are public utilities no other module calls.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ from .errors import (
     NotHermitianError,
 )
 
-HERMITICITY_TOL = 1e-10  # relative Frobenius bound on the anti-Hermitian part
+PSD_TOL = 1e-10  # entrywise Hermiticity and eigenvalue-negativity bound
 CLIP_TOL = 1e-12  # psd_sqrt treats eigenvalues below this as round-off zeros
+PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff of a pseudo-inverse
 
 
 def as_matrix(m) -> np.ndarray:
@@ -45,27 +48,29 @@ def frozen_copy(values) -> np.ndarray:
     return a
 
 
-def _check_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
+def hermiticity_deviation(m) -> float:
+    """Largest entrywise |m - m†| of a square m; inf for a non-finite m."""
+    m = as_matrix(m)  # m - m† would warn on NaN/Inf
+    return float(np.abs(m - m.conj().T).max()) if np.isfinite(m).all() else float("inf")
 
 
-def _check_hermitian(m: np.ndarray) -> None:
-    dev = np.linalg.norm(m - m.conj().T) if np.isfinite(m).all() else np.inf  # m - m† warns on NaN/Inf
-    if not dev <= HERMITICITY_TOL * max(1.0, np.linalg.norm(m)) < np.inf:
-        raise NotHermitianError(
-            f"Hermiticity deviation {dev:.3e} exceeds tolerance {HERMITICITY_TOL:.1e}"
-        )
+def require_hermitian(dev: float, error: type = NotHermitianError, what: str = "not Hermitian") -> None:
+    """Raise error, its message led by what, when dev exceeds PSD_TOL."""
+    if dev > PSD_TOL:
+        raise error(f"{what}: hermiticity deviation {dev:.3e} exceeds {PSD_TOL:.1e}")
+
+
+def is_count(x) -> bool:
+    """True for a Python or numpy integer >= 1 (a dimension or a step count)."""
+    return isinstance(x, (int, np.integer)) and x >= 1
 
 
 def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
-    """Largest entrywise |m - m†| and ascending eigenvalues of the Hermitian
-    part of a square m.  A non-finite m reports (inf, NaNs) without reaching
-    the eigensolver, so every caller's deviation check rejects it."""
+    """hermiticity_deviation and ascending eigenvalues of the Hermitian part of
+    a square m; a non-finite m gets NaNs without reaching the eigensolver."""
     m = as_matrix(m)
-    if not np.isfinite(m).all():
-        return float("inf"), np.full(len(m), np.nan)
-    return float(np.abs(m - m.conj().T).max()), np.linalg.eigvalsh(hermitian_part(m))
+    dev = hermiticity_deviation(m)
+    return dev, np.full(len(m), np.nan) if dev == np.inf else np.linalg.eigvalsh(hermitian_part(m))
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,14 @@ class EigenDecomposition:
 def herm_eig(m) -> EigenDecomposition:
     """Full spectral decomposition of the Hermitian part of m.
 
-    Raises NonSquareError / NotHermitianError when m is not square or the
-    anti-Hermitian part exceeds HERMITICITY_TOL relative to max(1, ||m||_F).
+    Raises NonSquareError for a non-square m and NotHermitianError when
+    hermiticity_deviation(m) exceeds PSD_TOL, the bound admissibility uses.
     LAPACK convergence failures propagate as numpy.linalg.LinAlgError.
     """
     m = as_matrix(m)
-    _check_square(m)
-    _check_hermitian(m)
+    if m.shape[0] != m.shape[1]:
+        raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")
+    require_hermitian(hermiticity_deviation(m))
     w, v = np.linalg.eigh(hermitian_part(m))
     return EigenDecomposition(w[::-1].copy(), v[:, ::-1].copy())
 
@@ -113,7 +119,7 @@ def psd_sqrt(m) -> np.ndarray:
     return EigenDecomposition(roots, eig.eigenvectors).reconstruct()
 
 
-def reg_inverse(m, rel_cutoff: float = 1e-12) -> np.ndarray:
+def reg_inverse(m, rel_cutoff: float = PINV_CUTOFF) -> np.ndarray:
     """Hermitian pseudo-inverse with a relative eigenvalue cutoff.
 
     Eigenvalues w >= rel_cutoff * w_max are inverted, the rest map to zero,

@@ -51,7 +51,7 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise InvalidSpecError(f"unknown model kind {self.kind!r}")
-        if not isinstance(self.copies, (int, np.integer)) or self.copies < 1:
+        if not linalg.is_count(self.copies):
             raise InvalidSpecError(f"copies must be an integer >= 1, got {self.copies!r}")
         if self.kind not in ("unot", "cloner") and self.copies != 1:
             raise InvalidSpecError(f"{self.kind} takes no copies (only unot and cloner do)")

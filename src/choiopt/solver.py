@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channels import PSD_TOL, ChoiOperator, fidelity, maxmix_choi, require_valid_choi
+from .channels import ChoiOperator, fidelity, maxmix_choi, require_valid_choi
 from .errors import (
     ChoiOptError,
     DimensionMismatchError,
@@ -37,9 +37,9 @@ from .errors import (
     NegativeEigenvalueError,
     SingularLambdaError,
 )
+from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import TargetOperator, fidelity_bound
 
-PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff of the multiplier pseudo-inverse
 # One dual-endgame attempt after this many fixed-point steps without a stop.
 # An attempt costs as much time as 25-85 steps at n = 4; solves that stop
 # sooner never see it and stay bit-identical to the plain iteration.
@@ -70,8 +70,8 @@ class SolverOptions:
     init: str | ChoiOperator = "maxmix"
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidSpecError("max_iters must be >= 1")
+        if not linalg.is_count(self.max_iters):
+            raise InvalidSpecError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not 0 < self.fid_tol < np.inf:  # NaN fails too
             raise InvalidSpecError(f"fid_tol must be finite and > 0, got {self.fid_tol}")
         if not isinstance(self.init, ChoiOperator) and not _named_init(self.init):

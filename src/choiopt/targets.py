@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .channels import require_admissible
-from .errors import DimensionMismatchError, InvalidChoiError, NormViolationError
+from .channels import operator_matrix, require_admissible
+from .errors import InvalidChoiError, NormViolationError
 
 NORM_TOL = 1e-12
 # Floors chosen so the theta rule is converged to rounding for every built-in
@@ -57,14 +57,9 @@ class TargetOperator:
     lambda_max: float = field(init=False)
 
     def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        n = self.dim_in * self.dim_out
-        if m.shape != (n, n):
-            raise DimensionMismatchError(
-                f"target shape {m.shape} does not match dims ({self.dim_in},{self.dim_out})"
-            )
-        w = require_admissible(m, 1, n, InvalidChoiError)
-        object.__setattr__(self, "matrix", linalg.frozen_copy(m))
+        m = operator_matrix(self.matrix, self.dim_in, self.dim_out, "target")
+        w = require_admissible(m, 1, len(m), InvalidChoiError)
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "lambda_max", float(w.max()))
 
 

@@ -7,6 +7,7 @@ from choiopt.errors import (
     DimensionMismatchError,
     InvalidChoiError,
     InvalidDensityError,
+    NotHermitianError,
     TraceConditionError,
 )
 from choiopt.solver import random_choi
@@ -326,3 +327,64 @@ class TestValidChannelsAreAccepted:
         kraus = channels.kraus_from_choi(chi)
         assert list(kraus.weights) == sorted(kraus.weights, reverse=True)
         assert np.abs(channels.choi_from_kraus(kraus).matrix - chi.matrix).max() <= 1e-12
+
+
+class TestOneHermiticityRule:
+    # herm_eig, psd_sqrt and reg_inverse hold the entrywise Hermiticity
+    # deviation to PSD_TOL, like the admissibility check.
+    @pytest.mark.parametrize("fn", [linalg.herm_eig, linalg.psd_sqrt, linalg.reg_inverse])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_spectral_helpers_agree_with_admissibility(self, fn, factor):
+        m = _borderline("hermiticity", factor * channels.PSD_TOL)
+        admissible = _outcome(lambda: channels.require_valid_choi(channels.ChoiOperator(1, 2, m)))
+        try:
+            fn(m)
+            helper = None
+        except NotHermitianError as exc:
+            helper = str(exc)
+        assert helper == admissible
+        assert (helper is None) == (factor < 1)
+
+    def test_spectral_helpers_accept_an_admissible_channel(self):
+        m = _hermiticity_off_identity().matrix
+        assert np.allclose(linalg.herm_eig(m).eigenvalues, [2.0, 0.0, 0.0, 0.0], atol=1e-9)
+        assert np.allclose(linalg.psd_sqrt(m), m / np.sqrt(2.0), atol=1e-9)
+        assert np.allclose(linalg.reg_inverse(m), m / 4.0, atol=1e-9)
+
+    def test_fidelity_of_an_admissible_pair_is_its_real_part(self):
+        chi = _hermiticity_off_identity()
+        r = TargetOperator(2, 2, np.full((4, 4), 0.25))
+        value = np.trace(chi.matrix @ r.matrix)
+        assert abs(value.imag) > channels.PSD_TOL  # the gate fires
+        assert channels.fidelity(chi, r) == pytest.approx(value.real, abs=1e-15) == pytest.approx(1.0)
+
+    def test_every_check_reads_one_measure(self, monkeypatch):
+        # With the measure reporting 0, no check can tell a non-Hermitian operator.
+        monkeypatch.setattr(linalg, "hermiticity_deviation", lambda m: 0.0)
+        chi = channels.ChoiOperator(2, 2, np.eye(4) / 2 + 0.1j * np.eye(4))
+        assert channels.fidelity(chi, TargetOperator(2, 2, unot_r_matrix())) == pytest.approx(0.5)
+        linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        channels.require_valid_choi(channels.ChoiOperator(1, 2, np.array([[0.5, 1e-3], [0.0, 0.5]])))
+
+    def test_tolerances_live_in_linalg(self):
+        from choiopt import analysis, solver
+
+        assert channels.PSD_TOL is linalg.PSD_TOL
+        assert solver.PINV_CUTOFF == linalg.PINV_CUTOFF
+        assert linalg.reg_inverse.__defaults__ == (linalg.PINV_CUTOFF,)
+        assert not hasattr(linalg, "HERMITICITY_TOL") and not hasattr(analysis, "PPT_TOL")
+
+
+class TestOperatorDimensions:
+    @pytest.mark.parametrize(
+        "dims, matrix",
+        [((2.0, 2), np.eye(4) / 2), ((2, 2.0), np.eye(4) / 2), ((0, 0), np.zeros((0, 0))), ((-1, -2), np.eye(2) / 2)],
+        ids=["float-in", "float-out", "zero", "negative"],
+    )
+    def test_choi_operator_rejects_bad_dims(self, dims, matrix):
+        with pytest.raises(DimensionMismatchError, match="integers >= 1"):
+            channels.ChoiOperator(*dims, matrix)
+
+    def test_numpy_integer_dims_pass(self):
+        chi = channels.ChoiOperator(np.int64(2), np.int32(2), np.eye(4) / 2)
+        channels.require_valid_choi(chi)

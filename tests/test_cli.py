@@ -18,6 +18,7 @@ from choiopt.channels import KRAUS_CUTOFF, ChoiOperator, apply, density_from_sta
 from choiopt.cli import _build_parser, main
 from choiopt.models import MODEL_KINDS, ModelSpec, analytic_r, bloch_state
 from choiopt.solver import SolverOptions, random_choi
+from choiopt.targets import TargetOperator
 
 
 def run(capsys, *argv):
@@ -535,3 +536,13 @@ def test_options_the_model_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_solve_starts_from_a_channel_within_psd_tol_of_hermitian(capsys, tmp_path):
+    r = 0.75 * np.full((4, 4), 0.25) + 0.25 * np.eye(4) / 4  # full rank, unit trace
+    r_file, chi_file = tmp_path / "r.json", tmp_path / "chi.json"
+    serialize.dump_json(serialize.target_to_obj(TargetOperator(2, 2, r)), r_file)
+    serialize.dump_json(serialize.choi_to_obj(_near_identity("hermiticity")), chi_file)
+    code, out, err = run(capsys, "solve", "--r", str(r_file), "--init", str(chi_file))
+    assert (code, err) == (0, "")
+    assert out.startswith("F = 0.875 ") and "converged = true" in out

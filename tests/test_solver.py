@@ -21,6 +21,7 @@ from choiopt.targets import TargetOperator
 from choiopt import solver as solver_module
 from choiopt.models import ALPHA_THRESHOLD, model_family, shifter_closed_forms
 from choiopt.targets import build_r_montecarlo
+from choiopt.channels import identity_choi
 from helpers import (
     entangler_b_mixed_state,
     random_density,
@@ -364,3 +365,23 @@ class TestInitCheckedWhereBuilt:
     @pytest.mark.parametrize("init", ["maxmix", "random:0", "random:12"])
     def test_accepted(self, init):
         assert SolverOptions(init=init).init == init
+
+
+class TestMaxItersCheckedWhereBuilt:
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, "10", None, 0])
+    def test_rejected(self, max_iters):
+        with pytest.raises(InvalidSpecError, match="max_iters must be an integer >= 1"):
+            SolverOptions(max_iters=max_iters)
+
+    def test_numpy_integer_runs_that_many_steps(self):
+        result = solve(UNOT1, SolverOptions(max_iters=np.int64(1), init="random:0"))
+        assert result.iterations == 1
+
+    def test_start_within_psd_tol_of_hermitian(self):
+        # Entrywise Hermiticity deviation 9.8e-11: admissible, so the start's
+        # fidelity must not fail on its imaginary part.
+        m = np.array(identity_choi(2).matrix)
+        m[~np.eye(4, dtype=bool)] += 4.9e-11j
+        r = TargetOperator(2, 2, 0.75 * np.full((4, 4), 0.25) + 0.25 * np.eye(4) / 4)
+        result = solve(r, SolverOptions(init=ChoiOperator(2, 2, m)))
+        assert result.converged and result.fidelity == pytest.approx(0.875, abs=1e-12)

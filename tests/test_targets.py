@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiopt.errors import InvalidChoiError, NormViolationError
+from choiopt.errors import DimensionMismatchError, InvalidChoiError, NormViolationError
 from choiopt.models import ModelSpec, analytic_r, bloch_state, model_family, orthogonal_state
 from choiopt.targets import (
     StateFamily,
@@ -176,3 +176,17 @@ class TestTypedErrors:
     def test_montecarlo_needs_a_sample(self):
         with pytest.raises(ValueError, match="samples"):
             build_r_montecarlo(model_family(ModelSpec("identity")), samples=0, seed=0)
+
+
+class TestTargetDimensions:
+    @pytest.mark.parametrize(
+        "dims, matrix",
+        [((-1, -2), np.eye(2) / 2), ((0, 0), np.zeros((0, 0))), ((2.0, 2), np.eye(4) / 4)],
+        ids=["negative", "zero", "float"],
+    )
+    def test_rejected_where_built(self, dims, matrix):
+        with pytest.raises(DimensionMismatchError, match="integers >= 1"):
+            TargetOperator(*dims, matrix)
+
+    def test_numpy_integer_dims_pass(self):
+        assert fidelity_bound(TargetOperator(np.int64(2), np.int64(2), unot_r_matrix())) == pytest.approx(2 / 3)
