@@ -26,7 +26,7 @@ from .errors import (
 from .linalg import PSD_TOL
 
 TP_TOL = 1e-9
-KRAUS_CUTOFF = 1e-10
+KRAUS_CUTOFF = 1e-10  # kraus_from_choi's default support cutoff (linalg.support)
 
 
 @dataclass(frozen=True)
@@ -196,25 +196,18 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 def kraus_from_choi(chi: ChoiOperator, cutoff: float = KRAUS_CUTOFF) -> KrausSet:
     """Kraus operators from the spectral decomposition of the process matrix.
 
-    Eigenpairs (r_l, pi_l) with r_l above cutoff (relative to the largest
-    eigenvalue) yield A_l[k, i] = sqrt(r_l) <i, k | pi_l>.  Eigenvector phases
-    are fixed for reproducibility.
+    The eigenpairs (r_l, pi_l) that the support rule keeps at cutoff
+    (relative to the largest r_l) yield A_l[k, i] = sqrt(r_l) <i, k | pi_l>,
+    largest r_l first; eigenvector phases are fixed for reproducibility.
     """
+    if np.isnan(cutoff):  # it would keep nothing
+        raise ValueError("cutoff must not be NaN")
     require_valid_choi(chi)
     w, v = np.linalg.eigh(linalg.hermitian_part(chi.matrix))
-    w, v = w[::-1], v[:, ::-1]  # descending
-    wmax = w.max(initial=0.0)
-    operators = []
-    weights = []
-    for l in range(len(w)):
-        if w[l] <= cutoff * wmax or w[l] <= 0.0:
-            continue
-        vec = _fix_phase(v[:, l])
-        # vec[(i, k)] laid out input-factor first; A_l maps H -> K.
-        a = np.sqrt(w[l]) * vec.reshape(chi.dim_in, chi.dim_out).T
-        operators.append(a)
-        weights.append(float(w[l]))
-    return KrausSet(chi.dim_in, chi.dim_out, tuple(operators), np.array(weights))
+    keep = np.flatnonzero(linalg.support(w, cutoff))[::-1]
+    # pi_l[(i, k)] is laid out input-factor first; A_l maps H -> K.
+    operators = tuple(np.sqrt(w[l]) * _fix_phase(v[:, l]).reshape(chi.dim_in, chi.dim_out).T for l in keep)
+    return KrausSet(chi.dim_in, chi.dim_out, operators, w[keep])
 
 
 def choi_from_kraus(kraus: KrausSet) -> ChoiOperator:

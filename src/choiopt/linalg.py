@@ -4,8 +4,11 @@ All operators live on composite spaces indexed as i_first * dim_second +
 i_second; every routine in the package assumes this one convention.
 Matrices are plain complex128 ndarrays.  Hermiticity is judged here once
 for the package: require_hermitian holds hermiticity_deviation, the largest
-entrywise |m - m†|, to PSD_TOL.  herm_eig, psd_sqrt, reg_inverse and
-EigenDecomposition are public utilities no other module calls.
+entrywise |m - m†|, to PSD_TOL.  Which eigenvalues count as zero is decided
+here once too, by the clip rule clip_roots and the support rule support, for
+psd_sqrt, reg_inverse, kraus_from_choi and solver._extremal_step/_psd_solve.
+herm_eig, psd_sqrt, reg_inverse and EigenDecomposition are public utilities
+no other module calls.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from .errors import (
 )
 
 PSD_TOL = 1e-10  # entrywise Hermiticity and eigenvalue-negativity bound
-CLIP_TOL = 1e-12  # psd_sqrt treats eigenvalues below this as round-off zeros
-PINV_CUTOFF = 1e-12  # relative eigenvalue cutoff of a pseudo-inverse
+CLIP_TOL = 1e-12  # clip_roots: eigenvalues below this are round-off zeros
+PINV_CUTOFF = 1e-12  # support cutoff, relative to the largest, of every pseudo-inverse
+_SMALLEST_POSITIVE = np.finfo(float).smallest_subnormal
 
 
 def as_matrix(m) -> np.ndarray:
@@ -73,6 +77,23 @@ def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
     return dev, np.full(len(m), np.nan) if dev == np.inf else np.linalg.eigvalsh(hermitian_part(m))
 
 
+def clip_roots(w: np.ndarray) -> np.ndarray:
+    """The clip rule: square roots of a PSD operator's ascending eigenvalues w.
+    Those below CLIP_TOL count as zeros; w[0] below -CLIP_TOL raises
+    NegativeEigenvalueError."""
+    if w[0] < -CLIP_TOL:
+        raise NegativeEigenvalueError(f"eigenvalue {w[0]:.3e} below -{CLIP_TOL:.1e}")
+    return np.sqrt(np.where(w < CLIP_TOL, 0.0, w))
+
+
+def support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
+    """The support rule: mask of the ascending eigenvalues w that are > 0 and
+    >= rel_cutoff * w[-1]; only these are kept or inverted.  It runs on every
+    solver step, so one comparison does both: no double lies strictly between
+    0 and the smallest subnormal."""
+    return w >= max(rel_cutoff * w[-1], _SMALLEST_POSITIVE)
+
+
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Spectral decomposition of a Hermitian matrix.
@@ -106,34 +127,22 @@ def herm_eig(m) -> EigenDecomposition:
 
 
 def psd_sqrt(m) -> np.ndarray:
-    """Positive-semidefinite Hermitian square root.
-
-    Eigenvalues below CLIP_TOL are treated as exact zeros (round-off guard);
-    an eigenvalue below -CLIP_TOL raises NegativeEigenvalueError.
-    """
+    """Positive-semidefinite Hermitian square root by the clip rule: an
+    eigenvalue below -CLIP_TOL raises NegativeEigenvalueError."""
     eig = herm_eig(m)
-    w = eig.eigenvalues
-    if w.min() < -CLIP_TOL:
-        raise NegativeEigenvalueError(f"eigenvalue {w.min():.3e} below -{CLIP_TOL:.1e}")
-    roots = np.sqrt(np.where(w < CLIP_TOL, 0.0, w))
+    roots = clip_roots(eig.eigenvalues[::-1])[::-1]
     return EigenDecomposition(roots, eig.eigenvectors).reconstruct()
 
 
 def reg_inverse(m, rel_cutoff: float = PINV_CUTOFF) -> np.ndarray:
-    """Hermitian pseudo-inverse with a relative eigenvalue cutoff.
-
-    Eigenvalues w >= rel_cutoff * w_max are inverted, the rest map to zero,
-    which keeps the result well-defined on the support of m.
-    """
+    """Hermitian pseudo-inverse: eigenvalues in the support of m (the support
+    rule at rel_cutoff) are inverted, the rest map to zero."""
     eig = herm_eig(m)
-    w = eig.eigenvalues
-    wmax = w.max(initial=0.0)
-    if wmax <= 0.0:
+    w = eig.eigenvalues[::-1]  # ascending
+    if w[-1] <= 0.0:
         raise AllZeroError("no positive eigenvalue to invert")
-    keep = (w >= rel_cutoff * wmax) & (w > 0.0)
-    winv = np.zeros_like(w)
-    winv[keep] = 1.0 / w[keep]
-    return EigenDecomposition(winv, eig.eigenvectors).reconstruct()
+    winv = np.divide(1.0, w, out=np.zeros_like(w), where=support(w, rel_cutoff))
+    return EigenDecomposition(winv[::-1], eig.eigenvectors).reconstruct()
 
 
 def kron(a, b) -> np.ndarray:

@@ -34,7 +34,6 @@ from .errors import (
     ChoiOptError,
     DimensionMismatchError,
     InvalidSpecError,
-    NegativeEigenvalueError,
     SingularLambdaError,
 )
 from .linalg import PINV_CUTOFF, PSD_TOL
@@ -100,12 +99,10 @@ def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray
     lambda = (Tr_K m)^{1/2}, from one eigh of Tr_K m.  Lambda^{-1} = lambda^{-1} (x) 1_K
     left-multiplies the (dim_in, -1) view of m, then of the half-product's adjoint."""
     w, v = np.linalg.eigh(linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out)))
-    if w[0] < -linalg.CLIP_TOL:
-        raise NegativeEigenvalueError(f"eigenvalue {w[0]:.3e} below -{linalg.CLIP_TOL:.1e}")
-    roots = np.sqrt(np.where(w < linalg.CLIP_TOL, 0.0, w))
+    roots = linalg.clip_roots(w)
     if roots[-1] <= 0.0:
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
-    inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots >= PINV_CUTOFF * roots[-1])
+    inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=linalg.support(roots, PINV_CUTOFF))
     lam_inv = (v * inv) @ v.conj().T
     half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
     full = (lam_inv @ half.conj().T.reshape(dim_in, -1)).reshape(m.shape)
@@ -153,10 +150,10 @@ def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """m^+ v for a Hermitian positive-semidefinite m, from one eigh (the
-    routine the extremal step already uses); eigenvalues below PINV_CUTOFF
-    times the largest are dropped."""
+    routine the extremal step already uses), inverted on the support rule's
+    support at PINV_CUTOFF."""
     w, u = np.linalg.eigh(m)
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=w > PINV_CUTOFF * w[-1])
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support(w, PINV_CUTOFF))
     return (u * inv) @ (u.conj().T @ v)
 
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from choiopt import channels, models
+from choiopt import channels, models, solver
 from choiopt import linalg
 from choiopt.errors import (
+    ChoiOptError,
     DimensionMismatchError,
     InvalidChoiError,
     InvalidDensityError,
+    NegativeEigenvalueError,
     NotHermitianError,
     TraceConditionError,
 )
@@ -388,3 +390,90 @@ class TestOperatorDimensions:
     def test_numpy_integer_dims_pass(self):
         chi = channels.ChoiOperator(np.int64(2), np.int32(2), np.eye(4) / 2)
         channels.require_valid_choi(chi)
+
+
+def _step_marginal(diagonal) -> np.ndarray:
+    # iterate_once with R = 1/2 on C^2 (x) C^1 sees Tr_K[R chi R] = chi / 4,
+    # exactly; the returned Lambda^-1 (chi / 4) Lambda^-1 is diagonal too.
+    r = TargetOperator(2, 1, np.eye(2) / 2)
+    return np.diag(solver.iterate_once(channels.ChoiOperator(2, 1, 4.0 * np.diag(diagonal)), r).matrix).real
+
+
+def _raised(call):
+    try:
+        call()
+    except ChoiOptError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _two_level_channel(big: float, small: float) -> channels.ChoiOperator:
+    # A C^1 -> C^2 channel (a state) with eigenvalues in the ratio big : small.
+    return channels.ChoiOperator(1, 2, np.diag([big, small]) / (big + small))
+
+
+def _kept_directions(c: float, factor: float) -> dict:
+    """How many of two directions each support-rule caller keeps when the
+    smaller eigenvalue (a root of lambda, for the step) is factor * c times
+    the larger."""
+    small = factor * c
+    kept = {
+        "reg_inverse": np.count_nonzero(linalg.reg_inverse(np.diag([1.0, small]), c)),
+        "kraus": len(channels.kraus_from_choi(_two_level_channel(1.0, small), c).operators),
+    }
+    if c == linalg.PINV_CUTOFF:  # the solver's own cutoff
+        kept["psd_solve"] = np.count_nonzero(solver._psd_solve(np.diag([small, 1.0]), np.ones(2)))
+        kept["step"] = np.count_nonzero(_step_marginal([small**-2, 1.0]))  # roots 1 and 1 / small
+    return kept
+
+
+class TestOneSupportRule:
+    # linalg.clip_roots and linalg.support decide, for every caller, which
+    # eigenvalues count as zero.
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_sqrt_and_step_clip_alike(self, factor):
+        w = -factor * linalg.CLIP_TOL
+        outcomes = [_raised(lambda: linalg.psd_sqrt(np.diag([1.0, w])))]
+        outcomes.append(_raised(lambda: _step_marginal([1.0, w])))
+        assert outcomes[0] == outcomes[1]
+        if factor < 1:
+            assert outcomes[0] is None
+        else:
+            assert outcomes[0] == (NegativeEigenvalueError, f"eigenvalue {w:.3e} below -1.0e-12")
+
+    @pytest.mark.parametrize("c", [linalg.PINV_CUTOFF, channels.KRAUS_CUTOFF, 1e-3])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_callers_keep_the_same_directions(self, c, factor):
+        kept = _kept_directions(c, factor)
+        assert set(kept.values()) == {2 if factor > 1 else 1}, kept
+
+    def test_an_eigenvalue_at_the_cutoff_is_kept(self):
+        # 0.2 == 0.25 * 0.8 exactly: the rule's comparison is >=, in every caller.
+        assert len(channels.kraus_from_choi(_two_level_channel(0.8, 0.2), 0.25).operators) == 2
+        assert np.count_nonzero(linalg.reg_inverse(np.diag([0.8, 0.2]), 0.25)) == 2
+        at_cutoff = np.diag([linalg.PINV_CUTOFF * 0.8, 0.8])
+        assert np.count_nonzero(solver._psd_solve(at_cutoff, np.ones(2))) == 2
+        assert list(linalg.support(np.array([0.0, 0.2, 0.8]), 0.25)) == [False, True, True]
+
+    def test_zero_and_negative_eigenvalues_are_never_kept(self):
+        w = np.array([-1.0, 0.0, 5e-324, 1.0])
+        assert list(linalg.support(w, 0.0)) == list(linalg.support(w, -1.0)) == [False, False, True, True]
+
+    def test_every_caller_reads_one_support_rule(self, monkeypatch):
+        # With the rule keeping every positive eigenvalue, no caller drops
+        # the direction the cutoff would.
+        monkeypatch.setattr(linalg, "support", lambda w, rel_cutoff: w > 0.0)
+        assert set(_kept_directions(linalg.PINV_CUTOFF, 0.9).values()) == {2}
+        assert set(_kept_directions(1e-3, 0.9).values()) == {2}
+
+    def test_every_caller_reads_one_clip_rule(self, monkeypatch):
+        def fail(w):
+            raise NegativeEigenvalueError("clip rule called")
+
+        monkeypatch.setattr(linalg, "clip_roots", fail)
+        for call in (lambda: linalg.psd_sqrt(np.eye(2)), lambda: _step_marginal([1.0, 1.0])):
+            assert _raised(call) == (NegativeEigenvalueError, "clip rule called")
+
+    def test_nan_kraus_cutoff_is_rejected(self):
+        with pytest.raises(ValueError, match="cutoff must not be NaN"):
+            channels.kraus_from_choi(channels.identity_choi(2), float("nan"))

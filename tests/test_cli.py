@@ -546,3 +546,10 @@ def test_solve_starts_from_a_channel_within_psd_tol_of_hermitian(capsys, tmp_pat
     code, out, err = run(capsys, "solve", "--r", str(r_file), "--init", str(chi_file))
     assert (code, err) == (0, "")
     assert out.startswith("F = 0.875 ") and "converged = true" in out
+
+
+def test_nan_kraus_cutoff_is_a_usage_error(capsys, tmp_path):
+    chi_file = tmp_path / "chi.json"
+    serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
+    code, out, err = run(capsys, "kraus", "--chi", str(chi_file), "--cutoff", "nan")
+    assert (code, out, err) == (2, "", "error: cutoff must not be NaN\n")

@@ -385,3 +385,21 @@ class TestMaxItersCheckedWhereBuilt:
         r = TargetOperator(2, 2, 0.75 * np.full((4, 4), 0.25) + 0.25 * np.eye(4) / 4)
         result = solve(r, SolverOptions(init=ChoiOperator(2, 2, m)))
         assert result.converged and result.fidelity == pytest.approx(0.875, abs=1e-12)
+
+
+class TestSingularMultiplier:
+    # Valid input that the solver fails on today: lambda is singular where R
+    # vanishes on an input, and the pseudo-inverse zeroes that input's block.
+    # strict=True turns a fix into a failure here, so that the mark goes.
+    @pytest.mark.xfail(strict=True, raises=InvalidChoiError, reason="trace condition lost on ker lambda")
+    def test_target_vanishing_on_an_input(self):
+        # R = |0><0| (x) 1/2: every channel has F = 1/2.
+        result = solve(TargetOperator(2, 2, np.diag([0.5, 0.5, 0.0, 0.0])))
+        assert result.converged and result.fidelity == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=NegativeEigenvalueError, reason="-PSD_TOL start, -CLIP_TOL step")
+    def test_admissible_start_with_a_negative_eigenvalue(self):
+        # R = 1/2 (x) |0><0|: the channel that always outputs |0> has F = 1.
+        start = ChoiOperator(2, 2, np.diag([-5e-11, 1 + 5e-11, 0.5, 0.5]))
+        result = solve(TargetOperator(2, 2, np.diag([0.5, 0.0, 0.5, 0.0])), SolverOptions(init=start))
+        assert result.converged and result.fidelity == pytest.approx(1.0, abs=1e-12)
