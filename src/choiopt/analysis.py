@@ -8,19 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import ChoiOperator, DensityMatrix, require_valid_choi
+from .channels import ChoiOperator, DensityMatrix, require_same_dims, require_valid_choi
 from .errors import DimensionMismatchError
 from .models import ModelSpec, analytic_r, damping_channel, shifter_closed_forms
 from .solver import SolverOptions, solve
-from .targets import StateFamily, default_phi_nodes, fidelity_bound, integrand_rows, sphere_samples
+from .targets import StateFamily, fidelity_bound, integrand_rows, quadrature_nodes, sphere_samples
 
 
 def _pointwise_fidelities(chi: ChoiOperator, family: StateFamily, thetas, phis) -> np.ndarray:
-    if (chi.dim_in, chi.dim_out) != (family.dim_in, family.dim_out):
-        raise DimensionMismatchError(
-            f"channel dims ({chi.dim_in},{chi.dim_out}) != family dims "
-            f"({family.dim_in},{family.dim_out})"
-        )
+    require_same_dims(chi, family, "channel", "family")
     require_valid_choi(chi)
     # <psi_out| E(|psi_in><psi_in|) |psi_out> = v† chi v with v = conj(psi_in) (x) psi_out
     v = integrand_rows(family, thetas, phis)
@@ -33,11 +29,16 @@ class McEstimate:
     std_error: float
 
 
+def require_samples(samples: int) -> None:
+    """Raise ValueError unless samples >= 2, which mc_fidelity's standard error needs."""
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+
+
 def mc_fidelity(chi: ChoiOperator, family: StateFamily, samples: int, seed: int) -> McEstimate:
     """Mean fidelity estimated by uniform sphere sampling instead of the trace
     formula; deterministic per seed."""
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+    require_samples(samples)
     f = _pointwise_fidelities(chi, family, *sphere_samples(samples, seed))
     return McEstimate(float(f.mean()), float(f.std(ddof=1) / np.sqrt(samples)))
 
@@ -50,7 +51,7 @@ def state_fidelity_curve(chi: ChoiOperator, family: StateFamily, theta_steps: in
     """
     if theta_steps < 2:
         raise ValueError("theta_steps must be >= 2")
-    n_phi = default_phi_nodes(family.trig_degree)
+    n_phi = quadrature_nodes(family.trig_degree)[1]
     thetas = np.linspace(0.0, np.pi, theta_steps)
     phis = 2.0 * np.pi * np.arange(n_phi) / n_phi
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")

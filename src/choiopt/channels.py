@@ -53,6 +53,14 @@ def operator_matrix(m, dim_in, dim_out, what: str) -> np.ndarray:
     return linalg.frozen_copy(m)
 
 
+def require_same_dims(a, b, what_a: str, what_b: str) -> None:
+    """Raise DimensionMismatchError unless a and b have equal (dim_in, dim_out)."""
+    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
+        raise DimensionMismatchError(
+            f"{what_a} dims ({a.dim_in},{a.dim_out}) != {what_b} dims ({b.dim_in},{b.dim_out})"
+        )
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian PSD matrix with unit trace."""
@@ -101,14 +109,6 @@ class ChoiReport:
     min_eigenvalue: float
     trace_preservation_deviation: float
     hermiticity_deviation: float
-
-    def within(self, tol: float) -> bool:
-        """True when positivity and trace preservation hold up to tol."""
-        return (
-            self.min_eigenvalue >= -tol
-            and self.trace_preservation_deviation <= tol
-            and self.hermiticity_deviation <= tol
-        )
 
 
 def measure_admissibility(m, dim_in: int, dim_out: int) -> tuple[ChoiReport, np.ndarray]:
@@ -200,8 +200,7 @@ def kraus_from_choi(chi: ChoiOperator, cutoff: float = KRAUS_CUTOFF) -> KrausSet
     (relative to the largest r_l) yield A_l[k, i] = sqrt(r_l) <i, k | pi_l>,
     largest r_l first; eigenvector phases are fixed for reproducibility.
     """
-    if np.isnan(cutoff):  # it would keep nothing
-        raise ValueError("cutoff must not be NaN")
+    linalg.require_cutoff(cutoff)
     require_valid_choi(chi)
     w, v = np.linalg.eigh(linalg.hermitian_part(chi.matrix))
     keep = np.flatnonzero(linalg.support(w, cutoff))[::-1]

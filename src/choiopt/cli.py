@@ -27,12 +27,7 @@ from .channels import (
     validate_choi,
 )
 from .errors import ChoiOptError, InvalidSpecError, OutOfRangeError
-from .targets import (
-    build_r_quadrature,
-    default_phi_nodes,
-    default_theta_nodes,
-    fidelity_bound,
-)
+from .targets import build_r_quadrature, fidelity_bound, quadrature_nodes
 
 
 class _UsageError(Exception):
@@ -116,8 +111,7 @@ def _cmd_rmatrix(args) -> int:
     spec = _model_spec(args)
     if args.quadrature:
         family = models.model_family(spec)
-        nt = args.nodes_theta if args.nodes_theta is not None else default_theta_nodes(family.trig_degree)
-        nph = args.nodes_phi if args.nodes_phi is not None else default_phi_nodes(family.trig_degree)
+        nt, nph = quadrature_nodes(family.trig_degree, args.nodes_theta, args.nodes_phi)
         r = build_r_quadrature(family, nodes_theta=nt, nodes_phi=nph)
         print(f"nodes_theta = {nt}  nodes_phi = {nph}")
     else:
@@ -194,6 +188,7 @@ def _cmd_curve(args) -> int:
 def _cmd_validate(args) -> int:
     chi = _load_choi(args.chi)
     spec = _model_spec(args)
+    analysis.require_samples(args.samples)  # before the report is printed
     report = validate_choi(chi)
     print(
         f"min_eigenvalue = {report.min_eigenvalue:.6e}  "

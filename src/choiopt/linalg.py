@@ -65,8 +65,8 @@ def require_hermitian(dev: float, error: type = NotHermitianError, what: str = "
 
 
 def is_count(x) -> bool:
-    """True for a Python or numpy integer >= 1 (a dimension or a step count)."""
-    return isinstance(x, (int, np.integer)) and x >= 1
+    """The count rule: a Python or numpy integer >= 1, not a bool (a dimension or a count)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
 def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
@@ -92,6 +92,15 @@ def support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
     solver step, so one comparison does both: no double lies strictly between
     0 and the smallest subnormal."""
     return w >= max(rel_cutoff * w[-1], _SMALLEST_POSITIVE)
+
+
+def require_cutoff(rel_cutoff: float) -> None:
+    """Raise ValueError unless rel_cutoff, a fraction of the largest eigenvalue,
+    lies in [0, 1]; support, which runs on every solver step, does not check it."""
+    if np.isnan(rel_cutoff):
+        raise ValueError("cutoff must not be NaN")
+    if not 0.0 <= rel_cutoff <= 1.0:
+        raise ValueError(f"cutoff must be in [0, 1], got {rel_cutoff}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +145,8 @@ def psd_sqrt(m) -> np.ndarray:
 
 def reg_inverse(m, rel_cutoff: float = PINV_CUTOFF) -> np.ndarray:
     """Hermitian pseudo-inverse: eigenvalues in the support of m (the support
-    rule at rel_cutoff) are inverted, the rest map to zero."""
+    rule at rel_cutoff in [0, 1]) are inverted, the rest map to zero."""
+    require_cutoff(rel_cutoff)
     eig = herm_eig(m)
     w = eig.eigenvalues[::-1]  # ascending
     if w[-1] <= 0.0:

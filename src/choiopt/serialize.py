@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .channels import ChoiOperator, KrausSet, require_valid_choi
 from .errors import InvalidChoiError
 from .solver import SolverResult
@@ -35,7 +36,7 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 def _checked(obj, key: str, kind: type = int):
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
-    if type(obj[key]) is not kind or (kind is int and obj[key] < 1):
+    if not (linalg.is_count(obj[key]) if kind is int else type(obj[key]) is kind):
         raise ValueError(f"{key!r} must be a {'positive ' * (kind is int)}{kind.__name__}")
     return obj[key]
 

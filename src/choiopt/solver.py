@@ -29,13 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channels import ChoiOperator, fidelity, maxmix_choi, require_valid_choi
-from .errors import (
-    ChoiOptError,
-    DimensionMismatchError,
-    InvalidSpecError,
-    SingularLambdaError,
-)
+from .channels import ChoiOperator, fidelity, maxmix_choi, require_same_dims, require_valid_choi
+from .errors import ChoiOptError, InvalidSpecError, SingularLambdaError
 from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import TargetOperator, fidelity_bound
 
@@ -120,10 +115,7 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
 
 def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
     if isinstance(init, ChoiOperator):
-        if (init.dim_in, init.dim_out) != (r.dim_in, r.dim_out):
-            raise DimensionMismatchError(
-                f"init dims ({init.dim_in},{init.dim_out}) != target dims ({r.dim_in},{r.dim_out})"
-            )
+        require_same_dims(init, r, "init", "target")
         require_valid_choi(init)
         return init
     if not _named_init(init):
@@ -135,10 +127,7 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
     """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized."""
-    if (chi.dim_in, chi.dim_out) != (r.dim_in, r.dim_out):
-        raise DimensionMismatchError(
-            f"process dims ({chi.dim_in},{chi.dim_out}) != target dims ({r.dim_in},{r.dim_out})"
-        )
+    require_same_dims(chi, r, "process", "target")
     m = r.matrix @ chi.matrix @ r.matrix
     return ChoiOperator(r.dim_in, r.dim_out, _extremal_step(m, r.dim_in, r.dim_out)[1])
 

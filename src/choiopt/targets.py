@@ -121,12 +121,15 @@ def integrand_rows(family: StateFamily, thetas, phis) -> np.ndarray:
     return v.reshape(len(pin), family.dim_in * family.dim_out)
 
 
-def default_theta_nodes(trig_degree: int) -> int:
-    return max(trig_degree + 1, MIN_THETA_NODES)
-
-
-def default_phi_nodes(trig_degree: int) -> int:
-    return max(trig_degree + 2, MIN_PHI_NODES)
+def quadrature_nodes(trig_degree: int, nodes_theta=None, nodes_phi=None) -> tuple[int, int]:
+    """(theta, phi) node counts: each count given, or the default for the
+    family's trig_degree; raises ValueError unless both are integers >= 1."""
+    nt = max(trig_degree + 1, MIN_THETA_NODES) if nodes_theta is None else nodes_theta
+    nph = max(trig_degree + 2, MIN_PHI_NODES) if nodes_phi is None else nodes_phi
+    for name, count in (("nodes_theta", nt), ("nodes_phi", nph)):
+        if not linalg.is_count(count):
+            raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+    return nt, nph
 
 
 def build_r_quadrature(
@@ -142,8 +145,7 @@ def build_r_quadrature(
     declared degree so the result is converged to rounding; raising them
     further should not change the matrix (a useful plateau check).
     """
-    nt = nodes_theta if nodes_theta is not None else default_theta_nodes(family.trig_degree)
-    np_ = nodes_phi if nodes_phi is not None else default_phi_nodes(family.trig_degree)
+    nt, np_ = quadrature_nodes(family.trig_degree, nodes_theta, nodes_phi)
     x, w = np.polynomial.legendre.leggauss(nt)
     thetas = (x + 1.0) * (np.pi / 2.0)
     # 1/(4pi) * [(pi/2) w] * sin(theta) * (2pi/np_)  ->  w sin(theta) pi/(4 np_)

@@ -1,17 +1,21 @@
+import re
+
 import numpy as np
 import pytest
 
-from choiopt import channels, models, solver
+from choiopt import channels, models, serialize, solver, targets
 from choiopt import linalg
 from choiopt.errors import (
     ChoiOptError,
     DimensionMismatchError,
     InvalidChoiError,
     InvalidDensityError,
+    InvalidSpecError,
     NegativeEigenvalueError,
     NotHermitianError,
     TraceConditionError,
 )
+from choiopt.analysis import state_fidelity_curve
 from choiopt.solver import random_choi
 from choiopt.targets import TargetOperator, fidelity_bound
 from helpers import (
@@ -162,13 +166,14 @@ class TestValidateChoi:
         report = channels.validate_choi(channels.identity_choi(2))
         assert abs(report.min_eigenvalue) <= 1e-14
         assert report.trace_preservation_deviation <= 1e-14
-        assert report.within(1e-10)
+        assert report.min_eigenvalue >= -1e-10
+        assert report.trace_preservation_deviation <= 1e-10 and report.hermiticity_deviation <= 1e-10
 
     def test_constructed_violation(self):
         chi = channels.ChoiOperator(2, 2, np.diag([0.55, 0.55, 0.45, 0.45]))
         report = channels.validate_choi(chi)
         assert abs(report.trace_preservation_deviation - 0.1) <= 1e-12
-        assert not report.within(1e-10)
+        assert report.trace_preservation_deviation > 1e-10
 
 
 class TestDensityMatrix:
@@ -204,7 +209,7 @@ class TestNonFiniteChoi:
         m[0, 0] = np.nan
         report = channels.validate_choi(channels.ChoiOperator(2, 2, m))
         assert report.hermiticity_deviation == np.inf
-        assert not report.within(1e-10)
+        assert not report.min_eigenvalue >= -1e-10 and not report.trace_preservation_deviation <= 1e-10
 
 
 class TestTypedErrors:
@@ -477,3 +482,98 @@ class TestOneSupportRule:
     def test_nan_kraus_cutoff_is_rejected(self):
         with pytest.raises(ValueError, match="cutoff must not be NaN"):
             channels.kraus_from_choi(channels.identity_choi(2), float("nan"))
+
+
+# Each construction takes a count where it is given True; all must refuse it.
+_TRUE_AS_COUNT = {
+    "copies": (lambda: models.ModelSpec("unot", copies=True), InvalidSpecError),
+    "max_iters": (lambda: solver.SolverOptions(max_iters=True), InvalidSpecError),
+    "choi-dim": (lambda: channels.ChoiOperator(True, 2, np.eye(2) / 2), DimensionMismatchError),
+    "target-dim": (lambda: TargetOperator(2, True, np.eye(2) / 2), DimensionMismatchError),
+    "nodes": (lambda: targets.quadrature_nodes(4, nodes_phi=True), ValueError),
+    "file-rows": (lambda: serialize.matrix_from_obj({"rows": True, "cols": 1, "data": [[1, 0]]}), ValueError),
+}
+
+
+class TestOneCountRule:
+    # linalg.is_count is the one test of a dimension, copy, step or node count.
+    @pytest.mark.parametrize("x", [1, 7, np.int64(2), np.uint8(3)])
+    def test_counts(self, x):
+        assert linalg.is_count(x)
+
+    @pytest.mark.parametrize("x", [True, False, np.True_, 0, -1, np.int64(0), 2.0, "3", None])
+    def test_not_counts(self, x):
+        assert not linalg.is_count(x)
+
+    @pytest.mark.parametrize("name", list(_TRUE_AS_COUNT))
+    def test_true_is_not_a_count(self, name):
+        build, error = _TRUE_AS_COUNT[name]
+        with pytest.raises(error):
+            build()
+
+    def test_every_caller_reads_one_count_rule(self, monkeypatch):
+        monkeypatch.setattr(linalg, "is_count", lambda x: False)
+        calls = [
+            (lambda: models.ModelSpec("unot"), InvalidSpecError),
+            (lambda: solver.SolverOptions(), InvalidSpecError),
+            (lambda: channels.ChoiOperator(2, 2, np.eye(4) / 2), DimensionMismatchError),
+            (lambda: targets.quadrature_nodes(4), ValueError),
+            (lambda: serialize.matrix_from_obj({"rows": 1, "cols": 1, "data": [[1, 0]]}), ValueError),
+        ]
+        for build, error in calls:
+            with pytest.raises(error):
+                build()
+
+
+class TestOneDimensionMatch:
+    # channels.require_same_dims is the one (dim_in, dim_out) comparison; each
+    # caller keeps its own message.
+    def test_messages(self):
+        r = TargetOperator(2, 2, np.eye(4) / 4)
+        chi = channels.maxmix_choi(1, 2)
+        family = models.model_family(models.ModelSpec("entangler_a"))
+        cases = [
+            (lambda: solver.initial_choi(r, chi), "init dims (1,2) != target dims (2,2)"),
+            (lambda: solver.iterate_once(chi, r), "process dims (1,2) != target dims (2,2)"),
+            (lambda: state_fidelity_curve(chi, family, 3), "channel dims (1,2) != family dims (2,4)"),
+        ]
+        for call, message in cases:
+            assert _raised(call) == (DimensionMismatchError, message)
+
+
+class TestOneCutoffRule:
+    # linalg.require_cutoff is the one check on a relative cutoff: outside
+    # [0, 1] the support rule keeps nothing, so reg_inverse and
+    # kraus_from_choi refuse it.
+    @staticmethod
+    def _callers(c):
+        return [
+            lambda: linalg.reg_inverse(np.diag([1.0, 0.5]), c),
+            lambda: channels.kraus_from_choi(_two_level_channel(1.0, 0.5), c),
+        ]
+
+    @pytest.mark.parametrize("c", [2.0, np.inf, np.nextafter(1.0, 2.0), -0.5, -np.inf])
+    def test_outside_the_unit_interval_is_rejected(self, c):
+        for call in self._callers(c):
+            with pytest.raises(ValueError, match=re.escape(f"cutoff must be in [0, 1], got {c}")):
+                call()
+
+    def test_nan_is_rejected_by_both(self):
+        for call in self._callers(float("nan")):
+            with pytest.raises(ValueError, match="^cutoff must not be NaN$"):
+                call()
+
+    def test_the_ends_are_accepted(self):
+        assert np.allclose(linalg.reg_inverse(np.diag([1.0, 0.5]), 0.0), np.diag([1.0, 2.0]))
+        assert np.allclose(linalg.reg_inverse(np.diag([1.0, 0.5]), 1.0), np.diag([1.0, 0.0]))
+        assert len(channels.kraus_from_choi(_two_level_channel(1.0, 0.5), 0.0).operators) == 2
+        assert len(channels.kraus_from_choi(_two_level_channel(1.0, 0.5), 1.0).operators) == 1
+
+    def test_every_caller_reads_one_cutoff_check(self, monkeypatch):
+        def fail(rel_cutoff):
+            raise ValueError("cutoff check called")
+
+        monkeypatch.setattr(linalg, "require_cutoff", fail)
+        for call in self._callers(1e-3):
+            with pytest.raises(ValueError, match="cutoff check called"):
+                call()

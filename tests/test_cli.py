@@ -553,3 +553,50 @@ def test_nan_kraus_cutoff_is_a_usage_error(capsys, tmp_path):
     serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
     code, out, err = run(capsys, "kraus", "--chi", str(chi_file), "--cutoff", "nan")
     assert (code, out, err) == (2, "", "error: cutoff must not be NaN\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--nodes-phi", "0"), "nodes_phi must be an integer >= 1, got 0"),
+        (("--nodes-phi", "-3"), "nodes_phi must be an integer >= 1, got -3"),
+        (("--nodes-theta", "0"), "nodes_theta must be an integer >= 1, got 0"),
+    ],
+    ids=["phi-0", "phi-negative", "theta-0"],
+)
+def test_bad_node_count_is_a_usage_error(capsys, tmp_path, argv, message):
+    out_file = tmp_path / "r.json"
+    code, out, err = run(capsys, "rmatrix", "--model", "unot", "--quadrature", *argv, "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("cutoff", ["2", "inf", "-0.5"])
+def test_kraus_cutoff_outside_the_unit_interval_is_a_usage_error(capsys, tmp_path, cutoff):
+    chi_file, out_file = tmp_path / "chi.json", tmp_path / "kraus.json"
+    serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
+    code, out, err = run(capsys, "kraus", "--chi", str(chi_file), "--cutoff", cutoff, "--out", str(out_file))
+    assert (code, out, err) == (2, "", f"error: cutoff must be in [0, 1], got {float(cutoff)}\n")
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("samples", ["1", "0", "-5"])
+def test_validate_rejects_the_sample_count_before_printing(capsys, tmp_path, samples):
+    chi_file = tmp_path / "chi.json"
+    serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
+    code, out, err = run(capsys, "validate", "--model", "identity", "--chi", str(chi_file), "--samples", samples)
+    assert (code, out, err) == (2, "", "error: samples must be >= 2\n")
+
+
+def test_validate_reports_a_non_psd_chi_before_failing(capsys, tmp_path):
+    # Finite, Hermitian and trace-preserving, with eigenvalue -1/2.
+    chi = ChoiOperator(2, 2, [[1, 0, 0, 1.5], [0, 0, 0, 0], [0, 0, 0, 0], [1.5, 0, 0, 1]])
+    chi_file = tmp_path / "chi.json"
+    serialize.dump_json(serialize.choi_to_obj(chi), chi_file)
+    code, out, err = run(capsys, "validate", "--model", "identity", "--chi", str(chi_file), "--samples", "100")
+    assert code == 3
+    assert out == (
+        "min_eigenvalue = -5.000000e-01  trace_preservation_deviation = 0.000000e+00  "
+        "hermiticity_deviation = 0.000000e+00\n"
+    )
+    assert err == "error: minimum eigenvalue -5.000e-01 below -1.0e-10\n"

@@ -349,6 +349,62 @@ class TestDualEndgame:
         assert endgame_calls == []
 
 
+@pytest.fixture
+def endgame_results(monkeypatch):
+    """Record what each call of the real dual endgame returns."""
+    results = []
+    real = solver_module._dual_endgame
+
+    def recorded(r, chi):
+        results.append(real(r, chi))
+        return results[-1]
+
+    monkeypatch.setattr(solver_module, "_dual_endgame", recorded)
+    return results
+
+
+_psd_solve = solver_module._psd_solve
+
+
+def _overshooting_psd_solve(m, v):
+    # A Newton step 1e6 times too long: the damped update leaves the feasible set.
+    return 1e6 * _psd_solve(m, v)
+
+
+def _failing_psd_solve(m, v):
+    raise np.linalg.LinAlgError("eigh did not converge")
+
+
+class TestEndgameRejects:
+    # Each way _dual_endgame can give up must leave solve exactly where the
+    # plain iteration goes.  Inputs reach two of these exits (the slack
+    # leaving the feasible set, a stage not centring) only through rounding at
+    # the 1e-15 level, which differs between platforms, so each test sets the
+    # constant or the helper that its exit reads.
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("_psd_solve", _overshooting_psd_solve),  # Y leaves the feasible set
+            ("MAX_NEWTON", 1),  # the first barrier stage does not centre
+            ("BARRIER_GAP", 1e6),  # mu stays large: no slack eigenvalue falls below sqrt(mu)
+            ("PSD_TOL", -np.inf),  # every recovered X counts as indefinite
+            ("_psd_solve", _failing_psd_solve),  # LAPACK fails
+        ],
+        ids=["infeasible-slack", "newton-budget", "empty-kernel", "indefinite-x", "linalg-error"],
+    )
+    def test_each_reject_leaves_the_iteration_unchanged(self, name, value, monkeypatch, endgame_results):
+        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        opts = SolverOptions()
+        chi, trace = plain_iteration(r, opts)
+        monkeypatch.setattr(solver_module, name, value)
+        result = solve(r, opts)
+        assert endgame_results == [None]
+        assert np.array_equal(result.chi.matrix, chi.matrix)
+        assert result.fidelity_trace == trace
+        assert result.iterations == len(trace) > solver_module.ENDGAME_AFTER
+        assert np.isnan(result.gap)
+
+
 class TestInitCheckedWhereBuilt:
     @pytest.mark.parametrize(
         "init", ["bogus", "random:abc", "random:", "random:1.5", "random:-1", "random: 3", "maxmix ", None, 5]

@@ -12,6 +12,7 @@ from choiopt.targets import (
     build_r_quadrature,
     evaluate_family,
     fidelity_bound,
+    quadrature_nodes,
 )
 from helpers import unot_r_matrix
 
@@ -190,3 +191,23 @@ class TestTargetDimensions:
 
     def test_numpy_integer_dims_pass(self):
         assert fidelity_bound(TargetOperator(np.int64(2), np.int64(2), unot_r_matrix())) == pytest.approx(2 / 3)
+
+
+class TestQuadratureNodes:
+    # quadrature_nodes resolves and checks the node counts for every caller.
+    @pytest.mark.parametrize("degree", [0, 2, 6, 31, 40])
+    def test_defaults(self, degree):
+        assert quadrature_nodes(degree) == (max(degree + 1, 32), max(degree + 2, 8))
+
+    def test_given_counts_are_kept(self):
+        assert quadrature_nodes(4, 40, 12) == (40, 12)
+        assert quadrature_nodes(4, nodes_phi=np.int64(1)) == (32, 1)
+
+    @pytest.mark.parametrize("which", ["nodes_theta", "nodes_phi"])
+    @pytest.mark.parametrize("count", [0, -3, True, 2.5])
+    def test_rejected(self, which, count):
+        message = f"^{which} must be an integer >= 1, got {count!r}$"
+        with pytest.raises(ValueError, match=message):
+            quadrature_nodes(4, **{which: count})
+        with pytest.raises(ValueError, match=message):
+            build_r_quadrature(model_family(ModelSpec("unot", copies=1)), **{which: count})
