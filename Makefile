@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: install test accept verify bench bench-smoke bench-record
+.PHONY: install test accept verify refset bench bench-smoke bench-record
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,6 +13,10 @@ accept:
 
 verify:
 	PYTHONPATH=src $(PYTHON) scripts/verify_reference_values.py
+
+# solves the 381-solve reference set and prints how they ended; exits 1 on a raising or unconverged solve
+refset:
+	PYTHONPATH=src $(PYTHON) scripts/reference_set.py
 
 bench:
 	$(PYTHON) perfbench/run.py

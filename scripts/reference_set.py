@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Solve the reference set and print how the solves ended.
+
+The reference set is 381 solves: the 101-point shifter grid on [0, pi], the
+shifter at pi - 1e-3, 3.13 and ALPHA_THRESHOLD + 1e-4, unot and cloner for
+N = 1..10, entangler-a, entangler-b and identity, each from the starts
+maxmix, random:1 and random:2.  Every solve uses the default SolverOptions.
+The summary gives the solve count and their summed time, the iterations,
+the dual-endgame calls and how many of them certified, the unconverged rows,
+the rows reported converged but further than fid_tol from the known optimum,
+and the rows that ended through the endgame but further than 1e-12 from it.
+Exits 1 when a solve raises or ends unconverged, 0 otherwise.  Run via
+`make refset` or directly:
+
+    PYTHONPATH=src python3 scripts/reference_set.py
+"""
+
+import math
+import sys
+import time
+
+import numpy as np
+
+from choiopt import solver
+from choiopt.models import ALPHA_THRESHOLD, ModelSpec, analytic_r, known_optimum
+from choiopt.solver import SolverOptions, solve
+
+STARTS = ("maxmix", "random:1", "random:2")
+ENDGAME_TOL = 1e-12  # distance from the known optimum allowed to a row the endgame finished
+
+
+def specs():
+    alphas = [*np.linspace(0.0, np.pi, 101), np.pi - 1e-3, 3.13, ALPHA_THRESHOLD + 1e-4]
+    yield from (ModelSpec("shifter", alpha=float(a)) for a in alphas)
+    for kind in ("unot", "cloner"):
+        yield from (ModelSpec(kind, copies=n) for n in range(1, 11))
+    yield from (ModelSpec(kind) for kind in ("entangler_a", "entangler_b", "identity"))
+
+
+def main():
+    calls = []
+    real = solver._dual_endgame
+
+    def counted(r, chi):  # records whether each endgame call certified
+        done = real(r, chi)
+        calls.append(done is not None and done[1] <= SolverOptions().fid_tol)
+        return done
+
+    solver._dual_endgame = counted
+    solves = iterations = 0
+    raised, unconverged, off, endgame_off = [], [], [], []
+    elapsed = 0.0
+    for spec in specs():
+        r, optimum = analytic_r(spec), known_optimum(spec).fidelity
+        for init in STARTS:
+            opts = SolverOptions(init=init)
+            solves += 1
+            start = time.perf_counter()
+            try:
+                result = solve(r, opts)
+            except Exception as exc:  # a raising solve is a reported row, not the end of the run
+                raised.append(f"{spec} {init}: {type(exc).__name__}: {exc}")
+                continue
+            finally:
+                elapsed += time.perf_counter() - start
+            iterations += result.iterations
+            error = abs(result.fidelity - optimum)
+            if not result.converged:
+                unconverged.append(f"{spec} {init}")
+            elif error > opts.fid_tol:
+                off.append(error)
+            if not math.isnan(result.gap) and error > ENDGAME_TOL:
+                endgame_off.append(f"{spec} {init}: {error:.2e}")
+    print(f"solves = {solves}  time = {elapsed:.2f} s  iterations = {iterations}")
+    print(f"endgame calls = {len(calls)}  certified = {sum(calls)}")
+    print(
+        f"raised = {len(raised)}  unconverged = {len(unconverged)}  "
+        f"converged but off by more than fid_tol = {len(off)} (max {max(off, default=0.0):.2e})  "
+        f"endgame rows off by more than {ENDGAME_TOL:g} = {len(endgame_off)}"
+    )
+    for line in raised + unconverged + endgame_off:
+        print(f"  {line}")
+    return 1 if raised or unconverged else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,8 +30,9 @@ class McEstimate:
 
 
 def require_samples(samples: int) -> None:
-    """Raise ValueError unless samples >= 2, which mc_fidelity's standard error needs."""
-    if samples < 2:
+    """Raise ValueError unless samples is a count >= 2, which mc_fidelity's
+    standard error needs."""
+    if not linalg.is_count(samples) or samples < 2:
         raise ValueError("samples must be >= 2")
 
 
@@ -49,7 +50,7 @@ def state_fidelity_curve(chi: ChoiOperator, family: StateFamily, theta_steps: in
     Returns an array of (theta, F) rows on a uniform theta grid over [0, pi];
     the azimuth average uses enough equispaced points for the family's degree.
     """
-    if theta_steps < 2:
+    if not linalg.is_count(theta_steps) or theta_steps < 2:
         raise ValueError("theta_steps must be >= 2")
     n_phi = quadrature_nodes(family.trig_degree)[1]
     thetas = np.linspace(0.0, np.pi, theta_steps)

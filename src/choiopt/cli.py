@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import analysis, models, serialize, solver
+from . import analysis, linalg, models, serialize, solver
 from .channels import (
     KRAUS_CUTOFF,
     DensityMatrix,
@@ -163,6 +163,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    if not linalg.is_count(args.steps):
+        raise _UsageError(f"--steps must be an integer >= 1, got {args.steps}")
     alphas = np.linspace(args.start, args.stop, args.steps)
     rows = analysis.alpha_scan(alphas)
     serialize.write_scan_csv(rows, args.csv)

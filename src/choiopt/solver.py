@@ -11,9 +11,12 @@ preserves positivity and the trace constraint at every step; the multiplier
 inverse is a pseudo-inverse so the update stays defined when lambda is
 singular.
 
-The iteration slows down where the optimum is rank-deficient (the shifter
-near its threshold and near pi).  A solve still running after ENDGAME_AFTER
-steps, when dim_in <= dim_out, makes one attempt to finish through the dual
+The iteration converges only linearly where the optimum is rank-deficient
+(the shifter near its threshold and near pi).  The solve watches the rate
+rho = dF_k / dF_{k-1} of its fidelity increments from step RATE_FROM on.  At
+the first step where rho >= 1, or where linear extrapolation predicts more
+than STEPS_LEFT further steps before an increment falls below fid_tol, a
+solve with dim_in <= dim_out makes one attempt to finish through the dual
 SDP min Tr Y s.t. Y (x) 1_K >= R, whose dim_in^2 real unknowns cost no more
 per Newton step than one update: a barrier-Newton solve of the dual, a primal
 chi from complementary slackness and one more update.  Its answer is kept
@@ -23,6 +26,7 @@ iteration continues as if the attempt had not been made.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -34,10 +38,10 @@ from .errors import ChoiOptError, InvalidSpecError, SingularLambdaError
 from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import TargetOperator, fidelity_bound
 
-# One dual-endgame attempt after this many fixed-point steps without a stop.
-# An attempt costs as much time as 25-85 steps at n = 4; solves that stop
-# sooner never see it and stay bit-identical to the plain iteration.
-ENDGAME_AFTER = 200
+# The endgame trigger, _slow_tail, reads the rate from step RATE_FROM on and fires on a
+# predicted tail above STEPS_LEFT steps, about one attempt's cost (25-85 steps at n = 4).
+RATE_FROM = 8
+STEPS_LEFT = 60
 BARRIER_GAP = 1e-14  # (dim_in * dim_out) * mu at the last barrier stage
 NEWTON_TOL = 1e-4  # squared Newton decrement that ends a barrier stage
 MAX_NEWTON = 50  # Newton steps allowed per barrier stage
@@ -53,9 +57,10 @@ class SolverOptions:
 
     The loop stops after the first step whose fidelity differs from the
     previous one by less than fid_tol, or after max_iters steps without one,
-    or at step ENDGAME_AFTER + 1 when max_iters allows it, dim_in <= dim_out
-    and the dual endgame certifies a gap of at most fid_tol.  converged means
-    that the fidelity rule fired or the endgame certified its gap.
+    or one step after the rate rule fires (see solve) when max_iters
+    allows that step, dim_in <= dim_out and the dual endgame certifies a gap
+    of at most fid_tol.  converged means that the fidelity rule fired or the
+    endgame certified its gap.
     init is "maxmix", "random:SEED" with an integer SEED >= 0, or a ChoiOperator.
     """
 
@@ -211,15 +216,29 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
     return chi, float(np.trace(y).real + d * max(0.0, -z_eigs[0]) - fidelity(chi, r))
 
 
+def _slow_tail(fids: list[float], fid_tol: float) -> bool:
+    """The rate rule: whether the fidelities F_0 .. F_k predict a long tail.
+    From step k = RATE_FROM on, with dF_k and dF_{k-1} both positive and
+    rho = dF_k / dF_{k-1}: rho >= 1 or log(fid_tol / dF_k) / log(rho) > STEPS_LEFT.
+    Python floats, not numpy scalars: it runs at every step."""
+    if len(fids) <= RATE_FROM:
+        return False
+    step, prev = fids[-1] - fids[-2], fids[-2] - fids[-3]
+    if step <= 0.0 or prev <= 0.0:
+        return False
+    rate = step / prev
+    return rate >= 1.0 or math.log(fid_tol / step) / math.log(rate) > STEPS_LEFT
+
+
 def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
     """Iterate the extremal update from the chosen start until successive
     fidelities differ by less than fid_tol or max_iters is reached.
 
-    A solve still running after ENDGAME_AFTER steps, with dim_in <= dim_out,
-    tries the dual endgame once; its answer is taken, as step
-    ENDGAME_AFTER + 1 with the gap in SolverResult.gap, when it certifies a
-    gap of at most fid_tol.  Otherwise the iteration goes on from the same
-    iterate.
+    At the first step k where the rate rule (_slow_tail) holds, a solve with
+    dim_in <= dim_out and k < max_iters tries the dual endgame, once; its
+    answer is taken, as step k + 1 with the gap in SolverResult.gap, when it
+    certifies a gap of at most fid_tol.  Otherwise the iteration goes on from
+    the same iterate, and the rule is not read again.
 
     Non-convergence is not an error: the result carries converged=False and
     the full fidelity trace.
@@ -229,8 +248,10 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
     fids = [fidelity(chi, r)]  # F_0 of the start; the reported trace begins at F_1
     converged = False
     gap = float("nan")
+    tried = r.dim_in > r.dim_out  # the endgame serves dim_in <= dim_out only
     while not converged and len(fids) <= opts.max_iters:
-        if len(fids) == ENDGAME_AFTER + 1 and r.dim_in <= r.dim_out:
+        if not tried and _slow_tail(fids, opts.fid_tol):
+            tried = True
             done = _dual_endgame(r, chi)
             if done is not None and done[1] <= opts.fid_tol:
                 chi, gap = done

@@ -160,7 +160,7 @@ def build_r_quadrature(
 
 def build_r_montecarlo(family: StateFamily, samples: int, seed: int) -> TargetOperator:
     """Target operator as a seeded Monte-Carlo mean over sphere_samples."""
-    if samples < 1:
+    if not linalg.is_count(samples):
         raise ValueError("samples must be >= 1")
     v = integrand_rows(family, *sphere_samples(samples, seed))
     m = np.einsum("sa,sb->ab", v, v.conj()) / samples

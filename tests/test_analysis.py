@@ -182,6 +182,25 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match="theta_steps"):
             state_fidelity_curve(known_optimum(spec).chi, model_family(spec), theta_steps=1)
 
+    @pytest.mark.parametrize("samples", [True, 2.5, 3.0, "3", None])
+    def test_mc_fidelity_samples_follow_the_count_rule(self, samples):
+        spec = ModelSpec("identity")
+        with pytest.raises(ValueError, match=r"^samples must be >= 2$"):
+            mc_fidelity(known_optimum(spec).chi, model_family(spec), samples=samples, seed=0)
+
+    @pytest.mark.parametrize("theta_steps", [True, 2.5, 3.0, "3", None])
+    def test_curve_steps_follow_the_count_rule(self, theta_steps):
+        spec = ModelSpec("identity")
+        with pytest.raises(ValueError, match=r"^theta_steps must be >= 2$"):
+            state_fidelity_curve(known_optimum(spec).chi, model_family(spec), theta_steps=theta_steps)
+
+    def test_numpy_counts_accepted(self):
+        spec = ModelSpec("identity")
+        chi, family = known_optimum(spec).chi, model_family(spec)
+        assert mc_fidelity(chi, family, np.int64(3), 0) == mc_fidelity(chi, family, 3, 0)
+        curve = state_fidelity_curve(chi, family, 3)
+        assert np.array_equal(state_fidelity_curve(chi, family, np.int64(3)), curve)
+
     def test_curve_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             state_fidelity_curve(

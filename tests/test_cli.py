@@ -174,6 +174,25 @@ class TestScanCurve:
         assert run(capsys, *args, "--csv", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_scan_rejects_a_step_count_below_one(self, capsys, tmp_path, steps):
+        csv = tmp_path / "x.csv"
+        code, out, err = run(
+            capsys,
+            "scan", "--model", "shifter", "--from", "0", "--to", "1", "--steps", steps, "--csv", str(csv),
+        )
+        assert (code, out, err) == (2, "", f"error: --steps must be an integer >= 1, got {steps}\n")
+        assert not csv.exists()
+
+    def test_scan_of_one_step_writes_one_row(self, capsys, tmp_path):
+        csv = tmp_path / "x.csv"
+        code, out, _ = run(
+            capsys, "scan", "--model", "shifter", "--from", "0.5", "--to", "1", "--steps", "1", "--csv", str(csv),
+        )
+        assert code == 0 and "rows = 1  failed = 0" in out
+        lines = csv.read_text().strip().split("\n")
+        assert len(lines) == 2 and float(lines[1].split(",")[0]) == 0.5
+
     def test_scan_rejects_other_models(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

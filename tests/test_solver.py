@@ -279,13 +279,33 @@ def plain_iteration(r: TargetOperator, opts: SolverOptions):
     return chi, tuple(fids[1:])
 
 
+class Calls(list):
+    """One entry per dual-endgame call, and in .chis the iterate each call got."""
+
+    def __init__(self):
+        super().__init__()
+        self.chis = []
+
+
+def call_step(chi: ChoiOperator, r: TargetOperator, opts: SolverOptions) -> int:
+    """The number of plain-iteration steps from opts.init after which the
+    iterate is exactly chi: the step at which an endgame call received chi."""
+    it = initial_choi(r, opts.init)
+    for step in range(opts.max_iters + 1):
+        if np.array_equal(it.matrix, chi.matrix):
+            return step
+        it = iterate_once(it, r)
+    raise AssertionError("chi is not an iterate of the plain loop")
+
+
 @pytest.fixture
 def endgame_calls(monkeypatch):
     """Replace the dual endgame by a recorder that reports failure."""
-    calls = []
+    calls = Calls()
 
     def fake(r, chi):
         calls.append((r.dim_in, r.dim_out))
+        calls.chis.append(chi)
         return None
 
     monkeypatch.setattr(solver_module, "_dual_endgame", fake)
@@ -294,10 +314,12 @@ def endgame_calls(monkeypatch):
 
 class TestDualEndgame:
     @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.7, 3.13], ids=str)
-    def test_slow_shifter_rows_finish_certified(self, alpha):
-        result = solve(analytic_r(ModelSpec("shifter", alpha=alpha)))
+    def test_slow_shifter_rows_finish_certified(self, alpha, endgame_results):
+        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+        result = solve(r)
+        assert len(endgame_results) == 1
         assert result.converged
-        assert result.iterations == solver_module.ENDGAME_AFTER + 1
+        assert result.iterations == call_step(endgame_results.chis[0], r, SolverOptions()) + 1
         assert result.gap <= SolverOptions().fid_tol
         assert abs(result.fidelity - shifter_closed_forms(alpha).fidelity) <= 1e-12
         assert len(result.fidelity_trace) == result.iterations
@@ -315,7 +337,7 @@ class TestDualEndgame:
         assert endgame_calls == [(2, 2)]
         assert np.array_equal(result.chi.matrix, chi.matrix)
         assert result.fidelity_trace == trace
-        assert result.iterations == len(trace) > solver_module.ENDGAME_AFTER
+        assert result.iterations == len(trace) > call_step(endgame_calls.chis[0], r, opts)
         assert np.isnan(result.gap)
 
     def test_uncertified_endgame_is_discarded(self):
@@ -329,14 +351,18 @@ class TestDualEndgame:
         assert result.fidelity_trace == trace
 
     def test_not_called_within_the_step_budget(self, endgame_calls):
+        # A budget that ends at the step where the rule fires leaves no step for the endgame.
         r = analytic_r(ModelSpec("shifter", alpha=0.7))
-        result = solve(r, SolverOptions(max_iters=solver_module.ENDGAME_AFTER))
+        solve(r)
+        step = call_step(endgame_calls.chis[0], r, SolverOptions())
+        result = solve(r, SolverOptions(max_iters=step))
         assert not result.converged
-        assert endgame_calls == []
+        assert result.iterations == step
+        assert endgame_calls == [(2, 2)]  # the first solve's call only
 
     def test_not_called_when_the_solve_stops_early(self, endgame_calls):
         result = solve(analytic_r(ModelSpec("shifter", alpha=0.5)))
-        assert result.iterations < solver_module.ENDGAME_AFTER
+        assert result.iterations > solver_module.RATE_FROM  # the rule was read, and never fired
         assert endgame_calls == []
 
     @pytest.mark.parametrize("copies", [2, 3])
@@ -349,13 +375,70 @@ class TestDualEndgame:
         assert endgame_calls == []
 
 
+def rising(prev: float, step: float, fid_tol: float = 2.0**-70) -> tuple[list, float]:
+    """Fidelities F_0 .. F_RATE_FROM whose last two increments are prev and
+    step, exact in binary for powers of two; and fid_tol."""
+    return [0.0] * (solver_module.RATE_FROM - 2) + [0.5, 0.5 + prev, 0.5 + prev + step], fid_tol
+
+
+class TestRateRule:
+    slow_tail = staticmethod(solver_module._slow_tail)
+
+    @pytest.mark.parametrize("prev, step", [(2.0**-10, 2.0**-10), (2.0**-10, 2.0**-9)], ids=["rho1", "rho2"])
+    def test_rate_at_least_one_fires(self, prev, step):
+        assert self.slow_tail(*rising(prev, step))
+
+    @pytest.mark.parametrize("extra, fires", [(-2, False), (0, False), (2, True)])
+    def test_predicted_tail_against_steps_left(self, extra, fires):
+        # rho = 1/2 and dF = fid_tol * 2^(STEPS_LEFT + extra) predict STEPS_LEFT + extra more steps.
+        fid_tol = 2.0 ** -(10 + solver_module.STEPS_LEFT + extra)
+        assert self.slow_tail(*rising(2.0**-9, 2.0**-10, fid_tol)) is fires
+
+    @pytest.mark.parametrize(
+        "prev, step",
+        [(2.0**-10, 0.0), (2.0**-10, -(2.0**-10)), (0.0, 2.0**-10), (-(2.0**-10), 2.0**-10), (0.0, 0.0)],
+    )
+    def test_non_positive_increment_never_fires(self, prev, step):
+        assert not self.slow_tail(*rising(prev, step))
+
+    def test_nothing_fires_before_rate_from(self):
+        fids, fid_tol = rising(2.0**-10, 2.0**-9)
+        assert self.slow_tail(fids, fid_tol)
+        for n in range(3, len(fids)):  # the same last two increments at step n - 1 < RATE_FROM
+            assert not self.slow_tail(fids[-n:], fid_tol)
+
+    @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.7, 0.71, 3.0, 3.13], ids=str)
+    def test_budget_at_the_firing_step(self, alpha, endgame_results):
+        # The endgame's answer is one step more, so it needs max_iters > the firing step.
+        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+        solve(r)
+        step = call_step(endgame_results.chis[0], r, SolverOptions())
+        assert step >= solver_module.RATE_FROM
+        short = solve(r, SolverOptions(max_iters=step))
+        assert short.iterations == step and not short.converged
+        fits = solve(r, SolverOptions(max_iters=step + 1))
+        assert fits.iterations == step + 1 and fits.converged and fits.gap <= SolverOptions().fid_tol
+        assert len(endgame_results) == 2  # one call per solve that had a step left at the firing step
+
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_dims_keep_a_firing_rule_out(self, copies, endgame_calls):
+        # Sampled unot (dim_in > dim_out) meets the rate rule, yet never calls the endgame.
+        r = build_r_montecarlo(model_family(ModelSpec("unot", copies=copies)), 500, 1)
+        opts = SolverOptions(max_iters=300)
+        result = solve(r, opts)
+        fids = [fidelity(initial_choi(r, opts.init), r), *result.fidelity_trace]
+        assert any(self.slow_tail(fids[:k], opts.fid_tol) for k in range(1, len(fids) + 1))
+        assert endgame_calls == []
+
+
 @pytest.fixture
 def endgame_results(monkeypatch):
     """Record what each call of the real dual endgame returns."""
-    results = []
+    results = Calls()
     real = solver_module._dual_endgame
 
     def recorded(r, chi):
+        results.chis.append(chi)
         results.append(real(r, chi))
         return results[-1]
 
@@ -401,7 +484,7 @@ class TestEndgameRejects:
         assert endgame_results == [None]
         assert np.array_equal(result.chi.matrix, chi.matrix)
         assert result.fidelity_trace == trace
-        assert result.iterations == len(trace) > solver_module.ENDGAME_AFTER
+        assert result.iterations == len(trace) > call_step(endgame_results.chis[0], r, opts)
         assert np.isnan(result.gap)
 
 

@@ -178,6 +178,16 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match="samples"):
             build_r_montecarlo(model_family(ModelSpec("identity")), samples=0, seed=0)
 
+    @pytest.mark.parametrize("samples", [True, 2.5, 3.0, "3", None])
+    def test_montecarlo_samples_follow_the_count_rule(self, samples):
+        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+            build_r_montecarlo(model_family(ModelSpec("identity")), samples=samples, seed=0)
+
+    def test_montecarlo_takes_a_numpy_count(self):
+        family = model_family(ModelSpec("identity"))
+        r = build_r_montecarlo(family, 3, 0)
+        assert np.array_equal(build_r_montecarlo(family, np.int64(3), 0).matrix, r.matrix)
+
 
 class TestTargetDimensions:
     @pytest.mark.parametrize(
