@@ -6,9 +6,10 @@ shifter at pi - 1e-3, 3.13 and ALPHA_THRESHOLD + 1e-4, unot and cloner for
 N = 1..10, entangler-a, entangler-b and identity, each from the starts
 maxmix, random:1 and random:2.  Every solve uses the default SolverOptions.
 The summary gives the solve count and their summed time, the iterations,
-the dual-endgame calls and how many of them certified, the unconverged rows,
-the rows reported converged but further than fid_tol from the known optimum,
-and the rows that ended through the endgame but further than 1e-12 from it.
+the summed time spent in dual-endgame calls, the calls and how many of them
+certified, the unconverged rows, the rows reported converged but further
+than fid_tol from the known optimum, and the rows that ended through the
+endgame but further than 1e-12 from it.
 Exits 1 when a solve raises or ends unconverged, 0 otherwise.  Run via
 `make refset` or directly:
 
@@ -39,10 +40,14 @@ def specs():
 
 def main():
     calls = []
+    endgame_time = 0.0
     real = solver._dual_endgame
 
-    def counted(r, chi):  # records whether each endgame call certified
+    def counted(r, chi):  # records whether each endgame call certified, and its time
+        nonlocal endgame_time
+        start = time.perf_counter()
         done = real(r, chi)
+        endgame_time += time.perf_counter() - start
         calls.append(done is not None and done[1] <= SolverOptions().fid_tol)
         return done
 
@@ -71,7 +76,10 @@ def main():
                 off.append(error)
             if not math.isnan(result.gap) and error > ENDGAME_TOL:
                 endgame_off.append(f"{spec} {init}: {error:.2e}")
-    print(f"solves = {solves}  time = {elapsed:.2f} s  iterations = {iterations}")
+    print(
+        f"solves = {solves}  time = {elapsed:.2f} s  iterations = {iterations}  "
+        f"endgame time = {endgame_time:.2f} s"
+    )
     print(f"endgame calls = {len(calls)}  certified = {sum(calls)}")
     print(
         f"raised = {len(raised)}  unconverged = {len(unconverged)}  "

@@ -89,9 +89,10 @@ def _cmd_solve(args) -> int:
         init=_parse_init(args.init),
     )
     result = solver.solve(r, opts)
+    certified = "" if np.isnan(result.gap) else f"  gap = {_fmt(result.gap)}"
     print(
         f"F = {_fmt(result.fidelity)}  bound = {_fmt(result.bound)}  "
-        f"iters = {result.iterations}  converged = {str(result.converged).lower()}"
+        f"iters = {result.iterations}  converged = {str(result.converged).lower()}{certified}"
     )
     if args.out:
         serialize.dump_json(serialize.result_to_obj(result), args.out)

@@ -110,6 +110,7 @@ def result_to_obj(result: SolverResult) -> dict:
         "bound": result.bound,
         "iterations": result.iterations,
         "converged": result.converged,
+        "gap": None if np.isnan(result.gap) else result.gap,  # null unless the endgame certified
         "fidelity_trace": list(result.fidelity_trace),
         "chi": choi_to_obj(result.chi),
     }

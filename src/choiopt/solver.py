@@ -18,10 +18,11 @@ the first step where rho >= 1, or where linear extrapolation predicts more
 than STEPS_LEFT further steps before an increment falls below fid_tol, a
 solve with dim_in <= dim_out makes one attempt to finish through the dual
 SDP min Tr Y s.t. Y (x) 1_K >= R, whose dim_in^2 real unknowns cost no more
-per Newton step than one update: a barrier-Newton solve of the dual, a primal
-chi from complementary slackness and one more update.  Its answer is kept
-only with a certified duality gap of at most fid_tol; otherwise the
-iteration continues as if the attempt had not been made.
+per Newton step than one update: a barrier solve of the dual that follows the
+central path by predictor-corrector stages (a step along the path's tangent,
+then damped Newton steps), a primal chi from complementary slackness and one
+more update.  Its answer is kept only with a certified duality gap of at most
+fid_tol; otherwise the iteration continues as if the attempt had not been made.
 """
 
 from __future__ import annotations
@@ -39,12 +40,14 @@ from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import TargetOperator, fidelity_bound
 
 # The endgame trigger, _slow_tail, reads the rate from step RATE_FROM on and fires on a
-# predicted tail above STEPS_LEFT steps, about one attempt's cost (25-85 steps at n = 4).
+# predicted tail above STEPS_LEFT steps, about one attempt's cost (20-95 steps at n = 4).
 RATE_FROM = 8
 STEPS_LEFT = 60
 BARRIER_GAP = 1e-14  # (dim_in * dim_out) * mu at the last barrier stage
 NEWTON_TOL = 1e-4  # squared Newton decrement that ends a barrier stage
 MAX_NEWTON = 50  # Newton steps allowed per barrier stage
+STAGE_CUT = 100  # mu falls by this factor from one barrier stage to the next
+PREDICTOR_HALVINGS = 4  # a predictor step still infeasible after this many halvings is dropped
 
 
 def _named_init(init) -> bool:
@@ -143,9 +146,9 @@ def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
 
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m^+ v for a Hermitian positive-semidefinite m, from one eigh (the
-    routine the extremal step already uses), inverted on the support rule's
-    support at PINV_CUTOFF."""
+    """m^+ v for a Hermitian positive-semidefinite m and a vector or a matrix
+    of columns v, from one eigh (the routine the extremal step already uses),
+    inverted on the support rule's support at PINV_CUTOFF."""
     w, u = np.linalg.eigh(m)
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support(w, PINV_CUTOFF))
     return (u * inv) @ (u.conj().T @ v)
@@ -156,12 +159,15 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
     min Tr Y s.t. Y (x) 1_K >= R, warm-started from chi; None on failure.
 
     Damped Newton steps on Tr Y - mu log det(Y (x) 1_K - R) follow the central
-    path, mu falling 10x per stage, from Y = Tr_K[R chi] shifted to be strictly
-    feasible.  Complementary slackness then gives chi = P X P†, P spanning the
-    kernel of Z = Y (x) 1_K - R, with X solving Tr_K[P X P†] = 1; one extremal
-    step makes the trace condition exact.  Any feasible Y bounds every
-    channel's fidelity by Tr Y, so the gap Tr Y + dim_in max(0, -lambda_min(Z)) - F
-    is rigorous.
+    path from Y = Tr_K[R chi] shifted to be strictly feasible, mu falling
+    STAGE_CUT-fold per stage.  Between stages a predictor step moves Y along the
+    path's tangent dY/dmu = H^-1 Tr_K[Z^-1] to the next mu, halved until Y stays
+    strictly feasible (and dropped after PREDICTOR_HALVINGS halvings); the next
+    stage's Newton steps are its corrector.  Complementary slackness then
+    gives chi = P X P†, P spanning the kernel of Z = Y (x) 1_K - R, with X
+    solving Tr_K[P X P†] = 1; one extremal step makes the trace condition
+    exact.  Any feasible Y bounds every channel's fidelity by Tr Y, so the gap
+    Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
     """
     d, k = r.dim_in, r.dim_out
     n, eye = d * k, np.eye(d)
@@ -176,16 +182,19 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
     mu = max(mu_end, (np.trace(y).real + d * excess - fidelity(chi, r)) / n)
     y = y + (excess + mu) * eye
     try:
+        z_eigs, z_vecs = np.linalg.eigh(slack(y))
         while True:
             last = np.inf
             for _ in range(MAX_NEWTON):
-                z_eigs, z_vecs = np.linalg.eigh(slack(y))
                 if z_eigs[0] <= 0.0:  # rounding left the feasible set
                     return None
                 w = ((z_vecs / z_eigs) @ z_vecs.conj().T).reshape(d, k, d, k)  # Z^-1
-                grad = eye - mu * np.einsum("akbk->ab", w)
+                w_trace = np.einsum("akbk->ab", w)  # Tr_K[Z^-1]
+                grad = eye - mu * w_trace
                 hess = mu * np.einsum("akbl,dlck->acbd", w, w).reshape(d * d, d * d)
-                step = linalg.hermitian_part(_psd_solve(hess, -grad.ravel()).reshape(d, d))
+                # One solve gives the Newton step and the tangent dY/dmu = H^-1 Tr_K[Z^-1].
+                rhs = np.stack([-grad.ravel(), w_trace.ravel()], axis=1)
+                step, tangent = (linalg.hermitian_part(x.reshape(d, d)) for x in _psd_solve(hess, rhs).T)
                 dec2 = -np.vdot(grad, step).real / mu  # squared Newton decrement
                 if dec2 < NEWTON_TOL or last <= dec2 < 1 / 16:  # centred, or at the rounding floor
                     break
@@ -193,11 +202,20 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
                 # Both steps stay inside the Dikin ellipsoid, so Y stays strictly
                 # feasible; full steps converge quadratically once dec2 < 1/16.
                 y = y + step / (1.0 + np.sqrt(dec2)) if dec2 > 1 / 16 else y + step
+                z_eigs, z_vecs = np.linalg.eigh(slack(y))
             else:
                 return None
             if mu == mu_end:
                 break
-            mu = max(mu_end, mu / 10)
+            # Predictor: along the tangent to the next mu; the next stage corrects it.
+            mu_next = max(mu_end, mu / STAGE_CUT)
+            for halvings in range(PREDICTOR_HALVINGS + 1):
+                trial = y + tangent * ((mu_next - mu) / 2**halvings)
+                t_eigs, t_vecs = np.linalg.eigh(slack(trial))
+                if t_eigs[0] > 0.0:
+                    y, z_eigs, z_vecs = trial, t_eigs, t_vecs
+                    break
+            mu = mu_next
         p = z_vecs[:, z_eigs < np.sqrt(mu)]  # central path: Z ~ mu / chi on the kernel
         rank = p.shape[1]
         if rank == 0:

@@ -39,6 +39,17 @@ class TestSolve:
         assert "converged = true" in out
         assert out_file.exists()
 
+    def test_certified_solve_prints_its_gap(self, capsys, tmp_path):
+        out_file = tmp_path / "res.json"
+        code, out, _ = run(capsys, "solve", "--model", "shifter", "--alpha", "3.0", "--out", str(out_file))
+        gap = serialize.load_json(out_file)["gap"]
+        assert code == 0 and gap <= SolverOptions().fid_tol
+        assert out.endswith(f"converged = true  gap = {gap:.10g}\n")
+
+    def test_fixed_point_stop_prints_no_gap(self, capsys):
+        code, out, _ = run(capsys, "solve", "--model", "unot", "--copies", "1")
+        assert code == 0 and out.endswith("converged = true\n") and "gap" not in out
+
     def test_round_trip_apply(self, capsys, tmp_path):
         out_file = tmp_path / "res.json"
         assert run(capsys, "solve", "--model", "identity", "--out", str(out_file))[0] == 0

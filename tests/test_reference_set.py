@@ -17,3 +17,14 @@ def test_every_reference_solve_converges_and_every_endgame_certifies():
     assert calls == certified >= 1
     assert verdict.startswith("raised = 0  unconverged = 0  ")
     assert verdict.endswith("endgame rows off by more than 1e-12 = 0")
+
+
+def test_first_line_reports_the_endgame_time():
+    cmd = [sys.executable, str(ROOT / "scripts" / "reference_set.py")]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    solves = proc.stdout.splitlines()[0]
+    total = float(solves.split("  time = ")[1].split(" s")[0])
+    endgame = solves.split("  ")[-1]
+    assert endgame.startswith("endgame time = ") and endgame.endswith(" s")
+    assert 0.0 < float(endgame.removeprefix("endgame time = ").removesuffix(" s")) <= total

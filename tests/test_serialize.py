@@ -136,10 +136,27 @@ class TestResultFormat:
     def test_fields(self):
         result = solve(analytic_r(ModelSpec("unot", copies=1)), SolverOptions())
         obj = serialize.result_to_obj(result)
-        assert set(obj) == {"fidelity", "bound", "iterations", "converged", "fidelity_trace", "chi"}
+        assert set(obj) == {"fidelity", "bound", "iterations", "converged", "gap", "fidelity_trace", "chi"}
         assert obj["converged"] is True
         assert obj["fidelity"] == result.fidelity
         assert len(obj["fidelity_trace"]) == result.iterations
+
+    def test_certified_gap_round_trip(self, tmp_path):
+        result = solve(analytic_r(ModelSpec("shifter", alpha=3.0)))
+        assert result.gap <= SolverOptions().fid_tol  # the dual endgame finished this row
+        path = tmp_path / "res.json"
+        serialize.dump_json(serialize.result_to_obj(result), path)
+        back = serialize.load_json(path)
+        assert back["gap"] == result.gap and back["converged"] is True
+        assert serialize.choi_from_obj(back["chi"]).matrix.tobytes() == result.chi.matrix.tobytes()
+
+    def test_fixed_point_stop_writes_null_gap(self, tmp_path):
+        result = solve(analytic_r(ModelSpec("unot", copies=1)))
+        assert np.isnan(result.gap)
+        path = tmp_path / "res.json"
+        serialize.dump_json(serialize.result_to_obj(result), path)
+        assert '"gap": null' in path.read_text() and "NaN" not in path.read_text()
+        assert serialize.load_json(path)["gap"] is None
 
     def test_deterministic_bytes(self, tmp_path):
         result = solve(analytic_r(ModelSpec("cloner", copies=2)))

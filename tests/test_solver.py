@@ -447,6 +447,7 @@ def endgame_results(monkeypatch):
 
 
 _psd_solve = solver_module._psd_solve
+_dual_endgame = solver_module._dual_endgame
 
 
 def _overshooting_psd_solve(m, v):
@@ -486,6 +487,69 @@ class TestEndgameRejects:
         assert result.fidelity_trace == trace
         assert result.iterations == len(trace) > call_step(endgame_results.chis[0], r, opts)
         assert np.isnan(result.gap)
+
+
+def _tangent_off_the_feasible_set(m, v):
+    # The Newton step as it is, and a tangent so long that every predictor
+    # fraction moves Y below R's spectrum: each predictor step is dropped.
+    out = _psd_solve(m, v)
+    if out.ndim == 2:
+        out[:, 1] = 1e30 * np.eye(round(np.sqrt(len(out)))).ravel()
+    return out
+
+
+@pytest.fixture
+def newton_steps(monkeypatch):
+    """newton_steps(r, chi) -> (Newton steps, result) of one real endgame call.
+    Every Newton step makes one _psd_solve call, and the recovery of X one more."""
+    count = [0]
+
+    def counted(m, v):
+        count[0] += 1
+        return _psd_solve(m, v)
+
+    def run(r, chi):
+        count[0] = 0
+        done = _dual_endgame(r, chi)
+        return count[0] - 1, done
+
+    monkeypatch.setattr(solver_module, "_psd_solve", counted)
+    return run
+
+
+class TestPredictorCorrector:
+    # With mu falling 10x per stage and no predictor these calls took 54-63
+    # Newton steps on the shifter rows and 130 on the cloner; with the cut at
+    # 100x and no predictor, 38-49 and 104.
+    BUDGET = 45
+
+    @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.71, 3.13], ids=str)
+    def test_newton_budget_at_the_firing_iterate(self, alpha, endgame_calls, newton_steps):
+        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+        solve(r)
+        steps, done = newton_steps(r, endgame_calls.chis[0])
+        assert steps <= self.BUDGET
+        assert done is not None and done[1] <= SolverOptions().fid_tol
+        assert abs(fidelity(done[0], r) - shifter_closed_forms(alpha).fidelity) <= 1e-12
+
+    def test_newton_budget_forced_on_a_wide_output(self, newton_steps):
+        # cloner N = 10 (2 x 11), one step from maxmix: far from the optimum.
+        spec = ModelSpec("cloner", copies=10)
+        r = analytic_r(spec)
+        steps, done = newton_steps(r, iterate_once(maxmix_choi(r.dim_in, r.dim_out), r))
+        assert steps <= self.BUDGET
+        assert done is not None and done[1] <= SolverOptions().fid_tol
+        assert abs(fidelity(done[0], r) - known_optimum(spec).fidelity) <= 1e-12
+
+    def test_every_predictor_step_infeasible(self, monkeypatch, endgame_results):
+        # Without a usable predictor the Newton steps alone re-centre each stage.
+        monkeypatch.setattr(solver_module, "_psd_solve", _tangent_off_the_feasible_set)
+        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        result = solve(r)
+        assert len(endgame_results) == 1
+        assert result.converged and result.gap <= SolverOptions().fid_tol
+        assert result.iterations == call_step(endgame_results.chis[0], r, SolverOptions()) + 1
+        assert abs(result.fidelity - shifter_closed_forms(0.71).fidelity) <= 1e-12
 
 
 class TestInitCheckedWhereBuilt:
