@@ -5,8 +5,9 @@ PYTHON ?= python3
 install:
 	pip install -e . --no-build-isolation
 
+# the tier-1 command, as CI runs it
 test:
-	PYTHONPATH=src $(PYTHON) -m pytest -q
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -X dev -m pytest -q --continue-on-collection-errors
 
 accept:
 	PYTHONPATH=src $(PYTHON) -m pytest -s -q tests/test_acceptance.py

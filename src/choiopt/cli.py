@@ -45,9 +45,14 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _add_model_args(p: argparse.ArgumentParser, required: bool = False) -> None:
+def _add_model_args(p: argparse.ArgumentParser, r_file: bool = False) -> None:
     choices = [kind.replace("_", "-") for kind in models.MODEL_KINDS]
-    p.add_argument("--model", choices=choices, required=required)
+    if r_file:  # exactly one operator source: --model or --r FILE
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--model", choices=choices)
+        source.add_argument("--r", help="target-operator JSON file instead of --model")
+    else:
+        p.add_argument("--model", choices=choices, required=True)
     p.add_argument("--copies", type=int, default=1, help="copy count N (unot and cloner only)")
     p.add_argument("--alpha", type=float, default=0.0, help="shift angle in radians (shifter only)")
 
@@ -57,12 +62,8 @@ def _model_spec(args) -> models.ModelSpec:
 
 
 def _resolve_target(args):
-    """Exactly one operator source: --model or --r FILE."""
-    has_model = getattr(args, "model", None) is not None
-    has_file = getattr(args, "r", None) is not None
-    if has_model == has_file:
-        raise _UsageError("exactly one of --model and --r is required")
-    if has_model:
+    """The operator from the one source the parser admits: --model or --r FILE."""
+    if args.model is not None:
         return models.analytic_r(_model_spec(args))
     return serialize.target_from_obj(serialize.load_json(args.r))
 
@@ -148,8 +149,6 @@ def _cmd_dilate(args) -> int:
 
 def _cmd_apply(args) -> int:
     chi = _load_choi(args.chi)
-    if (args.state is None) == (args.rho is None):
-        raise _UsageError("exactly one of --state and --rho is required")
     if args.state is not None:
         theta, phi = (float(v) for v in args.state.split(","))
         rho = density_from_state(models.bloch_state(theta, phi))
@@ -217,8 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve for the optimal channel")
-    _add_model_args(p)
-    p.add_argument("--r", help="target-operator JSON file instead of --model")
+    _add_model_args(p, r_file=True)
     defaults = solver.SolverOptions  # the CLI defaults are its field defaults
     p.add_argument("--tol", type=float, default=defaults.fid_tol, help="fidelity-delta tolerance")
     p.add_argument("--max-iters", type=int, default=defaults.max_iters)
@@ -228,12 +226,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("bound", help="fidelity upper bound of a target")
-    _add_model_args(p)
-    p.add_argument("--r", help="target-operator JSON file instead of --model")
+    _add_model_args(p, r_file=True)
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser("rmatrix", help="emit a model's target operator")
-    _add_model_args(p, required=True)
+    _add_model_args(p)
     p.add_argument("--quadrature", action="store_true", help="build by quadrature instead of the closed form")
     p.add_argument("--nodes-theta", type=int, default=None)
     p.add_argument("--nodes-phi", type=int, default=None)
@@ -253,8 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="apply a channel to a state")
     p.add_argument("--chi", required=True)
-    p.add_argument("--state", help="THETA,PHI Bloch angles of a pure input state")
-    p.add_argument("--rho", help="density-matrix JSON file")
+    source = p.add_mutually_exclusive_group(required=True)  # exactly one input state
+    source.add_argument("--state", help="THETA,PHI Bloch angles of a pure input state")
+    source.add_argument("--rho", help="density-matrix JSON file")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_apply)
 
@@ -267,14 +265,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_scan)
 
     p = sub.add_parser("curve", help="state-dependent fidelity curve of a channel")
-    _add_model_args(p, required=True)
+    _add_model_args(p)
     p.add_argument("--chi", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", required=True)
     p.set_defaults(handler=_cmd_curve)
 
     p = sub.add_parser("validate", help="constraint report and sampled fidelity of a channel")
-    _add_model_args(p, required=True)
+    _add_model_args(p)
     p.add_argument("--chi", required=True)
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)

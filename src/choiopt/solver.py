@@ -19,10 +19,11 @@ than STEPS_LEFT further steps before an increment falls below fid_tol, a
 solve with dim_in <= dim_out makes one attempt to finish through the dual
 SDP min Tr Y s.t. Y (x) 1_K >= R, whose dim_in^2 real unknowns cost no more
 per Newton step than one update: a barrier solve of the dual that follows the
-central path by predictor-corrector stages (a step along the path's tangent,
-then damped Newton steps), a primal chi from complementary slackness and one
-more update.  Its answer is kept only with a certified duality gap of at most
-fid_tol; otherwise the iteration continues as if the attempt had not been made.
+central path by predictor-corrector stages (one full step along the path's
+tangent, kept if it stays feasible, then damped Newton steps), a primal chi
+from complementary slackness and one more update.  Its answer is kept only
+with a certified duality gap of at most fid_tol; otherwise the iteration
+continues as if the attempt had not been made.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ BARRIER_GAP = 1e-14  # (dim_in * dim_out) * mu at the last barrier stage
 NEWTON_TOL = 1e-4  # squared Newton decrement that ends a barrier stage
 MAX_NEWTON = 50  # Newton steps allowed per barrier stage
 STAGE_CUT = 100  # mu falls by this factor from one barrier stage to the next
-PREDICTOR_HALVINGS = 4  # a predictor step still infeasible after this many halvings is dropped
 
 
 def _named_init(init) -> bool:
@@ -161,12 +161,12 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
     Damped Newton steps on Tr Y - mu log det(Y (x) 1_K - R) follow the central
     path from Y = Tr_K[R chi] shifted to be strictly feasible, mu falling
     STAGE_CUT-fold per stage.  Between stages a predictor step moves Y along the
-    path's tangent dY/dmu = H^-1 Tr_K[Z^-1] to the next mu, halved until Y stays
-    strictly feasible (and dropped after PREDICTOR_HALVINGS halvings); the next
-    stage's Newton steps are its corrector.  Complementary slackness then
-    gives chi = P X P†, P spanning the kernel of Z = Y (x) 1_K - R, with X
-    solving Tr_K[P X P†] = 1; one extremal step makes the trace condition
-    exact.  Any feasible Y bounds every channel's fidelity by Tr Y, so the gap
+    path's tangent dY/dmu = H^-1 Tr_K[Z^-1] to the next mu in one full step,
+    dropped if Y leaves the strictly feasible set; the next stage's Newton
+    steps are its corrector.  Complementary slackness then gives chi = P X P†,
+    P spanning the kernel of Z = Y (x) 1_K - R, with X solving
+    Tr_K[P X P†] = 1; one extremal step makes the trace condition exact.
+    Any feasible Y bounds every channel's fidelity by Tr Y, so the gap
     Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
     """
     d, k = r.dim_in, r.dim_out
@@ -209,12 +209,10 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
                 break
             # Predictor: along the tangent to the next mu; the next stage corrects it.
             mu_next = max(mu_end, mu / STAGE_CUT)
-            for halvings in range(PREDICTOR_HALVINGS + 1):
-                trial = y + tangent * ((mu_next - mu) / 2**halvings)
-                t_eigs, t_vecs = np.linalg.eigh(slack(trial))
-                if t_eigs[0] > 0.0:
-                    y, z_eigs, z_vecs = trial, t_eigs, t_vecs
-                    break
+            trial = y + tangent * (mu_next - mu)
+            t_eigs, t_vecs = np.linalg.eigh(slack(trial))
+            if t_eigs[0] > 0.0:  # else the predictor is dropped
+                y, z_eigs, z_vecs = trial, t_eigs, t_vecs
             mu = mu_next
         p = z_vecs[:, z_eigs < np.sqrt(mu)]  # central path: Z ~ mu / chi on the kernel
         rank = p.shape[1]
@@ -266,19 +264,17 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
     fids = [fidelity(chi, r)]  # F_0 of the start; the reported trace begins at F_1
     converged = False
     gap = float("nan")
-    tried = r.dim_in > r.dim_out  # the endgame serves dim_in <= dim_out only
+    endgame = r.dim_in <= r.dim_out  # the one attempt is still to come (dim_in <= dim_out only)
     while not converged and len(fids) <= opts.max_iters:
-        if not tried and _slow_tail(fids, opts.fid_tol):
-            tried = True
-            done = _dual_endgame(r, chi)
-            if done is not None and done[1] <= opts.fid_tol:
-                chi, gap = done
-                fids.append(fidelity(chi, r))
-                converged = True
-                break
-        chi = iterate_once(chi, r)
+        done = None
+        if endgame and _slow_tail(fids, opts.fid_tol):
+            endgame, done = False, _dual_endgame(r, chi)
+        if done is not None and done[1] <= opts.fid_tol:
+            chi, gap = done
+        else:
+            chi = iterate_once(chi, r)
         fids.append(fidelity(chi, r))
-        converged = abs(fids[-1] - fids[-2]) < opts.fid_tol
+        converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
     require_valid_choi(chi)
     return SolverResult(
         chi=chi,

@@ -266,6 +266,16 @@ class TestUsage:
         serialize.dump_json(serialize.choi_to_obj(random_choi(2, 2, seed=2)), chi_file)
         assert run(capsys, "apply", "--chi", str(chi_file))[0] == 2
 
+    def test_apply_refuses_both_inputs(self, capsys, tmp_path):
+        # Each input alone is valid, so only the pair is refused.
+        chi_file, rho_file = tmp_path / "chi.json", tmp_path / "rho.json"
+        serialize.dump_json(serialize.choi_to_obj(random_choi(2, 2, seed=2)), chi_file)
+        serialize.dump_json(serialize.matrix_to_obj(np.eye(2) / 2), rho_file)
+        assert run(capsys, "apply", "--chi", str(chi_file), "--rho", str(rho_file))[0] == 0
+        code, out, err = run(capsys, "apply", "--chi", str(chi_file), "--state", "0,0", "--rho", str(rho_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestExitCodes:
     def test_lapack_failure_is_numerical(self, capsys, tmp_path, monkeypatch):

@@ -3,13 +3,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_every_reference_solve_converges_and_every_endgame_certifies():
+@pytest.fixture(scope="module")
+def proc():
+    """One run of the reference-set script, shared by every test here."""
     cmd = [sys.executable, str(ROOT / "scripts" / "reference_set.py")]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+
+
+def test_every_reference_solve_converges_and_every_endgame_certifies(proc):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     solves, endgame, verdict = proc.stdout.splitlines()
     assert solves.startswith("solves = 381  ")
@@ -19,10 +26,7 @@ def test_every_reference_solve_converges_and_every_endgame_certifies():
     assert verdict.endswith("endgame rows off by more than 1e-12 = 0")
 
 
-def test_first_line_reports_the_endgame_time():
-    cmd = [sys.executable, str(ROOT / "scripts" / "reference_set.py")]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+def test_first_line_reports_the_endgame_time(proc):
     solves = proc.stdout.splitlines()[0]
     total = float(solves.split("  time = ")[1].split(" s")[0])
     endgame = solves.split("  ")[-1]
