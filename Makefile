@@ -22,8 +22,11 @@ refset:
 bench:
 	$(PYTHON) perfbench/run.py
 
+# one smoke-size pass of every workload that BENCHMARK.json lists
 bench-smoke:
-	$(PYTHON) perfbench/run.py --workload shifter-scan --seconds 0 --size smoke
+	for w in $$($(PYTHON) -c "import json; print(*(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seconds 0 --size smoke || exit 1; \
+	done
 
 # make bench-record PR=N writes BENCH_N.json (end-to-end metrics of every workload)
 bench-record:

@@ -101,27 +101,46 @@ def symmetric_state(n_qubits: int, theta, phi) -> np.ndarray:
 
     Basis index j holds the symmetric state with N-j qubits in |0>; the
     amplitude there is sqrt(C(N, j)) e^{i j phi} cos^{N-j}(theta/2)
-    sin^j(theta/2).  Unit norm for every (theta, phi) by the binomial theorem.
+    sin^j(theta/2), built from the qubit's amplitudes by running products
+    (_symmetric_power).  Unit norm for every (theta, phi) by the binomial
+    theorem.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    cos_half, sin_half = np.cos(theta / 2), np.sin(theta / 2)
-    cols = [
-        np.sqrt(math.comb(n_qubits, j))
-        * np.exp(1j * j * phi)
-        * cos_half ** (n_qubits - j)
-        * sin_half**j
-        for j in range(n_qubits + 1)
-    ]
-    return np.stack(cols, axis=-1)
+    return _symmetric_power(bloch_state(theta, phi), n_qubits)
 
 
-def _entangler_a_output(theta, phi) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    num = np.sqrt(2.0) * c[..., None] * KET_00 + (np.exp(1j * phi) * s)[..., None] * PSI_PLUS
-    return num / np.sqrt(1.0 + c**2)[..., None]
+def _symmetric_power(a: np.ndarray, n: int) -> np.ndarray:
+    """The state a^(x)n of qubit amplitudes a = (a0, a1) (last axis) in the
+    symmetric basis: sqrt(C(n, j)) a0^(n-j) a1^j at index j."""
+    a0, a1 = a[..., 0], a[..., 1]
+    out = np.empty(a.shape[:-1] + (n + 1,), dtype=np.complex128)
+    out[..., 0] = 1.0
+    for j in range(1, n + 1):
+        out[..., j] = out[..., j - 1] * a1
+    power0 = np.ones_like(a0)
+    for j in range(n - 1, -1, -1):
+        power0 = power0 * a0
+        out[..., j] *= power0
+    out *= np.sqrt([math.comb(n, j) for j in range(n + 1)])
+    return out
+
+
+def _entangler_a_output(a: np.ndarray) -> np.ndarray:
+    """(sqrt(2) a0|00> + a1|Psi+>) / sqrt(1 + |a0|^2) for qubit amplitudes
+    a = (a0, a1) (last axis)."""
+    a0, a1 = a[..., 0], a[..., 1]
+    num = np.sqrt(2.0) * a0[..., None] * KET_00 + a1[..., None] * PSI_PLUS
+    return num / np.sqrt(1.0 + np.abs(a0) ** 2)[..., None]
+
+
+def _from_qubit(output: Callable) -> Callable:
+    """Evaluator (theta, phi) -> (a, output(a)) with a = bloch_state(theta, phi),
+    so the output is built from the input's amplitudes."""
+
+    def ev(theta, phi):
+        a = bloch_state(theta, phi)
+        return a, output(a)
+
+    return ev
 
 
 def _entangler_b_output(theta, phi) -> np.ndarray:
@@ -139,13 +158,13 @@ def model_family(spec: ModelSpec) -> StateFamily:
         ev = lambda t, p: (symmetric_state(n, t, p), orthogonal_state(t, p))
         degree = 2 * (n + 1)
     elif spec.kind == "cloner":
-        ev = lambda t, p: (bloch_state(t, p), symmetric_state(n, t, p))
+        ev = _from_qubit(lambda a: _symmetric_power(a, n))
         degree = 2 * (n + 1)
     elif spec.kind == "entangler_a":
         # The output is rational in cos(theta): no finite trig degree exists,
         # but its harmonics decay geometrically, so the default node floor of
         # the quadrature already integrates it to rounding.
-        ev = lambda t, p: (bloch_state(t, p), _entangler_a_output(t, p))
+        ev = _from_qubit(_entangler_a_output)
         degree = 4
     elif spec.kind == "entangler_b":
         ev = lambda t, p: (bloch_state(t, p), _entangler_b_output(t, p))

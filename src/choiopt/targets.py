@@ -19,9 +19,13 @@ import numpy as np
 
 from . import linalg
 from .channels import operator_matrix, require_admissible
-from .errors import InvalidChoiError, NormViolationError
+from .errors import DimensionMismatchError, InvalidChoiError, NormViolationError
 
 NORM_TOL = 1e-12
+# Samples per slice of every sphere average: large enough for the matrix
+# products to run at BLAS speed, small enough that the per-slice rows and
+# BLAS's packing buffers stay a fraction of a megabyte per output dimension.
+SAMPLE_BLOCK = 4096
 # Floors chosen so the theta rule is converged to rounding for every built-in
 # family (trigonometric integrands are resolved long before 32 nodes, and the
 # entangler-A integrand, rational in cos(theta), decays geometrically).
@@ -69,14 +73,25 @@ def fidelity_bound(r: TargetOperator) -> float:
     return r.dim_in * r.lambda_max
 
 
+def _angle_arrays(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
+    """(thetas, phis) as float arrays; raises DimensionMismatchError unless
+    both are 1-D (scalars count as length 1) and of equal length."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    if thetas.ndim != 1 or thetas.shape != phis.shape:
+        raise DimensionMismatchError(
+            f"angle arrays must be 1-D and of equal length, got shapes {thetas.shape} and {phis.shape}"
+        )
+    return thetas, phis
+
+
 def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the family at 1-D angle arrays, checking norms.
+    """Evaluate the family at 1-D angle arrays of equal length, checking norms.
 
     Tries one vectorized call first; falls back to a per-sample loop for
     evaluators that only accept scalars.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    phis = np.atleast_1d(np.asarray(phis, dtype=float))
+    thetas, phis = _angle_arrays(thetas, phis)
     n = len(thetas)
     want_in = (n, family.dim_in)
     want_out = (n, family.dim_out)
@@ -115,10 +130,33 @@ def sphere_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def integrand_rows(family: StateFamily, thetas, phis) -> np.ndarray:
     """Rows v_s = conj(psi_in) (x) psi_out, one per sample: the integrand of R
-    is v_s v_s†, and v_s† chi v_s is the channel's fidelity on sample s."""
+    is v_s v_s†, and v_s† chi v_s is the channel's fidelity on sample s.
+
+    Holds all samples at once; the sphere averages below call it on slices
+    of SAMPLE_BLOCK samples, so their memory stays O(SAMPLE_BLOCK * n).
+    """
     pin, pout = evaluate_family(family, thetas, phis)
     v = np.einsum("si,sk->sik", pin.conj(), pout)
     return v.reshape(len(pin), family.dim_in * family.dim_out)
+
+
+def _row_blocks(family: StateFamily, thetas, phis):
+    """Yield (slice, integrand_rows of the samples in that slice) over
+    consecutive slices of SAMPLE_BLOCK samples."""
+    thetas, phis = _angle_arrays(thetas, phis)
+    for lo in range(0, len(thetas), SAMPLE_BLOCK):
+        block = slice(lo, lo + SAMPLE_BLOCK)
+        yield block, integrand_rows(family, thetas[block], phis[block])
+
+
+def _weighted_gram(family: StateFamily, thetas, phis, weights) -> TargetOperator:
+    """TargetOperator of sum_s w_s v_s v_s†, accumulated one block of rows
+    at a time by matrix products."""
+    dim = family.dim_in * family.dim_out
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for block, v in _row_blocks(family, thetas, phis):
+        m += (weights[block, None] * v).T @ v.conj()
+    return TargetOperator(family.dim_in, family.dim_out, linalg.hermitian_part(m))
 
 
 def quadrature_nodes(trig_degree: int, nodes_theta=None, nodes_phi=None) -> tuple[int, int]:
@@ -152,16 +190,18 @@ def build_r_quadrature(
     weights = w * np.sin(thetas) * (np.pi / (4.0 * np_))
     phis = 2.0 * np.pi * np.arange(np_) / np_
     tg, pg = np.meshgrid(thetas, phis, indexing="ij")
-    wg = np.repeat(weights, np_)
-    v = integrand_rows(family, tg.ravel(), pg.ravel())
-    m = np.einsum("s,sa,sb->ab", wg, v, v.conj())
-    return TargetOperator(family.dim_in, family.dim_out, linalg.hermitian_part(m))
+    return _weighted_gram(family, tg.ravel(), pg.ravel(), np.repeat(weights, np_))
 
 
 def build_r_montecarlo(family: StateFamily, samples: int, seed: int) -> TargetOperator:
-    """Target operator as a seeded Monte-Carlo mean over sphere_samples."""
+    """Target operator as a seeded Monte-Carlo mean over sphere_samples.
+
+    The samples are drawn at once but evaluated in blocks of SAMPLE_BLOCK,
+    so memory beyond the angle arrays is O(SAMPLE_BLOCK * n) for n =
+    dim_in * dim_out.  The blocked sum equals the one-shot mean to rounding,
+    not bit for bit.
+    """
     if not linalg.is_count(samples):
         raise ValueError("samples must be >= 1")
-    v = integrand_rows(family, *sphere_samples(samples, seed))
-    m = np.einsum("sa,sb->ab", v, v.conj()) / samples
-    return TargetOperator(family.dim_in, family.dim_out, linalg.hermitian_part(m))
+    weights = np.broadcast_to(1.0 / samples, (samples,))
+    return _weighted_gram(family, *sphere_samples(samples, seed), weights)

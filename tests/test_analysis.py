@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from choiopt.models import (
     shifter_closed_forms,
 )
 from choiopt.solver import SolverOptions
-from choiopt.targets import fidelity_bound
+from choiopt.targets import SAMPLE_BLOCK, fidelity_bound, integrand_rows, sphere_samples
 from helpers import entangler_b_mixed_state
 
 
@@ -32,6 +34,32 @@ class TestMcFidelity:
         est = mc_fidelity(known_optimum(spec).chi, model_family(spec), samples=2000, seed=2)
         assert abs(est.mean - 1 / 3) <= 1e-12
         assert est.std_error <= 1e-12
+
+    @pytest.mark.parametrize("samples", [2, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 7])
+    def test_blocked_equals_one_shot(self, samples):
+        spec = ModelSpec("entangler_a")
+        chi, family = known_optimum(spec).chi, model_family(spec)
+        est = mc_fidelity(chi, family, samples, seed=21)
+        v = integrand_rows(family, *sphere_samples(samples, 21))
+        f = np.einsum("sa,ab,sb->s", v.conj(), chi.matrix, v).real
+        assert abs(est.mean - f.mean()) <= 1e-15
+        assert abs(est.std_error - f.std(ddof=1) / np.sqrt(samples)) <= 1e-15
+
+    def test_memory_is_per_block(self):
+        # Angle and fidelity arrays (with the uniform draw the angles come
+        # from), plus a few blocks of rows; scoring every sample at once held
+        # all rows and their products (~58 MB here).
+        samples, n = 200_000, 8
+        spec = ModelSpec("entangler_a")
+        chi, family = known_optimum(spec).chi, model_family(spec)
+        mc_fidelity(chi, family, 1000, seed=0)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            mc_fidelity(chi, family, samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * samples * 8 + 8 * SAMPLE_BLOCK * n * 16
 
     def test_entangler_a_against_closed_form(self):
         spec = ModelSpec("entangler_a")

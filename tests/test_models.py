@@ -11,6 +11,8 @@ from choiopt.models import (
     ALPHA_THRESHOLD,
     ENTANGLER_A_FIDELITY,
     ENTANGLER_A_MIN_FIDELITY,
+    KET_00,
+    PSI_PLUS,
     ModelSpec,
     analytic_r,
     bloch_state,
@@ -23,8 +25,7 @@ from choiopt.models import (
     shifter_closed_forms,
     symmetric_state,
 )
-from choiopt.targets import evaluate_family
-from choiopt.targets import build_r_quadrature
+from choiopt.targets import NORM_TOL, build_r_quadrature, evaluate_family
 from helpers import unot_r_matrix
 
 
@@ -47,6 +48,46 @@ class TestSpecs:
             ModelSpec("unot", copies=0)
         with pytest.raises(OutOfRangeError):
             ModelSpec("shifter", alpha=4.0)
+
+
+# Poles, then random points on the sphere.
+_rng = np.random.default_rng(7)
+THETAS = np.concatenate([[0.0, np.pi], _rng.uniform(0.0, np.pi, 64)])
+PHIS = _rng.uniform(0.0, 2.0 * np.pi, len(THETAS))
+
+
+def closed_form_symmetric(n, theta, phi):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    cols = [math.sqrt(math.comb(n, j)) * np.exp(1j * j * phi) * c ** (n - j) * s**j for j in range(n + 1)]
+    return np.stack(cols, axis=-1)
+
+
+def closed_form_entangler_a(theta, phi):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    num = np.sqrt(2.0) * c[:, None] * KET_00 + (np.exp(1j * phi) * s)[:, None] * PSI_PLUS
+    return num / np.sqrt(1.0 + c**2)[:, None]
+
+
+class TestSharedAmplitudes:
+    # Evaluators that build a state from the input qubit's amplitudes must
+    # reproduce the trigonometric closed forms they replace.
+    @pytest.mark.parametrize("n", [1, 2, 10, 30])
+    def test_symmetric_power_matches_closed_form(self, n):
+        # The closed form rounds j*phi before exp, up to pi*n*eps of phase
+        # error that the running products do not make.
+        tol = 1e-14 + np.pi * n * np.finfo(float).eps
+        want = closed_form_symmetric(n, THETAS, PHIS)
+        unot_in, _ = evaluate_family(model_family(ModelSpec("unot", copies=n)), THETAS, PHIS)
+        _, cloner_out = evaluate_family(model_family(ModelSpec("cloner", copies=n)), THETAS, PHIS)
+        for got in (symmetric_state(n, THETAS, PHIS), unot_in, cloner_out):
+            assert np.abs(got - want).max() <= tol
+            assert np.abs(np.linalg.norm(got, axis=1) - 1.0).max() <= NORM_TOL
+
+    def test_entangler_a_matches_closed_form(self):
+        pin, pout = evaluate_family(model_family(ModelSpec("entangler_a")), THETAS, PHIS)
+        assert np.abs(pin - bloch_state(THETAS, PHIS)).max() == 0.0
+        assert np.abs(pout - closed_form_entangler_a(THETAS, PHIS)).max() <= 1e-14
+        assert np.abs(np.linalg.norm(pout, axis=1) - 1.0).max() <= NORM_TOL
 
 
 class TestFamilies:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,13 +9,16 @@ from hypothesis import strategies as st
 from choiopt.errors import DimensionMismatchError, InvalidChoiError, NormViolationError
 from choiopt.models import ModelSpec, analytic_r, bloch_state, model_family, orthogonal_state
 from choiopt.targets import (
+    SAMPLE_BLOCK,
     StateFamily,
     TargetOperator,
     build_r_montecarlo,
     build_r_quadrature,
     evaluate_family,
     fidelity_bound,
+    integrand_rows,
     quadrature_nodes,
+    sphere_samples,
 )
 from helpers import unot_r_matrix
 
@@ -121,6 +127,74 @@ class TestMonteCarlo:
         a = build_r_montecarlo(family, 500, seed=9)
         b = build_r_montecarlo(family, 500, seed=9)
         assert np.array_equal(a.matrix, b.matrix)
+
+
+def exact_mean_outer(v: np.ndarray) -> np.ndarray:
+    """The one-shot mean of v_s v_s† with each entry's sum over samples
+    correctly rounded (math.fsum), free of the accumulation error that a
+    plain einsum over thousands of samples carries (up to ~3e-15 here)."""
+    terms = np.einsum("sa,sb->sab", v, v.conj())
+    out = np.empty(terms.shape[1:], dtype=np.complex128)
+    for idx in np.ndindex(out.shape):
+        column = terms[(slice(None), *idx)]
+        out[idx] = complex(math.fsum(column.real), math.fsum(column.imag))
+    return out / len(v)
+
+
+class TestBlockedSums:
+    # The sphere averages accumulate SAMPLE_BLOCK rows at a time; they must
+    # equal the one-shot formulas to rounding at every block boundary.
+    @pytest.mark.parametrize("samples", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, 2 * SAMPLE_BLOCK + 7])
+    @pytest.mark.parametrize("spec", [ModelSpec("entangler_a"), ModelSpec("cloner", copies=2)], ids=str)
+    def test_montecarlo_equals_one_shot_mean(self, spec, samples):
+        family = model_family(spec)
+        r = build_r_montecarlo(family, samples, seed=11)
+        v = integrand_rows(family, *sphere_samples(samples, 11))
+        assert np.abs(r.matrix - exact_mean_outer(v)).max() <= 1e-15
+        one_shot = np.einsum("sa,sb->ab", v, v.conj()) / samples
+        assert np.abs(r.matrix - one_shot).max() <= 1e-14
+
+    def test_quadrature_over_several_blocks(self):
+        spec = ModelSpec("entangler_a")
+        assert 70 * 70 > SAMPLE_BLOCK
+        r = build_r_quadrature(model_family(spec), nodes_theta=70, nodes_phi=70)
+        assert np.abs(r.matrix - analytic_r(spec).matrix).max() <= 1e-12
+
+    def test_montecarlo_memory_is_per_block(self):
+        # Angle arrays plus the uniform draw they come from, and a few blocks
+        # of rows; the one-shot sum held every row at once (~55 MB here).
+        samples, n = 200_000, 8
+        family = model_family(ModelSpec("entangler_a"))
+        build_r_montecarlo(family, 1000, seed=0)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            build_r_montecarlo(family, samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * samples * 8 + 8 * SAMPLE_BLOCK * n * 16
+
+
+class TestAngleArrays:
+    # evaluate_family is the boundary where angle arrays are checked; the
+    # blocked averages slice them, so misaligned arrays must not get through.
+    @pytest.mark.parametrize(
+        "thetas, phis",
+        [
+            ([0.1, 0.2], [0.3]),  # was broadcast silently
+            ([0.1, 0.2, 0.3], [0.3, 0.4]),  # was a bare IndexError
+            ([[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]),  # was a TypeError
+        ],
+        ids=["broadcast", "lengths-3-2", "2-d"],
+    )
+    def test_mismatched_angles_rejected(self, thetas, phis):
+        family = model_family(ModelSpec("unot", copies=1))
+        with pytest.raises(DimensionMismatchError, match="1-D and of equal length"):
+            evaluate_family(family, thetas, phis)
+
+    def test_scalars_are_one_sample(self):
+        pin, pout = evaluate_family(model_family(ModelSpec("unot", copies=1)), 0.4, 1.1)
+        assert pin.shape == pout.shape == (1, 2)
 
 
 class TestFidelityBound:
