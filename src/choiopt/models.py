@@ -143,9 +143,11 @@ def _from_qubit(output: Callable) -> Callable:
     return ev
 
 
-def _entangler_b_output(theta, phi) -> np.ndarray:
-    a = bloch_state(theta, phi)
-    b = orthogonal_state(theta, phi)
+def _entangler_b_output(a: np.ndarray) -> np.ndarray:
+    """(|a>|b> + |b>|a>) / sqrt(2) for qubit amplitudes a = (a0, a1) (last axis),
+    with b = (conj(a1), -conj(a0)) orthogonal to a: orthogonal_state up to a
+    global phase, which R does not see."""
+    b = np.stack([a[..., 1].conj(), -a[..., 0].conj()], axis=-1)
     pair = np.einsum("...i,...j->...ij", a, b) + np.einsum("...i,...j->...ij", b, a)
     return pair.reshape(pair.shape[:-2] + (4,)) / np.sqrt(2.0)
 
@@ -167,7 +169,7 @@ def model_family(spec: ModelSpec) -> StateFamily:
         ev = _from_qubit(_entangler_a_output)
         degree = 4
     elif spec.kind == "entangler_b":
-        ev = lambda t, p: (bloch_state(t, p), _entangler_b_output(t, p))
+        ev = _from_qubit(_entangler_b_output)
         degree = 6
     else:  # shifter, and identity as the shifter at alpha = 0
         alpha = spec.alpha

@@ -9,7 +9,10 @@ stationarity condition
 with lambda fixed as the positive Hermitian root.  Iterating this update
 preserves positivity and the trace constraint at every step; the multiplier
 inverse is a pseudo-inverse so the update stays defined when lambda is
-singular.
+singular.  Where Tr_K[R chi R] is exactly diagonal, as it is for every iterate
+of an analytic built-in target from maxmix or from a random start (which
+initial_choi pinches to R's blocks), lambda^{-1} is read off its diagonal
+without an eigendecomposition; any other marginal takes one eigh.
 
 The iteration converges only linearly where the optimum is rank-deficient
 (the shifter near its threshold and near pi).  The solve watches the rate
@@ -65,6 +68,11 @@ class SolverOptions:
     of at most fid_tol.  converged means that the fidelity rule fired or the
     endgame certified its gap.
     init is "maxmix", "random:SEED" with an integer SEED >= 0, or a ChoiOperator.
+    A random start is random_choi(dim_in, dim_out, SEED) pinched to the blocks
+    of R's zero pattern where those blocks keep the trace condition (see
+    initial_choi); the solve then reaches an optimum on the same blocks, which
+    may differ from the one the raw start would reach (same fidelity; lambda_gap
+    may differ).
     """
 
     max_iters: int = 10000
@@ -99,16 +107,30 @@ class SolverResult:
 
 def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Lambda^{-1} m Lambda^{-1}, re-Hermitized, and the ascending eigenvalues of
-    lambda = (Tr_K m)^{1/2}, from one eigh of Tr_K m.  Lambda^{-1} = lambda^{-1} (x) 1_K
-    left-multiplies the (dim_in, -1) view of m, then of the half-product's adjoint."""
-    w, v = np.linalg.eigh(linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out)))
+    lambda = (Tr_K m)^{1/2}.  A diagonal Tr_K m (an iterate on R's blocks, see
+    initial_choi) is its own eigendecomposition: the step scales m entrywise by
+    s s^T, s = lambda^{-1} repeated dim_out times.  Any other Tr_K m takes one eigh,
+    and Lambda^{-1} = lambda^{-1} (x) 1_K left-multiplies the (dim_in, -1) view of m,
+    then of the half-product's adjoint."""
+    t = linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out))
+    diagonal = t.diagonal().real
+    dense = np.count_nonzero(t) > np.count_nonzero(diagonal)
+    if dense:
+        w, v = np.linalg.eigh(t)
+    else:
+        order = np.argsort(diagonal)
+        w = diagonal[order]
     roots = linalg.clip_roots(w)
     if roots[-1] <= 0.0:
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
     inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=linalg.support(roots, PINV_CUTOFF))
-    lam_inv = (v * inv) @ v.conj().T
-    half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
-    full = (lam_inv @ half.conj().T.reshape(dim_in, -1)).reshape(m.shape)
+    if dense:
+        lam_inv = (v * inv) @ v.conj().T
+        half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
+        full = (lam_inv @ half.conj().T.reshape(dim_in, -1)).reshape(m.shape)
+    else:
+        s = np.repeat(inv[np.argsort(order)], dim_out)
+        full = m * np.outer(s, s)
     return roots, (full + full.conj().T) / 2
 
 
@@ -121,7 +143,26 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     return ChoiOperator(dim_in, dim_out, _extremal_step(w @ w.conj().T, dim_in, dim_out)[1])
 
 
+def _block_mask(r: TargetOperator) -> np.ndarray | None:
+    """The blocks of R's exact zero pattern, as the mask of index pairs in one
+    connected component of the graph R != 0; None when a component holds two
+    indices (a, k) and (b, k) with a != b, so that pinching chi to the blocks
+    would change Tr_K chi."""
+    d, k = r.dim_in, r.dim_out
+    mask = (r.matrix != 0) | np.eye(d * k, dtype=bool)
+    while not np.array_equal(wider := mask @ mask, mask):  # transitive closure by squaring
+        mask = wider
+    shared = mask.reshape(d, k, d, k).diagonal(axis1=1, axis2=3).any(axis=-1)  # (a, b): some (a,k) ~ (b,k)
+    return mask if np.array_equal(shared, np.eye(d, dtype=bool)) else None
+
+
 def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
+    """The start a solve iterates from.  "random:SEED" is random_choi pinched to
+    R's blocks (_block_mask): it stays PSD, and trace-preserving because the
+    blocks leave Tr_K chi's diagonal as it is and zero its off-diagonal.  Every
+    iterate then stays on the blocks, and every step takes _extremal_step's
+    diagonal path.  Where R has no such blocks (a sampled R, or round-off off the
+    sectors) the start is random_choi unchanged."""
     if isinstance(init, ChoiOperator):
         require_same_dims(init, r, "init", "target")
         require_valid_choi(init)
@@ -130,7 +171,9 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
         raise InvalidSpecError(f"unknown init {init!r}")
     if init == "maxmix":
         return maxmix_choi(r.dim_in, r.dim_out)
-    return random_choi(r.dim_in, r.dim_out, int(init.removeprefix("random:")))
+    chi = random_choi(r.dim_in, r.dim_out, int(init.removeprefix("random:")))
+    mask = _block_mask(r)
+    return chi if mask is None else ChoiOperator(r.dim_in, r.dim_out, chi.matrix * mask)
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:

@@ -21,6 +21,7 @@ from choiopt.models import (
     entangler_a_state_fidelity,
     known_optimum,
     model_family,
+    orthogonal_state,
     parse_model,
     shifter_closed_forms,
     symmetric_state,
@@ -88,6 +89,19 @@ class TestSharedAmplitudes:
         assert np.abs(pin - bloch_state(THETAS, PHIS)).max() == 0.0
         assert np.abs(pout - closed_form_entangler_a(THETAS, PHIS)).max() <= 1e-14
         assert np.abs(np.linalg.norm(pout, axis=1) - 1.0).max() <= NORM_TOL
+
+    def test_entangler_b_matches_closed_form_up_to_phase(self):
+        # The output is built from (conj(a1), -conj(a0)), orthogonal_state up to
+        # a global phase; R and every fidelity see only the projector.
+        spec = ModelSpec("entangler_b")
+        pin, pout = evaluate_family(model_family(spec), THETAS, PHIS)
+        a, b = bloch_state(THETAS, PHIS), orthogonal_state(THETAS, PHIS)
+        want = (np.einsum("si,sj->sij", a, b) + np.einsum("si,sj->sij", b, a)).reshape(-1, 4) / np.sqrt(2.0)
+        projector = lambda v: np.einsum("si,sj->sij", v, v.conj())
+        assert np.abs(pin - a).max() == 0.0
+        assert np.abs(projector(pout) - projector(want)).max() <= 1e-15
+        assert np.abs(np.linalg.norm(pout, axis=1) - 1.0).max() <= NORM_TOL
+        assert np.abs(build_r_quadrature(model_family(spec)).matrix - analytic_r(spec).matrix).max() <= 1e-12
 
 
 class TestFamilies:

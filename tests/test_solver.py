@@ -20,8 +20,8 @@ from choiopt.solver import PINV_CUTOFF, SolverOptions, initial_choi, iterate_onc
 from choiopt.targets import TargetOperator
 from choiopt import solver as solver_module
 from choiopt.models import ALPHA_THRESHOLD, model_family, shifter_closed_forms
-from choiopt.targets import build_r_montecarlo
-from choiopt.channels import identity_choi
+from choiopt.targets import build_r_montecarlo, build_r_quadrature
+from choiopt.channels import TP_TOL, identity_choi
 from helpers import (
     entangler_b_mixed_state,
     random_density,
@@ -74,6 +74,27 @@ class TestIterateOnce:
             iterate_once(constant_one, target)
 
 
+ANALYTIC_SPECS = [
+    *(ModelSpec("unot", copies=n) for n in (1, 2, 10, 30)),
+    *(ModelSpec("cloner", copies=n) for n in (1, 2, 10, 30)),
+    ModelSpec("entangler_a"),
+    ModelSpec("entangler_b"),
+    *(ModelSpec("shifter", alpha=a) for a in (0.5, ALPHA_THRESHOLD, 2.0, np.pi)),
+    ModelSpec("identity"),
+]
+SAMPLED_SPECS = [
+    ModelSpec("unot", copies=10),
+    ModelSpec("cloner", copies=10),
+    ModelSpec("entangler_a"),
+    ModelSpec("entangler_b"),
+    ModelSpec("shifter", alpha=2.0),
+]
+
+
+def _refuse_eigh(*args, **kwargs):
+    raise AssertionError("np.linalg.eigh called")
+
+
 def reference_step(chi: ChoiOperator, r: TargetOperator) -> np.ndarray:
     """The update as the paper writes it: a Kronecker sandwich with
     Lambda^{-1} = (Tr_K[R chi R])^{-1/2} (x) 1_K."""
@@ -113,6 +134,28 @@ class TestStepAgainstReference:
         chi = ChoiOperator(2, 2, np.diag([1e-13, 1.0, 1.0, 0.0]))
         with pytest.raises(SingularLambdaError):
             iterate_once(chi, r)
+
+    # Inputs whose marginal Tr_K[R chi R] is exactly diagonal take the step
+    # without an eigendecomposition; the paper's form must not notice.
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_diagonal_marginal_on_analytic_targets(self, spec, init, monkeypatch):
+        r = analytic_r(spec)
+        chi = initial_choi(r, init)
+        want = reference_step(chi, r)
+        monkeypatch.setattr(np.linalg, "eigh", _refuse_eigh)
+        assert np.abs(iterate_once(chi, r).matrix - want).max() <= 1e-13
+
+    def test_singular_diagonal_marginal(self, monkeypatch):
+        # From maxmix, Tr_K[R chi R] = diag(1/4, 0): the support rule must zero
+        # the kernel of lambda, the input |1>, as the pseudo-inverse does.
+        r = TargetOperator(2, 2, np.diag([0.5, 0.5, 0.0, 0.0]))
+        chi = maxmix_choi(2, 2)
+        want = reference_step(chi, r)
+        monkeypatch.setattr(np.linalg, "eigh", _refuse_eigh)
+        got = iterate_once(chi, r).matrix
+        assert np.abs(got - want).max() <= 1e-13
+        assert not got[2:, :].any() and not got[:, 2:].any()
 
     @pytest.mark.parametrize("n", [4, 6, 62])
     def test_fidelity_matches_trace_of_product(self, n):
@@ -254,6 +297,70 @@ class TestOptionsAndInit:
     def test_initial_choi_unknown_keyword(self):
         with pytest.raises(InvalidSpecError):
             initial_choi(UNOT1, "warmstart")
+
+
+def block_labels(r: np.ndarray) -> np.ndarray:
+    """Component label of each index in the graph r != 0, by depth-first search."""
+    labels = np.full(len(r), -1)
+    for start in range(len(r)):
+        if labels[start] >= 0:
+            continue
+        labels[start], stack = start, [start]
+        while stack:
+            for j in np.flatnonzero(r[stack.pop()]):
+                if labels[j] < 0:
+                    labels[j] = start
+                    stack.append(j)
+    return labels
+
+
+class TestPinchedStart:
+    # initial_choi pinches a random start to R's blocks where they keep the
+    # trace condition: every analytic built-in target, none sampled.
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_on_the_blocks_of_analytic_targets(self, spec):
+        r = analytic_r(spec)
+        chi = initial_choi(r, "random:3")
+        report = validate_choi(chi)
+        assert report.min_eigenvalue >= 0.0
+        assert report.trace_preservation_deviation <= TP_TOL
+        labels = block_labels(r.matrix)
+        off = labels[:, None] != labels[None, :]
+        assert off.any() and not chi.matrix[off].any()
+        assert np.array_equal(chi.matrix[~off], random_choi(r.dim_in, r.dim_out, 3).matrix[~off])
+        assert np.array_equal(initial_choi(r, "random:3").matrix, chi.matrix)
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_r_quadrature, lambda family: build_r_montecarlo(family, 500, 1)],
+        ids=["quadrature", "montecarlo"],
+    )
+    @pytest.mark.parametrize("spec", SAMPLED_SPECS, ids=str)
+    def test_sampled_targets_keep_the_raw_start(self, build, spec):
+        r = build(model_family(spec))
+        assert np.array_equal(initial_choi(r, "random:3").matrix, random_choi(r.dim_in, r.dim_out, 3).matrix)
+
+    def test_no_eigh_after_the_start(self, monkeypatch):
+        # The start's own normalization (random_choi) is its only eigh; if a
+        # BLAS broke the exact zeros, every step would fall back to eigh.
+        r = analytic_r(ModelSpec("unot", copies=10))
+        calls = []
+        real_eigh, real_init = np.linalg.eigh, solver_module.initial_choi
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_eigh(*args, **kwargs)
+
+        def start(r, init):
+            chi = real_init(r, init)
+            calls.clear()
+            return chi
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(solver_module, "initial_choi", start)
+        result = solve(r, SolverOptions(init="random:1"))
+        assert result.converged and result.iterations > 10
+        assert calls == []
 
 
 class TestFidTolMustBeFinite:
