@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: install test accept verify refset bench bench-smoke bench-record
+.PHONY: install test accept verify refset bench bench-smoke bench-record bench-pairs
 
 install:
 	pip install -e . --no-build-isolation
@@ -31,3 +31,7 @@ bench-smoke:
 # make bench-record PR=N writes BENCH_N.json (end-to-end metrics of every workload)
 bench-record:
 	$(PYTHON) scripts/bench_record.py --pr $(PR)
+
+# make bench-pairs REF=<commit> W=<workload> [PAIRS=N] [SEED=S]: alternating runs of REF and the working tree
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --ref $(REF) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))

@@ -7,8 +7,9 @@ for the package: require_hermitian holds hermiticity_deviation, the largest
 entrywise |m - m†|, to PSD_TOL.  Which eigenvalues count as zero is decided
 here once too, by the clip rule clip_roots and the support rule support, for
 psd_sqrt, reg_inverse, kraus_from_choi, solver._psd_solve and both paths of
-solver._extremal_step (the eigh of a dense marginal and the sorted diagonal of
-a diagonal one).
+the extremal step (through solver._inverse_roots: the eigh of the dense step,
+solver._extremal_step, and the sorted diagonal of the block step,
+solver._block_step).
 herm_eig, psd_sqrt, reg_inverse and EigenDecomposition are public utilities
 no other module calls.
 """

@@ -9,10 +9,14 @@ stationarity condition
 with lambda fixed as the positive Hermitian root.  Iterating this update
 preserves positivity and the trace constraint at every step; the multiplier
 inverse is a pseudo-inverse so the update stays defined when lambda is
-singular.  Where Tr_K[R chi R] is exactly diagonal, as it is for every iterate
-of an analytic built-in target from maxmix or from a random start (which
-initial_choi pinches to R's blocks), lambda^{-1} is read off its diagonal
-without an eigendecomposition; any other marginal takes one eigh.
+singular.  Where R has a block plan (TargetOperator.blocks: the connected
+components of R != 0, none holding two indices of one output, as on every
+analytic built-in target) and chi is exactly zero off those blocks, as every
+iterate from maxmix or from a random start (which initial_choi pinches to
+the blocks) is, the step works on the stack of blocks: R_b chi_b R_b, a
+diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling, with
+no n x n product and no eigendecomposition.  Any other chi or R takes the
+dense step, with one eigh.
 
 The iteration converges only linearly where the optimum is rank-deficient
 (the shifter near its threshold and near pi).  The solve watches the rate
@@ -41,7 +45,7 @@ from . import linalg
 from .channels import ChoiOperator, fidelity, maxmix_choi, require_same_dims, require_valid_choi
 from .errors import ChoiOptError, InvalidSpecError, SingularLambdaError
 from .linalg import PINV_CUTOFF, PSD_TOL
-from .targets import TargetOperator, fidelity_bound
+from .targets import BlockPlan, TargetOperator, fidelity_bound
 
 # The endgame trigger, _slow_tail, reads the rate from step RATE_FROM on and fires on a
 # predicted tail above STEPS_LEFT steps, about one attempt's cost (20-95 steps at n = 4).
@@ -105,33 +109,62 @@ class SolverResult:
     gap: float = float("nan")
 
 
-def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda^{-1} m Lambda^{-1}, re-Hermitized, and the ascending eigenvalues of
-    lambda = (Tr_K m)^{1/2}.  A diagonal Tr_K m (an iterate on R's blocks, see
-    initial_choi) is its own eigendecomposition: the step scales m entrywise by
-    s s^T, s = lambda^{-1} repeated dim_out times.  Any other Tr_K m takes one eigh,
-    and Lambda^{-1} = lambda^{-1} (x) 1_K left-multiplies the (dim_in, -1) view of m,
-    then of the half-product's adjoint."""
-    t = linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out))
-    diagonal = t.diagonal().real
-    dense = np.count_nonzero(t) > np.count_nonzero(diagonal)
-    if dense:
-        w, v = np.linalg.eigh(t)
-    else:
-        order = np.argsort(diagonal)
-        w = diagonal[order]
+def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of lambda from the ascending eigenvalues w of lambda^2 (the
+    clip rule), and their inverses on the support rule's support (0 elsewhere)."""
     roots = linalg.clip_roots(w)
     if roots[-1] <= 0.0:
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
-    inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=linalg.support(roots, PINV_CUTOFF))
-    if dense:
-        lam_inv = (v * inv) @ v.conj().T
-        half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
-        full = (lam_inv @ half.conj().T.reshape(dim_in, -1)).reshape(m.shape)
-    else:
-        s = np.repeat(inv[np.argsort(order)], dim_out)
-        full = m * np.outer(s, s)
+    return roots, np.divide(1.0, roots, out=np.zeros(len(roots)), where=linalg.support(roots, PINV_CUTOFF))
+
+
+def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda^{-1} m Lambda^{-1}, re-Hermitized, and the ascending eigenvalues of
+    lambda = (Tr_K m)^{1/2}, from one eigh of Tr_K m: Lambda^{-1} = lambda^{-1} (x) 1_K
+    left-multiplies the (dim_in, -1) view of m, then of the half-product's adjoint."""
+    w, v = np.linalg.eigh(linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out)))
+    roots, inv = _inverse_roots(w)
+    lam_inv = (v * inv) @ v.conj().T
+    half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
+    full = (lam_inv @ half.conj().T.reshape(dim_in, -1)).reshape(m.shape)
     return roots, (full + full.conj().T) / 2
+
+
+def _block_step(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """_extremal_step for a chi whose (B, s, s) blocks on R's blocks are all of
+    it: m = R chi R is the stack R_b chi_b R_b, Tr_K m is diagonal and read off
+    the blocks' diagonals, and Lambda^{-1} scales each block entrywise."""
+    m = plan.r @ blocks @ plan.r
+    t = np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
+    order = np.argsort(t)
+    roots, inv = _inverse_roots(t[order])
+    scale = np.empty_like(inv)
+    scale[order] = inv
+    s = scale[plan.inputs]
+    full = m * (s[:, :, None] * s[:, None, :])
+    return roots, plan.scatter((full + full.conj().swapaxes(1, 2)) / 2)
+
+
+def _step(chi: np.ndarray, r: TargetOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The extremal step from the matrix chi: on R's blocks when chi is exactly
+    zero off them, else the dense _extremal_step.  The test counts nonzero
+    words of the int64 views (a -0.0 counts, and only sends chi to the dense
+    path): chi is on the blocks when its blocks hold all of them."""
+    plan = r.blocks
+    if plan is not None:
+        blocks = plan.gather(chi)
+        if np.count_nonzero(blocks.view(np.int64)) == np.count_nonzero(chi.ravel().view(np.int64)):
+            return _block_step(plan, blocks, r.dim_in)
+    return _extremal_step(r.matrix @ chi @ r.matrix, r.dim_in, r.dim_out)
+
+
+def _pinch(r: TargetOperator, m: np.ndarray) -> np.ndarray:
+    """m zeroed off R's blocks, or m itself where R has no block plan.  The
+    pinch is a Schur product with a 0/1 mask of all-ones blocks, so it keeps
+    a PSD m PSD, and under the plan's rule it leaves Tr_K m's diagonal as it
+    is and zeroes the rest, so a trace-preserving m stays so."""
+    plan = r.blocks
+    return m if plan is None else plan.scatter(plan.gather(m))
 
 
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
@@ -143,26 +176,11 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     return ChoiOperator(dim_in, dim_out, _extremal_step(w @ w.conj().T, dim_in, dim_out)[1])
 
 
-def _block_mask(r: TargetOperator) -> np.ndarray | None:
-    """The blocks of R's exact zero pattern, as the mask of index pairs in one
-    connected component of the graph R != 0; None when a component holds two
-    indices (a, k) and (b, k) with a != b, so that pinching chi to the blocks
-    would change Tr_K chi."""
-    d, k = r.dim_in, r.dim_out
-    mask = (r.matrix != 0) | np.eye(d * k, dtype=bool)
-    while not np.array_equal(wider := mask @ mask, mask):  # transitive closure by squaring
-        mask = wider
-    shared = mask.reshape(d, k, d, k).diagonal(axis1=1, axis2=3).any(axis=-1)  # (a, b): some (a,k) ~ (b,k)
-    return mask if np.array_equal(shared, np.eye(d, dtype=bool)) else None
-
-
 def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
     """The start a solve iterates from.  "random:SEED" is random_choi pinched to
-    R's blocks (_block_mask): it stays PSD, and trace-preserving because the
-    blocks leave Tr_K chi's diagonal as it is and zero its off-diagonal.  Every
-    iterate then stays on the blocks, and every step takes _extremal_step's
-    diagonal path.  Where R has no such blocks (a sampled R, or round-off off the
-    sectors) the start is random_choi unchanged."""
+    R's blocks (_pinch): every iterate then stays on the blocks, and every step
+    takes the block step.  Where R has no block plan (a sampled R, or round-off
+    off the sectors) the start is random_choi unchanged."""
     if isinstance(init, ChoiOperator):
         require_same_dims(init, r, "init", "target")
         require_valid_choi(init)
@@ -172,20 +190,17 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
     if init == "maxmix":
         return maxmix_choi(r.dim_in, r.dim_out)
     chi = random_choi(r.dim_in, r.dim_out, int(init.removeprefix("random:")))
-    mask = _block_mask(r)
-    return chi if mask is None else ChoiOperator(r.dim_in, r.dim_out, chi.matrix * mask)
+    return ChoiOperator(r.dim_in, r.dim_out, _pinch(r, chi.matrix))
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
     """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized."""
     require_same_dims(chi, r, "process", "target")
-    m = r.matrix @ chi.matrix @ r.matrix
-    return ChoiOperator(r.dim_in, r.dim_out, _extremal_step(m, r.dim_in, r.dim_out)[1])
+    return ChoiOperator(r.dim_in, r.dim_out, _step(chi.matrix, r)[1])
 
 
 def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
-    roots, _ = _extremal_step(r.matrix @ chi.matrix @ r.matrix, r.dim_in, r.dim_out)
-    return float(np.diff(roots).min(initial=np.inf))
+    return float(np.diff(_step(chi.matrix, r)[0]).min(initial=np.inf))
 
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -208,7 +223,9 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
     dropped if Y leaves the strictly feasible set; the next stage's Newton
     steps are its corrector.  Complementary slackness then gives chi = P X P†,
     P spanning the kernel of Z = Y (x) 1_K - R, with X solving
-    Tr_K[P X P†] = 1; one extremal step makes the trace condition exact.
+    Tr_K[P X P†] = 1; pinched to R's blocks (where R has a block plan), so that
+    its round-off off them goes, one extremal step makes the trace condition
+    exact, on the block step when there is a plan.
     Any feasible Y bounds every channel's fidelity by Tr Y, so the gap
     Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
     """
@@ -268,7 +285,7 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
         x = linalg.hermitian_part(x)
         if np.linalg.eigvalsh(x)[0] < -PSD_TOL:
             return None
-        chi = iterate_once(ChoiOperator(d, k, linalg.hermitian_part(p @ x @ p.conj().T)), r)
+        chi = iterate_once(ChoiOperator(d, k, _pinch(r, linalg.hermitian_part(p @ x @ p.conj().T))), r)
         require_valid_choi(chi)
     except (np.linalg.LinAlgError, ChoiOptError):
         return None

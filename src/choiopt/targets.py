@@ -13,6 +13,7 @@ so building R once reduces every fidelity evaluation to Tr[chi R].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -65,6 +66,81 @@ class TargetOperator:
         w = require_admissible(m, 1, len(m), InvalidChoiError)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "lambda_max", float(w.max()))
+
+    @cached_property
+    def blocks(self) -> BlockPlan | None:
+        """R's block plan (see block_plan), computed on first use."""
+        return block_plan(self.matrix, self.dim_in, self.dim_out)
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """The connected components of the graph R != 0 (R's blocks), padded to a
+    stack of B blocks of s indices, s the largest component's size.
+
+    labels[i] is the smallest index in i's component.  flat[b, p, q] is the
+    flat index, into an n x n matrix, of the entry that pairs positions p and
+    q of block b; it is n^2 where either position is padding (pad).  r holds
+    R's blocks, zero on the padding; inputs[b, p] is the input index of
+    position p (0 on padding)."""
+
+    labels: np.ndarray
+    flat: np.ndarray
+    pad: np.ndarray
+    r: np.ndarray
+    inputs: np.ndarray
+
+    def gather(self, m: np.ndarray) -> np.ndarray:
+        """The (B, s, s) blocks of an n x n matrix m, zero on the padding."""
+        return _gather(m, self.flat, self.pad)
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """The n x n matrix that holds blocks on R's blocks and 0 elsewhere."""
+        n = len(self.labels)
+        out = np.zeros((n + 1, n), dtype=np.complex128)
+        out.ravel()[self.flat] = blocks  # the padding lands in the last, dropped row
+        return out[:n]
+
+
+def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
+    """The block plan of an operator m on C^dim_in (x) C^dim_out, or None when
+    a component holds two indices (a, k) and (b, k) with a != b (pinching to
+    the blocks would then change Tr_K), or when the padded stack holds no
+    fewer entries than m.
+
+    The labels come from sweeps over the edges of m != 0 (made symmetric, and
+    with every index its own neighbour): each index starts at its smallest
+    neighbour and jumps to its label's label, then takes the smallest label
+    among its neighbours, until no edge joins two labels."""
+    n = len(m)
+    edge = m != 0
+    edge |= edge.T
+    edge.ravel()[:: n + 1] = True
+    labels = edge.argmax(axis=1)
+    while True:
+        labels = labels[labels]
+        if not np.count_nonzero(edge > (labels[:, None] == labels)):
+            break
+        labels = np.where(edge, labels, n).min(axis=1)
+    groups = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    size = max(map(len, groups.values()))
+    if len(groups) * size * size >= n * n:
+        return None
+    if any(len({i % dim_out for i in g}) < len(g) for g in groups.values()):
+        return None  # some (a, k) ~ (b, k), a != b
+    index = np.array([g + [n * n] * (size - len(g)) for g in groups.values()])  # n^2 pads
+    flat = index[:, :, None] * n + index[:, None, :]
+    pad = flat >= n * n
+    np.minimum(flat, n * n, out=flat)
+    return BlockPlan(labels, flat, pad, _gather(m, flat, pad), index % n // dim_out)
+
+
+def _gather(m: np.ndarray, flat: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    blocks = m.ravel().take(flat, mode="clip")  # n^2 reads the last entry, zeroed below
+    blocks[pad] = 0.0
+    return blocks
 
 
 def fidelity_bound(r: TargetOperator) -> float:

@@ -1,0 +1,41 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"wall_s": "lower", "items_per_s": "higher"}
+
+
+def result(wall: float, items: float, failed: int = 0) -> dict:
+    """A run's last output line, as perfbench/run.py --trace 0 prints it."""
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "items_per_s": {"value": items, "unit": "1/s"}}
+    return {"correct": failed == 0, "attempted": 100, "failed": failed, "metrics": metrics}
+
+
+PAIRS = [
+    (result(1.0, 10.0), result(0.8, 12.0)),
+    (result(1.2, 10.0), result(0.9, 10.0)),
+    (result(1.1, 11.0), result(1.3, 9.0, failed=2)),
+]
+
+
+def test_one_line_per_metric_then_the_failures():
+    lines = bench_pairs.summarize(PAIRS, BETTER)
+    assert [line.split()[0] for line in lines[1:3]] == ["wall_s", "items_per_s"]
+    assert lines[3:] == ["failed items (ref): 0/300", "failed items (change): 2/300"]
+
+
+def test_medians_quartiles_change_and_wins():
+    # wall_s: lower wins in pairs 1 and 2; items_per_s: pair 1 wins, pair 2 ties.
+    lines = bench_pairs.summarize(PAIRS, BETTER)
+    assert lines[1].split() == ["wall_s", "1.1", "[1.05,", "1.15]", "0.9", "[0.85,", "1.1]", "-18.2%", "2/3"]
+    assert lines[2].split() == ["items_per_s", "10", "[10,", "10.5]", "10", "[9.5,", "11]", "+0.0%", "1/3"]
+
+
+def test_a_single_pair_is_its_own_quartiles():
+    assert bench_pairs.spread([2.5]) == (2.5, 2.5, 2.5)
+    lines = bench_pairs.summarize(PAIRS[:1], BETTER)
+    assert lines[1].split()[-1] == "1/1"

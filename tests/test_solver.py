@@ -9,7 +9,7 @@ from choiopt.errors import (
     NegativeEigenvalueError,
     SingularLambdaError,
 )
-from choiopt.linalg import hermitian_part, partial_trace, psd_sqrt, reg_inverse
+from choiopt.linalg import clip_roots, hermitian_part, partial_trace, psd_sqrt, reg_inverse, support
 from choiopt.models import (
     ModelSpec,
     analytic_r,
@@ -17,8 +17,9 @@ from choiopt.models import (
     known_optimum,
 )
 from choiopt.solver import PINV_CUTOFF, SolverOptions, initial_choi, iterate_once, random_choi, solve
-from choiopt.targets import TargetOperator
+from choiopt.targets import TargetOperator, block_plan
 from choiopt import solver as solver_module
+from choiopt import targets as targets_module
 from choiopt.models import ALPHA_THRESHOLD, model_family, shifter_closed_forms
 from choiopt.targets import build_r_montecarlo, build_r_quadrature
 from choiopt.channels import TP_TOL, identity_choi
@@ -713,3 +714,138 @@ class TestSingularMultiplier:
         start = ChoiOperator(2, 2, np.diag([-5e-11, 1 + 5e-11, 0.5, 0.5]))
         result = solve(TargetOperator(2, 2, np.diag([0.5, 0.0, 0.5, 0.0])), SolverOptions(init=start))
         assert result.converged and result.fidelity == pytest.approx(1.0, abs=1e-12)
+
+
+def _refuse_dense_step(*args, **kwargs):
+    raise AssertionError("dense step called")
+
+
+def eigh_step(chi: ChoiOperator, r: TargetOperator) -> np.ndarray:
+    """The dense step as it stood before the block step: one eigh of
+    Tr_K[R chi R], then Lambda^{-1} applied to the (dim_in, -1) views."""
+    d = r.dim_in
+    m = r.matrix @ chi.matrix @ r.matrix
+    w, v = np.linalg.eigh(hermitian_part(partial_trace(m, d, r.dim_out)))
+    roots = clip_roots(w)
+    inv = np.divide(1.0, roots, out=np.zeros_like(roots), where=support(roots, PINV_CUTOFF))
+    lam_inv = (v * inv) @ v.conj().T
+    half = (lam_inv @ m.reshape(d, -1)).reshape(m.shape)
+    full = (lam_inv @ half.conj().T.reshape(d, -1)).reshape(m.shape)
+    return (full + full.conj().T) / 2
+
+
+def off_blocks(r: TargetOperator) -> np.ndarray:
+    labels = block_labels(r.matrix)
+    return labels[:, None] != labels[None, :]
+
+
+class TestBlockStep:
+    # On R's blocks the step never forms an n x n product or calls the dense step.
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_matches_the_reference_without_the_dense_step(self, spec, init, monkeypatch):
+        r = analytic_r(spec)
+        chi = initial_choi(r, init)
+        want = reference_step(chi, r)
+        monkeypatch.setattr(solver_module, "_extremal_step", _refuse_dense_step)
+        assert np.abs(iterate_once(chi, r).matrix - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("spec", [ModelSpec("unot", copies=10), ModelSpec("shifter", alpha=2.0)], ids=str)
+    def test_one_off_block_entry_takes_the_dense_step(self, spec, monkeypatch):
+        # The smallest subnormal, in the imaginary part of one entry: the test is exact.
+        r = analytic_r(spec)
+        m = np.array(initial_choi(r, "random:4").matrix)
+        i, j = np.argwhere(off_blocks(r))[0]
+        m[i, j] = 5e-324j
+        chi = ChoiOperator(r.dim_in, r.dim_out, m)
+        calls = []
+        real = solver_module._extremal_step
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "_extremal_step", counted)
+        assert np.abs(iterate_once(chi, r).matrix - reference_step(chi, r)).max() <= 1e-13
+        assert len(calls) == 1
+
+    def test_fortran_ordered_chi(self):
+        r = analytic_r(ModelSpec("unot", copies=2))
+        chi = initial_choi(r, "random:4")
+        flipped = ChoiOperator(r.dim_in, r.dim_out, np.asfortranarray(chi.matrix))
+        assert np.array_equal(iterate_once(flipped, r).matrix, iterate_once(chi, r).matrix)
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_r_quadrature, lambda family: build_r_montecarlo(family, 500, 1)],
+        ids=["quadrature", "montecarlo"],
+    )
+    @pytest.mark.parametrize("spec", SAMPLED_SPECS, ids=str)
+    def test_sampled_targets_step_as_before(self, build, spec):
+        r = build(model_family(spec))
+        assert r.blocks is None
+        for init in ("maxmix", "random:3"):
+            chi = initial_choi(r, init)
+            assert np.array_equal(iterate_once(chi, r).matrix, eigh_step(chi, r))
+
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_labels_of_analytic_targets(self, spec):
+        r = analytic_r(spec)
+        assert np.array_equal(r.blocks.labels, block_labels(r.matrix))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_labels_of_shuffled_paths(self, seed):
+        # Components that are paths in a shuffled order need more than one sweep;
+        # a zero row is a component of its own.
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(16)
+        m = np.zeros((16, 16))
+        for path in np.split(order, [5, 9, 12, 13, 14, 15]):
+            m[path[:-1], path[1:]] = m[path[1:], path[:-1]] = rng.uniform(0.5, 1.0, len(path) - 1)
+            m[path, path] = 1.0
+        m[order[-1], order[-1]] = 0.0
+        assert np.array_equal(block_plan(m, 1, 16).labels, block_labels(m))
+
+    def test_plan_is_made_once_per_target(self, monkeypatch):
+        calls = []
+        real = targets_module.block_plan
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(targets_module, "block_plan", counted)
+        r = analytic_r(ModelSpec("unot", copies=10))
+        assert calls == []
+        assert solve(r, SolverOptions(init="random:1")).iterations > 10
+        solve(r)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_lambda_gap_matches_the_dense_formula(self, spec, init):
+        r = analytic_r(spec)
+        result = solve(r, SolverOptions(init=init))
+        m = r.matrix @ result.chi.matrix @ r.matrix
+        roots = clip_roots(np.linalg.eigvalsh(hermitian_part(partial_trace(m, r.dim_in, r.dim_out))))
+        assert abs(result.lambda_gap - np.diff(roots).min()) <= 1e-12
+
+
+class TestEndgameOnTheBlocks:
+    # The recovered chi is pinched to R's blocks, so the endgame's last step
+    # takes the block step and its answer stays on the blocks.
+    def check(self, r, chi, monkeypatch):
+        monkeypatch.setattr(solver_module, "_extremal_step", _refuse_dense_step)
+        done = _dual_endgame(r, chi)
+        assert done is not None and done[1] <= SolverOptions().fid_tol
+        assert not done[0].matrix[off_blocks(r)].any()
+
+    @pytest.mark.parametrize("alpha", [0.71, 3.13], ids=str)
+    def test_at_the_firing_iterate(self, alpha, endgame_calls, monkeypatch):
+        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+        solve(r)
+        self.check(r, endgame_calls.chis[0], monkeypatch)
+
+    def test_forced_on_a_wide_output(self, monkeypatch):
+        r = analytic_r(ModelSpec("cloner", copies=10))
+        self.check(r, iterate_once(maxmix_choi(r.dim_in, r.dim_out), r), monkeypatch)
