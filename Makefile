@@ -2,8 +2,26 @@ PYTHON ?= python3
 
 .PHONY: install test accept verify refset bench bench-smoke bench-record bench-pairs
 
+# An editable install without build isolation builds with the installed setuptools, which
+# pyproject.toml wants at >= 68, and needs wheel; pip checks neither, so check both first.
+define INSTALL_CHECK
+import importlib.metadata as md
+def version(name):
+    try:
+        return md.version(name)
+    except md.PackageNotFoundError:
+        return None
+setuptools = version("setuptools")
+missing = [] if setuptools and int(setuptools.split(".")[0]) >= 68 else [f"setuptools >= 68 (found {setuptools})"]
+missing += [] if version("wheel") else ["wheel (not installed)"]
+if missing:
+    raise SystemExit(f"error: make install needs {' and '.join(missing)}; the make targets run from src/ without installing")
+endef
+export INSTALL_CHECK
+
 install:
-	pip install -e . --no-build-isolation
+	@$(PYTHON) -c "$$INSTALL_CHECK"
+	$(PYTHON) -m pip install -e . --no-build-isolation
 
 # the tier-1 command, as CI runs it
 test:

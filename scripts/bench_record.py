@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Record the benchmark's end-to-end metrics as one JSON file per change.
 
-Runs `perfbench/run.py --workload W --trace 0` for every workload that
-BENCHMARK.json lists and writes BENCH_<pr>.json at the repository root (or
---out), holding the seed, the run settings, the commit (`git describe
---always --dirty`) and, per workload, the end-to-end metrics with the
-attempted/failed item counts:
+Runs `perfbench/run.py --workload W --trace 0` (bench_pairs.run) for every
+workload that BENCHMARK.json lists and writes BENCH_<pr>.json at the
+repository root (or --out), holding the seed, the run settings, the commit
+(`git describe --always --dirty`) and, per workload, the end-to-end metrics
+with the attempted/failed item counts:
 
     python3 scripts/bench_record.py --pr N [--seed S] [--seconds T] [--size full|smoke]
 """
@@ -16,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from bench_pairs import run
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -39,16 +41,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     record = {"pr": args.pr, "commit": commit(), "seed": args.seed, "seconds": args.seconds,
               "size": args.size, "workloads": {}}
-    for workload in WORKLOADS:
-        cmd = [
-            sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload, "--trace", "0",
-            "--seed", str(args.seed), "--seconds", str(args.seconds), "--size", args.size,
-        ]
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-        if proc.returncode != 0:
-            print(f"error: {workload}: {proc.stderr.strip()}", file=sys.stderr)
-            return 1
-        record["workloads"][workload] = json.loads(proc.stdout.strip().splitlines()[-1])
+    for workload in WORKLOADS:  # a failed run exits 1 with one error line
+        record["workloads"][workload] = run(ROOT, workload, args.seed, args.seconds, args.size)
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

@@ -30,10 +30,6 @@ from .errors import ChoiOptError, InvalidSpecError, OutOfRangeError
 from .targets import build_r_quadrature, fidelity_bound, quadrature_nodes
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # Usage failures become the same single-line stderr format as every
     # other error, with exit code 2.
@@ -164,7 +160,7 @@ def _cmd_apply(args) -> int:
 
 def _cmd_scan(args) -> int:
     if not linalg.is_count(args.steps):
-        raise _UsageError(f"--steps must be an integer >= 1, got {args.steps}")
+        raise ValueError(f"--steps must be an integer >= 1, got {args.steps}")
     alphas = np.linspace(args.start, args.stop, args.steps)
     rows = analysis.alpha_scan(alphas)
     serialize.write_scan_csv(rows, args.csv)
@@ -289,7 +285,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.handler(args)
-    except (_UsageError, ChoiOptError, OSError, KeyError, ValueError, OverflowError) as exc:
+    except (ChoiOptError, OSError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Spec errors are ChoiOptErrors and LinAlgError is a ValueError, so
         # the usage-or-numerical split cannot follow the class tree alone.

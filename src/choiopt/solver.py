@@ -217,17 +217,17 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
     min Tr Y s.t. Y (x) 1_K >= R, warm-started from chi; None on failure.
 
     Damped Newton steps on Tr Y - mu log det(Y (x) 1_K - R) follow the central
-    path from Y = Tr_K[R chi] shifted to be strictly feasible, mu falling
-    STAGE_CUT-fold per stage.  Between stages a predictor step moves Y along the
-    path's tangent dY/dmu = H^-1 Tr_K[Z^-1] to the next mu in one full step,
-    dropped if Y leaves the strictly feasible set; the next stage's Newton
-    steps are its corrector.  Complementary slackness then gives chi = P X P†,
-    P spanning the kernel of Z = Y (x) 1_K - R, with X solving
-    Tr_K[P X P†] = 1; pinched to R's blocks (where R has a block plan), so that
-    its round-off off them goes, one extremal step makes the trace condition
-    exact, on the block step when there is a plan.
-    Any feasible Y bounds every channel's fidelity by Tr Y, so the gap
-    Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
+    path from Y = Tr_K[R chi] shifted by a multiple of 1 to be strictly
+    feasible (one eigh of the start's slack serves both: the shift moves no
+    eigenvector), mu falling STAGE_CUT-fold per stage.  Between stages a
+    predictor step moves Y along the path's tangent dY/dmu = H^-1 Tr_K[Z^-1] to
+    the next mu in one full step, dropped if Y leaves the strictly feasible
+    set; the next stage's Newton steps are its corrector.  Complementary
+    slackness then gives chi = P X P†, P spanning the kernel of
+    Z = Y (x) 1_K - R, with X solving Tr_K[P X P†] = 1; pinched to R's blocks
+    (if R has a plan) to drop the round-off off them, one extremal step makes
+    the trace condition exact.  Any feasible Y bounds every channel's fidelity
+    by Tr Y, so the gap Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
     """
     d, k = r.dim_in, r.dim_out
     n, eye = d * k, np.eye(d)
@@ -238,11 +238,11 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
         return (y[:, None, :, None] * lift).reshape(n, n) - r.matrix
 
     y = linalg.hermitian_part(linalg.partial_trace(r.matrix @ chi.matrix, d, k))
-    excess = max(0.0, np.linalg.eigvalsh(-slack(y))[-1])
-    mu = max(mu_end, (np.trace(y).real + d * excess - fidelity(chi, r)) / n)
-    y = y + (excess + mu) * eye
     try:
         z_eigs, z_vecs = np.linalg.eigh(slack(y))
+        excess = max(0.0, -z_eigs[0])
+        mu = max(mu_end, (np.trace(y).real + d * excess - fidelity(chi, r)) / n)
+        y, z_eigs = y + (excess + mu) * eye, z_eigs + (excess + mu)
         while True:
             last = np.inf
             for _ in range(MAX_NEWTON):

@@ -596,6 +596,29 @@ class TestEndgameRejects:
         assert result.iterations == len(trace) > call_step(endgame_results.chis[0], r, opts)
         assert np.isnan(result.gap)
 
+    @pytest.mark.parametrize("routine", ["eigvalsh", "eigh"])
+    def test_lapack_error_leaves_the_iteration_unchanged(self, routine, monkeypatch, endgame_results):
+        # From maxmix every step of this row is a block step, which calls
+        # neither routine, so the first call inside solve is the endgame's.
+        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        opts = SolverOptions()
+        chi, trace = plain_iteration(r, opts)
+        real, calls = getattr(np.linalg, routine), []
+
+        def failing_once(*args, **kwargs):
+            calls.append(routine)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError(f"{routine} did not converge")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, routine, failing_once)
+        result = solve(r, opts)
+        assert calls and endgame_results == [None]
+        assert np.array_equal(result.chi.matrix, chi.matrix)
+        assert result.fidelity_trace == trace
+        assert result.iterations == len(trace)
+        assert np.isnan(result.gap)
+
 
 def _tangent_off_the_feasible_set(m, v):
     # The Newton step as it is, and a tangent so long that every predictor
