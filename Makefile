@@ -30,12 +30,13 @@ test:
 accept:
 	PYTHONPATH=src $(PYTHON) -m pytest -s -q tests/test_acceptance.py
 
+# verify and refset run under tier-1's warning policy: a RuntimeWarning (a non-finite path) fails them
 verify:
-	PYTHONPATH=src $(PYTHON) scripts/verify_reference_values.py
+	PYTHONPATH=src $(PYTHON) -X dev -W error::RuntimeWarning scripts/verify_reference_values.py
 
 # solves the 381-solve reference set and prints how they ended; exits 1 on a raising or unconverged solve
 refset:
-	PYTHONPATH=src $(PYTHON) scripts/reference_set.py
+	PYTHONPATH=src $(PYTHON) -X dev -W error::RuntimeWarning scripts/reference_set.py
 
 bench:
 	$(PYTHON) perfbench/run.py

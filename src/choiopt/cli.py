@@ -24,6 +24,7 @@ from .channels import (
     fidelity,
     kraus_from_choi,
     kraus_trace_deviation,
+    require_same_dims,
     validate_choi,
 )
 from .errors import ChoiOptError, InvalidSpecError, OutOfRangeError
@@ -143,11 +144,21 @@ def _cmd_dilate(args) -> int:
     return 0
 
 
+def _bloch_angles(value: str) -> tuple[float, float]:
+    """--state's THETA,PHI: exactly two finite numbers, else a usage error."""
+    try:
+        theta, phi = (float(v) for v in value.split(","))
+        if np.isfinite([theta, phi]).all():
+            return theta, phi
+    except ValueError:  # not a number, or not two of them
+        pass
+    raise argparse.ArgumentTypeError(f"expected THETA,PHI, two finite numbers, got {value!r}")
+
+
 def _cmd_apply(args) -> int:
     chi = _load_choi(args.chi)
     if args.state is not None:
-        theta, phi = (float(v) for v in args.state.split(","))
-        rho = density_from_state(models.bloch_state(theta, phi))
+        rho = density_from_state(models.bloch_state(*args.state))
     else:
         rho = DensityMatrix(serialize.matrix_from_obj(serialize.load_json(args.rho)))
     out = apply(chi, rho)
@@ -186,14 +197,17 @@ def _cmd_curve(args) -> int:
 def _cmd_validate(args) -> int:
     chi = _load_choi(args.chi)
     spec = _model_spec(args)
-    analysis.require_samples(args.samples)  # before the report is printed
+    family = models.model_family(spec)
+    # The arguments are judged before the report is printed; an invalid chi is reported first.
+    analysis.require_samples(args.samples)
+    linalg.require_seed(args.seed)
+    require_same_dims(chi, family, "channel", "family")
     report = validate_choi(chi)
     print(
         f"min_eigenvalue = {report.min_eigenvalue:.6e}  "
         f"trace_preservation_deviation = {report.trace_preservation_deviation:.6e}  "
         f"hermiticity_deviation = {report.hermiticity_deviation:.6e}"
     )
-    family = models.model_family(spec)
     est = analysis.mc_fidelity(chi, family, samples=args.samples, seed=args.seed)
     trace_f = fidelity(chi, models.analytic_r(spec))
     print(
@@ -247,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply a channel to a state")
     p.add_argument("--chi", required=True)
     source = p.add_mutually_exclusive_group(required=True)  # exactly one input state
-    source.add_argument("--state", help="THETA,PHI Bloch angles of a pure input state")
+    source.add_argument("--state", type=_bloch_angles, help="THETA,PHI Bloch angles of a pure input state")
     source.add_argument("--rho", help="density-matrix JSON file")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_apply)

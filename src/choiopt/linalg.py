@@ -5,11 +5,11 @@ i_second; every routine in the package assumes this one convention.
 Matrices are plain complex128 ndarrays.  Hermiticity is judged here once
 for the package: require_hermitian holds hermiticity_deviation, the largest
 entrywise |m - m†|, to PSD_TOL.  Which eigenvalues count as zero is decided
-here once too, by the clip rule clip_roots and the support rule support, for
-psd_sqrt, reg_inverse, kraus_from_choi, solver._psd_solve and both paths of
-the extremal step (through solver._inverse_roots: the eigh of the dense step,
-solver._extremal_step, and the sorted diagonal of the block step,
-solver._block_step).
+here once too, for a spectrum in any order, by the clip rule clip_roots (for
+psd_sqrt and, through solver._inverse_roots, both paths of the extremal step)
+and the support rule support (for kraus_from_choi and inverse_on_support, the
+one pseudo-inverse, which reg_inverse, solver._inverse_roots and
+solver._psd_solve call).
 herm_eig, psd_sqrt, reg_inverse and EigenDecomposition are public utilities
 no other module calls.
 """
@@ -72,6 +72,12 @@ def is_count(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
 
 
+def require_seed(seed) -> None:
+    """The seed rule: raise ValueError unless seed is a Python or numpy integer >= 0, not a bool."""
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
     """hermiticity_deviation and ascending eigenvalues of the Hermitian part of
     a square m; a non-finite m gets NaNs without reaching the eigensolver."""
@@ -81,20 +87,25 @@ def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
 
 
 def clip_roots(w: np.ndarray) -> np.ndarray:
-    """The clip rule: square roots of a PSD operator's ascending eigenvalues w.
-    Those below CLIP_TOL count as zeros; w[0] below -CLIP_TOL raises
-    NegativeEigenvalueError."""
-    if w[0] < -CLIP_TOL:
-        raise NegativeEigenvalueError(f"eigenvalue {w[0]:.3e} below -{CLIP_TOL:.1e}")
+    """The clip rule: square roots of a PSD operator's eigenvalues w, in w's
+    order.  Those below CLIP_TOL count as zeros; an eigenvalue below -CLIP_TOL
+    raises NegativeEigenvalueError."""
+    if w.min() < -CLIP_TOL:
+        raise NegativeEigenvalueError(f"eigenvalue {w.min():.3e} below -{CLIP_TOL:.1e}")
     return np.sqrt(np.where(w < CLIP_TOL, 0.0, w))
 
 
 def support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
-    """The support rule: mask of the ascending eigenvalues w that are > 0 and
-    >= rel_cutoff * w[-1]; only these are kept or inverted.  It runs on every
-    solver step, so one comparison does both: no double lies strictly between
-    0 and the smallest subnormal."""
-    return w >= max(rel_cutoff * w[-1], _SMALLEST_POSITIVE)
+    """The support rule: mask of the eigenvalues w, in any order, that are > 0
+    and >= rel_cutoff * max(w); only these are kept or inverted.  It runs on
+    every solver step, so one comparison does both: no double lies strictly
+    between 0 and the smallest subnormal."""
+    return w >= max(rel_cutoff * w.max(), _SMALLEST_POSITIVE)
+
+
+def inverse_on_support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
+    """The pseudo-inverse rule: 1/w on support(w, rel_cutoff), 0 elsewhere, in w's order."""
+    return np.divide(1.0, w, out=np.zeros(len(w)), where=support(w, rel_cutoff))
 
 
 def require_cutoff(rel_cutoff: float) -> None:
@@ -142,8 +153,7 @@ def psd_sqrt(m) -> np.ndarray:
     """Positive-semidefinite Hermitian square root by the clip rule: an
     eigenvalue below -CLIP_TOL raises NegativeEigenvalueError."""
     eig = herm_eig(m)
-    roots = clip_roots(eig.eigenvalues[::-1])[::-1]
-    return EigenDecomposition(roots, eig.eigenvectors).reconstruct()
+    return EigenDecomposition(clip_roots(eig.eigenvalues), eig.eigenvectors).reconstruct()
 
 
 def reg_inverse(m, rel_cutoff: float = PINV_CUTOFF) -> np.ndarray:
@@ -151,11 +161,9 @@ def reg_inverse(m, rel_cutoff: float = PINV_CUTOFF) -> np.ndarray:
     rule at rel_cutoff in [0, 1]) are inverted, the rest map to zero."""
     require_cutoff(rel_cutoff)
     eig = herm_eig(m)
-    w = eig.eigenvalues[::-1]  # ascending
-    if w[-1] <= 0.0:
+    if eig.eigenvalues.max() <= 0.0:
         raise AllZeroError("no positive eigenvalue to invert")
-    winv = np.divide(1.0, w, out=np.zeros_like(w), where=support(w, rel_cutoff))
-    return EigenDecomposition(winv[::-1], eig.eigenvectors).reconstruct()
+    return EigenDecomposition(inverse_on_support(eig.eigenvalues, rel_cutoff), eig.eigenvectors).reconstruct()
 
 
 def kron(a, b) -> np.ndarray:

@@ -110,12 +110,12 @@ class SolverResult:
 
 
 def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of lambda from the ascending eigenvalues w of lambda^2 (the
+    """The roots of lambda from the eigenvalues w of lambda^2, in w's order (the
     clip rule), and their inverses on the support rule's support (0 elsewhere)."""
     roots = linalg.clip_roots(w)
-    if roots[-1] <= 0.0:
+    if roots.max() <= 0.0:
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
-    return roots, np.divide(1.0, roots, out=np.zeros(len(roots)), where=linalg.support(roots, PINV_CUTOFF))
+    return roots, linalg.inverse_on_support(roots, PINV_CUTOFF)
 
 
 def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -133,14 +133,12 @@ def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray
 def _block_step(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
     """_extremal_step for a chi whose (B, s, s) blocks on R's blocks are all of
     it: m = R chi R is the stack R_b chi_b R_b, Tr_K m is diagonal and read off
-    the blocks' diagonals, and Lambda^{-1} scales each block entrywise."""
+    the blocks' diagonals (so lambda's roots come in input order, unsorted), and
+    Lambda^{-1} scales each block entrywise."""
     m = plan.r @ blocks @ plan.r
     t = np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
-    order = np.argsort(t)
-    roots, inv = _inverse_roots(t[order])
-    scale = np.empty_like(inv)
-    scale[order] = inv
-    s = scale[plan.inputs]
+    roots, inv = _inverse_roots(t)
+    s = inv[plan.inputs]
     full = m * (s[:, :, None] * s[:, None, :])
     return roots, plan.scatter((full + full.conj().swapaxes(1, 2)) / 2)
 
@@ -169,7 +167,8 @@ def _pinch(r: TargetOperator, m: np.ndarray) -> np.ndarray:
 
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     """Random admissible process matrix: a Wishart sample rescaled to satisfy
-    the trace constraint exactly."""
+    the trace constraint exactly; seed must pass linalg.require_seed."""
+    linalg.require_seed(seed)
     rng = np.random.default_rng(seed)
     n = dim_in * dim_out
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -200,7 +199,7 @@ def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
 
 
 def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
-    return float(np.diff(_step(chi.matrix, r)[0]).min(initial=np.inf))
+    return float(np.diff(np.sort(_step(chi.matrix, r)[0])).min(initial=np.inf))
 
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -208,8 +207,7 @@ def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     of columns v, from one eigh (the routine the extremal step already uses),
     inverted on the support rule's support at PINV_CUTOFF."""
     w, u = np.linalg.eigh(m)
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support(w, PINV_CUTOFF))
-    return (u * inv) @ (u.conj().T @ v)
+    return (u * linalg.inverse_on_support(w, PINV_CUTOFF)) @ (u.conj().T @ v)
 
 
 def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, float] | None:

@@ -197,7 +197,9 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
 def sphere_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform sphere angles (thetas, phis): cos(theta) uniform on [-1, 1],
     then phi uniform on [0, 2pi), drawn in that fixed order from numpy's PCG64
-    stream, so each sample is reproducible per (seed, sample index)."""
+    stream, so each sample is reproducible per (seed, sample index).  seed must
+    pass the seed rule, linalg.require_seed."""
+    linalg.require_seed(seed)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)
     phis = rng.uniform(0.0, 2.0 * np.pi, samples)

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from choiopt import channels, models, serialize, solver, targets
+from choiopt import analysis, channels, models, serialize, solver, targets
 from choiopt import linalg
 from choiopt.errors import (
     ChoiOptError,
@@ -484,6 +484,36 @@ class TestOneSupportRule:
             channels.kraus_from_choi(channels.identity_choi(2), float("nan"))
 
 
+class TestSpectraInAnyOrder:
+    # The clip, support and pseudo-inverse rules read a spectrum by value, not
+    # by position: a permuted spectrum gives the same values, permuted alike.
+    W = np.array([0.0, 5e-13, 1e-11, 0.25, 1.0, 4.0])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_permuted_spectrum(self, seed):
+        order = np.random.default_rng(seed).permutation(len(self.W))
+        w = self.W[order]
+        assert np.array_equal(linalg.clip_roots(w), linalg.clip_roots(self.W)[order])
+        for c in (linalg.PINV_CUTOFF, 1e-11, 0.1):
+            assert np.array_equal(linalg.support(w, c), linalg.support(self.W, c)[order])
+            assert np.array_equal(linalg.inverse_on_support(w, c), linalg.inverse_on_support(self.W, c)[order])
+
+    def test_pseudo_inverse_on_the_support(self):
+        inv = linalg.inverse_on_support(np.array([4.0, 0.0, 1e-13, 0.5, -1.0]), 1e-12)
+        assert list(inv) == [0.25, 0.0, 0.0, 2.0, 0.0]
+
+    @pytest.mark.parametrize("at", range(4))
+    def test_a_negative_eigenvalue_raises_wherever_it_sits(self, at):
+        w = np.insert(np.array([0.0, 1.0, 2.0]), at, -1e-11)
+        with pytest.raises(NegativeEigenvalueError, match="eigenvalue -1.000e-11 below -1.0e-12"):
+            linalg.clip_roots(w)
+
+    @pytest.mark.parametrize("descending", [False, True])
+    def test_step_clips_a_negative_marginal_entry_in_either_place(self, descending):
+        diagonal = [1.0, -4e-12][:: -1 if descending else 1]
+        assert _raised(lambda: _step_marginal(diagonal))[0] is NegativeEigenvalueError
+
+
 # Each construction takes a count where it is given True; all must refuse it.
 _TRUE_AS_COUNT = {
     "copies": (lambda: models.ModelSpec("unot", copies=True), InvalidSpecError),
@@ -523,6 +553,38 @@ class TestOneCountRule:
         for build, error in calls:
             with pytest.raises(error):
                 build()
+
+
+_IDENTITY_FAMILY = models.model_family(models.ModelSpec("identity"))
+# Each seeded entry point, called with a seed; each returns an array.
+_SEEDED = {
+    "sphere_samples": lambda seed: np.stack(targets.sphere_samples(3, seed)),
+    "build_r_montecarlo": lambda seed: targets.build_r_montecarlo(_IDENTITY_FAMILY, 3, seed).matrix,
+    "mc_fidelity": lambda seed: analysis.mc_fidelity(channels.identity_choi(2), _IDENTITY_FAMILY, 3, seed).mean,
+    "random_choi": lambda seed: random_choi(2, 2, seed).matrix,
+}
+
+
+class TestOneSeedRule:
+    # linalg.require_seed is the one test of a seed: an integer >= 0, not a bool.
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("name", list(_SEEDED))
+    def test_refused(self, name, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an integer >= 0, got {seed!r}")):
+            _SEEDED[name](seed)
+
+    @pytest.mark.parametrize("name", list(_SEEDED))
+    def test_numpy_and_python_integers_agree(self, name):
+        assert np.array_equal(_SEEDED[name](7), _SEEDED[name](np.uint8(7)))
+
+    def test_every_caller_reads_one_seed_rule(self, monkeypatch):
+        def fail(seed):
+            raise ValueError("seed rule called")
+
+        monkeypatch.setattr(linalg, "require_seed", fail)
+        for call in _SEEDED.values():
+            with pytest.raises(ValueError, match="seed rule called"):
+                call(0)
 
 
 class TestOneDimensionMatch:

@@ -628,6 +628,22 @@ def test_validate_rejects_the_sample_count_before_printing(capsys, tmp_path, sam
     assert (code, out, err) == (2, "", "error: samples must be >= 2\n")
 
 
+def test_validate_rejects_the_seed_before_printing(capsys, tmp_path):
+    chi_file = tmp_path / "chi.json"
+    serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
+    code, out, err = run(capsys, "validate", "--model", "identity", "--chi", str(chi_file), "--seed", "-1")
+    assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
+
+
+def test_validate_rejects_a_chi_off_the_model_dims_before_printing(capsys, tmp_path):
+    chi_file = tmp_path / "chi.json"
+    serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
+    code, out, err = run(
+        capsys, "validate", "--model", "cloner", "--copies", "2", "--chi", str(chi_file), "--samples", "100"
+    )
+    assert (code, out, err) == (3, "", "error: channel dims (2,2) != family dims (2,3)\n")
+
+
 def test_validate_reports_a_non_psd_chi_before_failing(capsys, tmp_path):
     # Finite, Hermitian and trace-preserving, with eigenvalue -1/2.
     chi = ChoiOperator(2, 2, [[1, 0, 0, 1.5], [0, 0, 0, 0], [0, 0, 0, 0], [1.5, 0, 0, 1]])
@@ -640,3 +656,13 @@ def test_validate_reports_a_non_psd_chi_before_failing(capsys, tmp_path):
         "hermiticity_deviation = 0.000000e+00\n"
     )
     assert err == "error: minimum eigenvalue -5.000e-01 below -1.0e-10\n"
+
+
+@pytest.mark.parametrize("state", ["inf,0", "0.3", "1,2,3"])
+def test_apply_state_takes_two_finite_numbers(capsys, tmp_path, state):
+    chi_file, out_file = tmp_path / "chi.json", tmp_path / "out.json"
+    serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
+    code, out, err = run(capsys, "apply", "--chi", str(chi_file), "--state", state, "--out", str(out_file))
+    message = f"error: argument --state: expected THETA,PHI, two finite numbers, got {state!r}\n"
+    assert (code, out, err) == (2, "", message)
+    assert not out_file.exists()

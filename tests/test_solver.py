@@ -854,6 +854,37 @@ class TestBlockStep:
         assert abs(result.lambda_gap - np.diff(roots).min()) <= 1e-12
 
 
+class TestRootsInAnyOrder:
+    # The block step's roots of lambda come in input order, the dense step's
+    # ascending; sorted, they agree, and lambda_gap sorts them once.
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_block_roots_sorted_equal_the_dense_roots(self, spec, init):
+        r = analytic_r(spec)
+        chi = initial_choi(r, init).matrix
+        plan = r.blocks
+        block_roots, block_step = solver_module._block_step(plan, plan.gather(chi), r.dim_in)
+        dense_roots, dense_step = solver_module._extremal_step(r.matrix @ chi @ r.matrix, r.dim_in, r.dim_out)
+        assert np.abs(np.sort(block_roots) - dense_roots).max() <= 1e-13
+        assert np.abs(block_step - dense_step).max() <= 1e-13
+
+    def test_unsorted_block_roots(self):
+        # From maxmix on the 2-copy cloner, Tr_K[R chi R] is not ascending by input.
+        r = analytic_r(ModelSpec("cloner", copies=2))
+        chi = maxmix_choi(r.dim_in, r.dim_out).matrix
+        roots = solver_module._block_step(r.blocks, r.blocks.gather(chi), r.dim_in)[0]
+        assert not np.array_equal(roots, np.sort(roots))
+
+    def test_an_all_zero_marginal_is_singular_on_both_paths(self, monkeypatch):
+        r = analytic_r(ModelSpec("unot", copies=2))
+        zero = np.zeros((r.dim_in * r.dim_out,) * 2, dtype=complex)
+        with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
+            solver_module._extremal_step(zero, r.dim_in, r.dim_out)
+        monkeypatch.setattr(solver_module, "_extremal_step", _refuse_dense_step)
+        with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
+            solver_module._step(zero, r)
+
+
 class TestEndgameOnTheBlocks:
     # The recovered chi is pinched to R's blocks, so the endgame's last step
     # takes the block step and its answer stays on the blocks.
