@@ -261,7 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("apply", help="apply a channel to a state")
     p.add_argument("--chi", required=True)
     source = p.add_mutually_exclusive_group(required=True)  # exactly one input state
-    source.add_argument("--state", type=_bloch_angles, help="THETA,PHI Bloch angles of a pure input state")
+    source.add_argument(
+        "--state", type=_bloch_angles,
+        help="THETA,PHI Bloch angles of a pure input state (write --state=THETA,PHI if either is negative)",
+    )
     source.add_argument("--rho", help="density-matrix JSON file")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_apply)

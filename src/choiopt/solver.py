@@ -13,10 +13,11 @@ singular.  Where R has a block plan (TargetOperator.blocks: the connected
 components of R != 0, none holding two indices of one output, as on every
 analytic built-in target) and chi is exactly zero off those blocks, as every
 iterate from maxmix or from a random start (which initial_choi pinches to
-the blocks) is, the step works on the stack of blocks: R_b chi_b R_b, a
-diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling, with
-no n x n product and no eigendecomposition.  Any other chi or R takes the
-dense step, with one eigh.
+the blocks) is, the step works on the stack of blocks: R_b chi_b R_b as one
+stacked mat-vec of the plan's cached R_b (x) R_b^T against the blocks' vecs,
+a diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling,
+with no n x n product and no eigendecomposition.  Any other chi or R takes
+the dense step, with one eigh.
 
 The iteration converges only linearly where the optimum is rank-deficient
 (the shifter near its threshold and near pi).  The solve watches the rate
@@ -132,10 +133,11 @@ def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray
 
 def _block_step(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
     """_extremal_step for a chi whose (B, s, s) blocks on R's blocks are all of
-    it: m = R chi R is the stack R_b chi_b R_b, Tr_K m is diagonal and read off
-    the blocks' diagonals (so lambda's roots come in input order, unsorted), and
-    Lambda^{-1} scales each block entrywise."""
-    m = plan.r @ blocks @ plan.r
+    it: m = R chi R is the stack R_b chi_b R_b, one stacked mat-vec of the
+    plan's R_b (x) R_b^T against the blocks' row-major vecs; Tr_K m is diagonal
+    and read off the blocks' diagonals (so lambda's roots come in input order,
+    unsorted), and Lambda^{-1} scales each block entrywise."""
+    m = (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape)
     t = np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
     roots, inv = _inverse_roots(t)
     s = inv[plan.inputs]

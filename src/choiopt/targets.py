@@ -80,14 +80,15 @@ class BlockPlan:
 
     labels[i] is the smallest index in i's component.  flat[b, p, q] is the
     flat index, into an n x n matrix, of the entry that pairs positions p and
-    q of block b; it is n^2 where either position is padding (pad).  r holds
-    R's blocks, zero on the padding; inputs[b, p] is the input index of
-    position p (0 on padding)."""
+    q of block b; it is n^2 where either position is padding (pad).
+    sandwich[b] = R_b (x) R_b^T, the (s^2, s^2) superoperator of X -> R_b X R_b
+    on row-major vec(X), zero on the padding; inputs[b, p] is the input index
+    of position p (0 on padding)."""
 
     labels: np.ndarray
     flat: np.ndarray
     pad: np.ndarray
-    r: np.ndarray
+    sandwich: np.ndarray
     inputs: np.ndarray
 
     def gather(self, m: np.ndarray) -> np.ndarray:
@@ -105,8 +106,10 @@ class BlockPlan:
 def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
     """The block plan of an operator m on C^dim_in (x) C^dim_out, or None when
     a component holds two indices (a, k) and (b, k) with a != b (pinching to
-    the blocks would then change Tr_K), or when the padded stack holds no
-    fewer entries than m.
+    the blocks would then change Tr_K), or when B s^4 >= n^3: the B sandwich
+    superoperators would then hold, and their product cost, at least the n^3
+    of one dense n x n product.  (B s^4 < n^3 also keeps the padded stack,
+    B s^2 entries, below m's n^2: B <= n, so B s^2 >= n^2 needs s^2 >= n.)
 
     The labels come from sweeps over the edges of m != 0 (made symmetric, and
     with every index its own neighbour): each index starts at its smallest
@@ -126,7 +129,7 @@ def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
     for i, label in enumerate(labels.tolist()):
         groups.setdefault(label, []).append(i)
     size = max(map(len, groups.values()))
-    if len(groups) * size * size >= n * n:
+    if len(groups) * size**4 >= n**3:
         return None
     if any(len({i % dim_out for i in g}) < len(g) for g in groups.values()):
         return None  # some (a, k) ~ (b, k), a != b
@@ -134,7 +137,9 @@ def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
     flat = index[:, :, None] * n + index[:, None, :]
     pad = flat >= n * n
     np.minimum(flat, n * n, out=flat)
-    return BlockPlan(labels, flat, pad, _gather(m, flat, pad), index % n // dim_out)
+    r = _gather(m, flat, pad)
+    sandwich = np.einsum("bik,blj->bijkl", r, r).reshape(len(r), size * size, size * size)
+    return BlockPlan(labels, flat, pad, sandwich, index % n // dim_out)
 
 
 def _gather(m: np.ndarray, flat: np.ndarray, pad: np.ndarray) -> np.ndarray:

@@ -666,3 +666,14 @@ def test_apply_state_takes_two_finite_numbers(capsys, tmp_path, state):
     message = f"error: argument --state: expected THETA,PHI, two finite numbers, got {state!r}\n"
     assert (code, out, err) == (2, "", message)
     assert not out_file.exists()
+
+
+def test_apply_state_with_a_negative_angle(capsys, tmp_path):
+    # argparse reads a separate "-1,0" as an option; the = form passes it as the value.
+    assert _build_parser().parse_args(["apply", "--chi", "chi.json", "--state=-1,0"]).state == (-1.0, 0.0)
+    chi_file, out_file = tmp_path / "chi.json", tmp_path / "out.json"
+    serialize.dump_json(serialize.choi_to_obj(identity_choi(2)), chi_file)
+    code, out, err = run(capsys, "apply", "--chi", str(chi_file), "--state", "-1,0", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument --state: ") and err.count("\n") == 1 and err.count("error:") == 1
+    assert not out_file.exists()

@@ -762,6 +762,16 @@ def off_blocks(r: TargetOperator) -> np.ndarray:
     return labels[:, None] != labels[None, :]
 
 
+def block_diagonal_target(sizes) -> TargetOperator:
+    """A target on C^1 (x) C^n, n = sum(sizes), with dense random blocks of the given sizes."""
+    rng = np.random.default_rng(7)
+    n = sum(sizes)
+    m = np.zeros((n, n), dtype=complex)
+    for start, size in zip(np.cumsum([0, *sizes]), sizes):
+        m[start : start + size, start : start + size] = random_target_matrix(rng, size)
+    return TargetOperator(1, n, m / len(sizes))
+
+
 class TestBlockStep:
     # On R's blocks the step never forms an n x n product or calls the dense step.
     @pytest.mark.parametrize("init", ["maxmix", "random:4"])
@@ -816,18 +826,49 @@ class TestBlockStep:
         r = analytic_r(spec)
         assert np.array_equal(r.blocks.labels, block_labels(r.matrix))
 
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_sandwich_of_analytic_targets(self, spec):
+        # sandwich[b] is R_b (x) R_b^T on block b's positions and zero on its padding.
+        r = analytic_r(spec)
+        labels = block_labels(r.matrix)
+        sandwich = r.blocks.sandwich
+        s = round(np.sqrt(sandwich.shape[1]))
+        assert sandwich.shape == (len(np.unique(labels)), s * s, s * s)
+        for b, label in enumerate(np.unique(labels)):
+            index = np.flatnonzero(labels == label)
+            k = len(index)
+            rb = r.matrix[np.ix_(index, index)]
+            got = sandwich[b].reshape(s, s, s, s).copy()
+            assert np.array_equal(got[:k, :k, :k, :k], np.kron(rb, rb.T).reshape(k, k, k, k))
+            got[:k, :k, :k, :k] = 0
+            assert not got.any()
+
+    # B s^4 against n^3: 2 * 20^4 > 40^3 (though B s^2 = 800 < 40^2), 2 * 4^4 = 8^3, 3 * 3^4 < 8^3.
+    @pytest.mark.parametrize("sizes", [(20, 20), (4, 4), (3, 3, 2)], ids=str)
+    def test_plan_only_while_b_s4_is_below_n3(self, sizes):
+        r = block_diagonal_target(sizes)
+        b, s, n = len(sizes), max(sizes), sum(sizes)
+        assert (r.blocks is None) == (b * s**4 >= n**3)
+        for init in ("maxmix", "random:3"):
+            chi = initial_choi(r, init)
+            if r.blocks is None:
+                assert np.array_equal(iterate_once(chi, r).matrix, eigh_step(chi, r))
+            else:
+                assert np.abs(iterate_once(chi, r).matrix - reference_step(chi, r)).max() <= 1e-13
+
     @pytest.mark.parametrize("seed", range(20))
     def test_labels_of_shuffled_paths(self, seed):
         # Components that are paths in a shuffled order need more than one sweep;
-        # a zero row is a component of its own.
+        # a zero row is a component of its own.  Six singletons keep B s^4 = 9 * 5^4
+        # below n^3 = 18^3, so the 5-index path gets a plan.
         rng = np.random.default_rng(seed)
-        order = rng.permutation(16)
-        m = np.zeros((16, 16))
-        for path in np.split(order, [5, 9, 12, 13, 14, 15]):
+        order = rng.permutation(18)
+        m = np.zeros((18, 18))
+        for path in np.split(order, [5, 9, 12, 13, 14, 15, 16, 17]):
             m[path[:-1], path[1:]] = m[path[1:], path[:-1]] = rng.uniform(0.5, 1.0, len(path) - 1)
             m[path, path] = 1.0
         m[order[-1], order[-1]] = 0.0
-        assert np.array_equal(block_plan(m, 1, 16).labels, block_labels(m))
+        assert np.array_equal(block_plan(m, 1, 18).labels, block_labels(m))
 
     def test_plan_is_made_once_per_target(self, monkeypatch):
         calls = []
@@ -869,8 +910,8 @@ class TestRootsInAnyOrder:
         assert np.abs(block_step - dense_step).max() <= 1e-13
 
     def test_unsorted_block_roots(self):
-        # From maxmix on the 2-copy cloner, Tr_K[R chi R] is not ascending by input.
-        r = analytic_r(ModelSpec("cloner", copies=2))
+        # From maxmix on R = diag(.6, 0, 0, .4), Tr_K[R chi R] = diag(.18, .08) is not ascending by input.
+        r = TargetOperator(2, 2, np.diag([0.6, 0, 0, 0.4]))
         chi = maxmix_choi(r.dim_in, r.dim_out).matrix
         roots = solver_module._block_step(r.blocks, r.blocks.gather(chi), r.dim_in)[0]
         assert not np.array_equal(roots, np.sort(roots))
