@@ -4,6 +4,7 @@ separability checks, and shift-angle scans."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -116,31 +117,15 @@ def _extract_beta(chi: ChoiOperator) -> tuple[float, float]:
 
 
 def _scan_one(alpha: float, opts: SolverOptions) -> ScanRow:
-    closed = shifter_closed_forms(alpha)
     r = analytic_r(ModelSpec("shifter", alpha=alpha))
-    bound = fidelity_bound(r)
+    row = partial(ScanRow, alpha, F_closed=shifter_closed_forms(alpha).fidelity, F_bound=fidelity_bound(r))
     try:
         result = solve(r, opts)
     except Exception as exc:  # keep scanning; the row records what failed
-        return ScanRow(
-            alpha=alpha,
-            beta_opt=float("nan"),
-            F_solver=float("nan"),
-            F_closed=closed.fidelity,
-            F_bound=bound,
-            converged=False,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        error = f"{type(exc).__name__}: {exc}"
+        return row(beta_opt=float("nan"), F_solver=float("nan"), converged=False, error=error)
     beta, residual = _extract_beta(result.chi)
-    return ScanRow(
-        alpha=alpha,
-        beta_opt=beta,
-        F_solver=result.fidelity,
-        F_closed=closed.fidelity,
-        F_bound=bound,
-        converged=result.converged,
-        fit_residual=residual,
-    )
+    return row(beta_opt=beta, F_solver=result.fidelity, converged=result.converged, fit_residual=residual)
 
 
 def alpha_scan(alphas, solver_opts: SolverOptions | None = None) -> list[ScanRow]:

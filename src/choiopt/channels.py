@@ -42,11 +42,16 @@ class ChoiOperator:
         object.__setattr__(self, "matrix", m)
 
 
-def operator_matrix(m, dim_in, dim_out, what: str) -> np.ndarray:
-    """Read-only copy of m, an operator on C^dim_in (x) C^dim_out; raises
-    DimensionMismatchError unless both dims are integers >= 1 that fit m."""
+def require_dims(dim_in, dim_out) -> None:
+    """Raise DimensionMismatchError unless both dims pass the count rule (linalg.is_count)."""
     if not (linalg.is_count(dim_in) and linalg.is_count(dim_out)):
         raise DimensionMismatchError(f"dimensions must be integers >= 1, got ({dim_in!r}, {dim_out!r})")
+
+
+def operator_matrix(m, dim_in, dim_out, what: str) -> np.ndarray:
+    """Read-only copy of m, an operator on C^dim_in (x) C^dim_out; raises
+    DimensionMismatchError unless both dims pass require_dims and fit m."""
+    require_dims(dim_in, dim_out)
     m = linalg.as_matrix(m)
     if m.shape != (dim_in * dim_out,) * 2:
         raise DimensionMismatchError(f"{what} shape {m.shape} does not match dims ({dim_in},{dim_out})")
@@ -95,7 +100,11 @@ class KrausSet:
     weights: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "operators", tuple(linalg.frozen_copy(a) for a in self.operators))
+        require_dims(self.dim_in, self.dim_out)
+        operators = tuple(linalg.frozen_copy(a) for a in self.operators)
+        if any(a.shape != (self.dim_out, self.dim_in) for a in operators):
+            raise DimensionMismatchError(f"Kraus operators must be {self.dim_out}x{self.dim_in}")
+        object.__setattr__(self, "operators", operators)
         frozen = np.array(self.weights, dtype=float)
         frozen.setflags(write=False)
         object.__setattr__(self, "weights", frozen)
@@ -144,6 +153,7 @@ def require_valid_choi(chi: ChoiOperator) -> None:
 
 def identity_choi(dim: int) -> ChoiOperator:
     """Process matrix of the identity channel: the projector on sum_j |j>|j>."""
+    require_dims(dim, dim)
     v = np.zeros(dim * dim, dtype=np.complex128)
     v[:: dim + 1] = 1.0
     return ChoiOperator(dim, dim, np.outer(v, v.conj()))
@@ -151,19 +161,19 @@ def identity_choi(dim: int) -> ChoiOperator:
 
 def maxmix_choi(dim_in: int, dim_out: int) -> ChoiOperator:
     """Channel sending every input to the maximally mixed output state."""
+    require_dims(dim_in, dim_out)
     return ChoiOperator(dim_in, dim_out, linalg.kron(np.eye(dim_in), np.eye(dim_out) / dim_out))
 
 
 def apply_matrix(chi: ChoiOperator, x) -> np.ndarray:
-    """Linear action of the channel on an arbitrary dim_in x dim_in matrix."""
+    """Linear action E(X)_kl = sum_ab chi[(a,k),(b,l)] X[a,b] on any dim_in x dim_in X."""
     x = linalg.as_matrix(x)
     if x.shape != (chi.dim_in, chi.dim_in):
         raise DimensionMismatchError(
             f"input shape {x.shape} does not match channel input dimension {chi.dim_in}"
         )
-    # rho^T (x) 1 is formed explicitly; dimensions here never exceed ~12.
-    lifted = linalg.kron(x.T, np.eye(chi.dim_out))
-    return linalg.partial_trace(chi.matrix @ lifted, chi.dim_in, chi.dim_out, keep="second")
+    d, k = chi.dim_in, chi.dim_out
+    return np.einsum("akbl,ab->kl", chi.matrix.reshape(d, k, d, k), x)
 
 
 def apply(chi: ChoiOperator, rho: DensityMatrix) -> DensityMatrix:
@@ -209,21 +219,21 @@ def kraus_from_choi(chi: ChoiOperator, cutoff: float = KRAUS_CUTOFF) -> KrausSet
     return KrausSet(chi.dim_in, chi.dim_out, operators, w[keep])
 
 
+def _kraus_stack(kraus: KrausSet) -> np.ndarray:
+    """The operators as one (L, dim_out, dim_in) array; an empty set gives L = 0."""
+    return np.reshape(kraus.operators, (-1, kraus.dim_out, kraus.dim_in))
+
+
 def choi_from_kraus(kraus: KrausSet) -> ChoiOperator:
-    """Rebuild the process matrix chi = sum_l w_l w_l† with w_l = vec(A_l^T)."""
-    n = kraus.dim_in * kraus.dim_out
-    m = np.zeros((n, n), dtype=np.complex128)
-    for a in kraus.operators:
-        w = np.asarray(a, dtype=np.complex128).T.reshape(-1)
-        m += np.outer(w, w.conj())
-    return ChoiOperator(kraus.dim_in, kraus.dim_out, m)
+    """chi = sum_l w_l w_l† = W^T conj(W), where row l of W is w_l = vec(A_l^T)."""
+    w = _kraus_stack(kraus).transpose(0, 2, 1).reshape(-1, kraus.dim_in * kraus.dim_out)
+    return ChoiOperator(kraus.dim_in, kraus.dim_out, w.T @ w.conj())
 
 
 def kraus_trace_deviation(kraus: KrausSet) -> float:
     """Max entrywise deviation of sum_l A_l† A_l from the identity."""
-    acc = np.zeros((kraus.dim_in, kraus.dim_in), dtype=np.complex128)
-    for a in kraus.operators:
-        acc += a.conj().T @ a
+    ops = _kraus_stack(kraus)
+    acc = np.einsum("lki,lkj->ij", ops.conj(), ops)
     return float(np.abs(acc - np.eye(kraus.dim_in)).max())
 
 
@@ -232,12 +242,10 @@ def dilation(kraus: KrausSet) -> np.ndarray:
 
     Column i holds the amplitudes A_l[k, i] at composite row k*C + l, so the
     channel is a unitary into output (x) ancilla followed by discarding the
-    ancilla.  Columns are orthonormal exactly when the Kraus set resolves the
-    identity.
+    ancilla.  Columns are orthonormal when the Kraus set resolves the
+    identity; any other set, a non-finite one too, raises TraceConditionError.
     """
     dev = kraus_trace_deviation(kraus)
-    if dev > TP_TOL:
+    if not dev <= TP_TOL:  # a NaN deviation fails too
         raise TraceConditionError(f"sum A†A deviates from identity by {dev:.3e}")
-    c = len(kraus.operators)
-    stacked = np.stack(kraus.operators)  # (l, k, i)
-    return stacked.transpose(1, 0, 2).reshape(c * kraus.dim_out, kraus.dim_in)
+    return _kraus_stack(kraus).transpose(1, 0, 2).reshape(-1, kraus.dim_in)  # (l, k, i) -> (k, l, i)

@@ -108,6 +108,8 @@ def _cmd_bound(args) -> int:
 
 def _cmd_rmatrix(args) -> int:
     spec = _model_spec(args)
+    if not args.quadrature and (args.nodes_theta, args.nodes_phi) != (None, None):
+        raise InvalidSpecError("--nodes-theta and --nodes-phi need --quadrature")
     if args.quadrature:
         family = models.model_family(spec)
         nt, nph = quadrature_nodes(family.trig_degree, args.nodes_theta, args.nodes_phi)

@@ -87,13 +87,9 @@ def bloch_state(theta, phi) -> np.ndarray:
 
 
 def orthogonal_state(theta, phi) -> np.ndarray:
-    """The qubit orthogonal to bloch_state: sin(theta/2)|0> - e^{i phi} cos(theta/2)|1>."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return np.stack(
-        [np.sin(theta / 2) * np.ones_like(phi), -np.exp(1j * phi) * np.cos(theta / 2)],
-        axis=-1,
-    )
+    """The qubit orthogonal to bloch_state: sin(theta/2)|0> - e^{i phi} cos(theta/2)|1>,
+    which is bloch_state(pi - theta, phi + pi)."""
+    return bloch_state(np.subtract(np.pi, theta), np.add(phi, np.pi))
 
 
 def symmetric_state(n_qubits: int, theta, phi) -> np.ndarray:

@@ -101,7 +101,10 @@ def kraus_from_obj(obj: dict) -> KrausSet:
     weights = _checked(obj, "weights", list)
     if len(weights) != len(ops) or not {*map(type, weights)} <= {int, float}:
         raise ValueError("weights must hold one number per Kraus operator")
-    return KrausSet(dim_in, dim_out, ops, np.array([float(w) for w in weights]))
+    weights = np.array([float(w) for w in weights])
+    if not (np.isfinite(weights).all() and all(np.isfinite(a).all() for a in ops)):
+        raise ValueError("Kraus operators and weights must be finite")
+    return KrausSet(dim_in, dim_out, ops, weights)
 
 
 def result_to_obj(result: SolverResult) -> dict:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .channels import ChoiOperator, fidelity, maxmix_choi, require_same_dims, require_valid_choi
+from .channels import ChoiOperator, fidelity, maxmix_choi, require_dims, require_same_dims, require_valid_choi
 from .errors import ChoiOptError, InvalidSpecError, SingularLambdaError
 from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import BlockPlan, TargetOperator, fidelity_bound
@@ -169,7 +169,8 @@ def _pinch(r: TargetOperator, m: np.ndarray) -> np.ndarray:
 
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     """Random admissible process matrix: a Wishart sample rescaled to satisfy
-    the trace constraint exactly; seed must pass linalg.require_seed."""
+    the trace constraint exactly; dims must pass require_dims, seed require_seed."""
+    require_dims(dim_in, dim_out)
     linalg.require_seed(seed)
     rng = np.random.default_rng(seed)
     n = dim_in * dim_out

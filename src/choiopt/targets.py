@@ -202,8 +202,10 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
 def sphere_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform sphere angles (thetas, phis): cos(theta) uniform on [-1, 1],
     then phi uniform on [0, 2pi), drawn in that fixed order from numpy's PCG64
-    stream, so each sample is reproducible per (seed, sample index).  seed must
-    pass the seed rule, linalg.require_seed."""
+    stream, so each sample is reproducible per (seed, sample index).  samples
+    must pass linalg.is_count, then seed linalg.require_seed."""
+    if not linalg.is_count(samples):
+        raise ValueError("samples must be >= 1")
     linalg.require_seed(seed)
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)
@@ -284,7 +286,5 @@ def build_r_montecarlo(family: StateFamily, samples: int, seed: int) -> TargetOp
     dim_in * dim_out.  The blocked sum equals the one-shot mean to rounding,
     not bit for bit.
     """
-    if not linalg.is_count(samples):
-        raise ValueError("samples must be >= 1")
-    weights = np.broadcast_to(1.0 / samples, (samples,))
-    return _weighted_gram(family, *sphere_samples(samples, seed), weights)
+    thetas, phis = sphere_samples(samples, seed)
+    return _weighted_gram(family, thetas, phis, np.broadcast_to(1.0 / samples, (samples,)))

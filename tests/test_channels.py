@@ -70,6 +70,20 @@ class TestApply:
             channels.apply(bad, rho)
 
 
+class TestApplyMatrixIsOneContraction:
+    # The oracle is the definition E(X) = Tr_H[chi (X^T (x) 1_K)], written out
+    # with an explicit Kronecker product and partial trace.
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 4), (1, 3)])
+    def test_matches_the_kronecker_oracle(self, dims):
+        d, k = dims
+        chi = random_choi(d, k, seed=d * 10 + k)
+        rng = np.random.default_rng(d + k)
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))  # not Hermitian
+        lifted = chi.matrix @ np.kron(x.T, np.eye(k))
+        want = np.einsum("akal->kl", lifted.reshape(d, k, d, k))
+        assert np.abs(channels.apply_matrix(chi, x) - want).max() <= 1e-14
+
+
 class TestFidelity:
     def test_unot_reaches_two_thirds(self):
         r = TargetOperator(2, 2, unot_r_matrix())
@@ -153,6 +167,38 @@ class TestDilation:
         broken = channels.KrausSet(2, 2, (0.9 * ks.operators[0],), ks.weights)
         with pytest.raises(TraceConditionError):
             channels.dilation(broken)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_kraus_set(self, value):
+        a = np.eye(2, dtype=complex)
+        a[0, 1] = value
+        with pytest.raises(TraceConditionError):
+            channels.dilation(channels.KrausSet(2, 2, (a,), [1.0]))
+
+
+class TestKrausSumsFromOneStack:
+    # The references are the per-operator loops the stacked sums replace.
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (1, 3)])
+    def test_match_the_operator_loops(self, dims):
+        ks = channels.kraus_from_choi(random_choi(*dims, seed=9))
+        chi = sum(np.outer(a.T.reshape(-1), a.T.reshape(-1).conj()) for a in ks.operators)
+        gram = sum(a.conj().T @ a for a in ks.operators)
+        assert np.abs(channels.choi_from_kraus(ks).matrix - chi).max() <= 1e-14
+        assert abs(channels.kraus_trace_deviation(ks) - np.abs(gram - np.eye(dims[0])).max()) <= 1e-14
+        d = channels.dilation(ks)
+        for l, a in enumerate(ks.operators):  # row k*C + l holds A_l[k, :]
+            assert np.array_equal(d[l :: len(ks.operators)], a)
+
+    def test_sums_over_no_operators(self):
+        ks = channels.KrausSet(2, 3, (), [])
+        assert channels.kraus_trace_deviation(ks) == 1.0
+        assert np.array_equal(channels.choi_from_kraus(ks).matrix, np.zeros((6, 6)))
+        with pytest.raises(TraceConditionError, match="deviates from identity by 1.000e"):
+            channels.dilation(ks)
+
+    def test_operators_must_match_the_dims(self):
+        with pytest.raises(DimensionMismatchError, match="Kraus operators must be 3x2"):
+            channels.KrausSet(2, 3, (np.zeros((2, 3)),), [1.0])
 
 
 class TestValidateChoi:
@@ -395,6 +441,40 @@ class TestOperatorDimensions:
     def test_numpy_integer_dims_pass(self):
         chi = channels.ChoiOperator(np.int64(2), np.int32(2), np.eye(4) / 2)
         channels.require_valid_choi(chi)
+
+    @pytest.mark.parametrize(
+        "build, dims",
+        [
+            (lambda: random_choi(0, 2, 1), "(0, 2)"),
+            (lambda: random_choi(2, 0, 1), "(2, 0)"),
+            (lambda: random_choi(2.0, 2, 1), "(2.0, 2)"),
+            (lambda: channels.maxmix_choi(2.0, 2), "(2.0, 2)"),
+            (lambda: channels.identity_choi(2.0), "(2.0, 2.0)"),
+            (lambda: channels.identity_choi(-1), "(-1, -1)"),
+            (lambda: channels.KrausSet(2.0, 2, (), []), "(2.0, 2)"),
+        ],
+        ids=["random-zero-in", "random-zero-out", "random-float", "maxmix-float", "identity-float",
+             "identity-negative", "kraus-float"],
+    )
+    def test_builders_check_dims_before_building_arrays(self, build, dims):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"dimensions must be integers >= 1, got {dims}")):
+            build()
+
+    def test_builders_read_the_one_dims_check(self, monkeypatch):
+        def fail(dim_in, dim_out):
+            raise DimensionMismatchError("dims check called")
+
+        monkeypatch.setattr(channels, "require_dims", fail)
+        monkeypatch.setattr(solver, "require_dims", fail)
+        calls = [
+            lambda: channels.ChoiOperator(2, 2, np.eye(4) / 2),
+            lambda: channels.identity_choi(2),
+            lambda: channels.maxmix_choi(2, 2),
+            lambda: random_choi(2, 2, 1),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError, match="dims check called"):
+                call()
 
 
 def _step_marginal(diagonal) -> np.ndarray:

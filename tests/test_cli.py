@@ -569,6 +569,8 @@ def test_every_subcommand_accepts_what_validate_accepts(capsys, tmp_path, kind, 
         ("rmatrix", "--model", "unot", "--alpha", "1"),
         ("solve", "--model", "unot", "--init", "random:x"),
         ("solve", "--model", "unot", "--init", "random:-1"),
+        ("rmatrix", "--model", "unot", "--nodes-theta", "0"),
+        ("rmatrix", "--model", "unot", "--nodes-phi", "8"),
     ],
     ids=" ".join,
 )
@@ -576,6 +578,15 @@ def test_options_the_model_does_not_read_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--nodes-theta", "--nodes-phi"])
+def test_quadrature_nodes_without_quadrature_write_nothing(capsys, tmp_path, flag):
+    out_file = tmp_path / "r.json"
+    code, out, err = run(capsys, "rmatrix", "--model", "unot", flag, "8", "--out", str(out_file))
+    assert (code, out) == (2, "")
+    assert err == "error: --nodes-theta and --nodes-phi need --quadrature\n"
+    assert not out_file.exists()
 
 
 def test_solve_starts_from_a_channel_within_psd_tol_of_hermitian(capsys, tmp_path):

@@ -104,6 +104,15 @@ class TestSharedAmplitudes:
         assert np.abs(build_r_quadrature(model_family(spec)).matrix - analytic_r(spec).matrix).max() <= 1e-12
 
 
+class TestOrthogonalState:
+    def test_matches_the_explicit_formula(self):
+        want = np.stack([np.sin(THETAS / 2), -np.exp(1j * PHIS) * np.cos(THETAS / 2)], axis=-1)
+        assert np.abs(orthogonal_state(THETAS, PHIS) - want).max() <= 1e-15
+
+    def test_broadcasts_like_bloch_state(self):
+        assert orthogonal_state(0.3, [0.1, 0.2]).shape == orthogonal_state([0.3, 0.4], 0.1).shape == (2, 2)
+
+
 class TestFamilies:
     def test_unot_poles(self):
         family = model_family(ModelSpec("unot", copies=1))

@@ -215,6 +215,18 @@ def _string_weight(obj):
     obj["weights"][0] = "0.5"
 
 
+def _non_finite_weight(obj):
+    obj["weights"][0] = float("nan")
+
+
+def _non_finite_operator_entry(obj):
+    obj["operators"][0]["data"][0] = [float("nan"), 0.0]
+
+
+def _infinite_operator_entry(obj):
+    obj["operators"][-1]["data"][-1] = [0.0, float("inf")]
+
+
 class TestKrausReader:
     def test_json_text_round_trip_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "k1.json", tmp_path / "k2.json"
@@ -238,6 +250,9 @@ class TestKrausReader:
             _drop_a_weight,
             _string_weight,
             _set("weights", None),
+            _non_finite_weight,
+            _non_finite_operator_entry,
+            _infinite_operator_entry,
         ],
     )
     def test_rejects_malformed(self, change):

@@ -257,6 +257,12 @@ class TestTypedErrors:
         with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
             build_r_montecarlo(model_family(ModelSpec("identity")), samples=samples, seed=0)
 
+    @pytest.mark.parametrize("samples", [True, 2.5, 3.0, "3", None, 0, -1])
+    def test_sphere_samples_follow_the_count_rule(self, samples):
+        # The count is judged before the seed, which is not valid here either.
+        with pytest.raises(ValueError, match=r"^samples must be >= 1$"):
+            sphere_samples(samples, -1)
+
     def test_montecarlo_takes_a_numpy_count(self):
         family = model_family(ModelSpec("identity"))
         r = build_r_montecarlo(family, 3, 0)
