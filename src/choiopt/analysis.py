@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 
 from . import linalg
-from .channels import ChoiOperator, DensityMatrix, require_same_dims, require_valid_choi
+from .channels import ChoiOperator, DensityMatrix, require_dims, require_same_dims, require_valid_choi
 from .errors import DimensionMismatchError
 from .models import ModelSpec, analytic_r, damping_channel, shifter_closed_forms
 from .solver import SolverOptions, solve
@@ -83,7 +83,9 @@ class PptReport:
 
 
 def ppt_check(rho: DensityMatrix, dim_a: int, dim_b: int) -> PptReport:
-    """Positivity of the partial transpose of a bipartite state."""
+    """Positivity of the partial transpose of a bipartite state; the factor
+    dims must pass channels.require_dims and multiply to rho's dim."""
+    require_dims(dim_a, dim_b)
     if dim_a * dim_b != rho.dim:
         raise DimensionMismatchError(f"{dim_a}x{dim_b} does not factor dim {rho.dim}")
     pt = linalg.partial_transpose(rho.matrix, dim_a, dim_b, which="second")

@@ -92,7 +92,9 @@ def density_from_state(psi) -> DensityMatrix:
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Kraus operators A_l (dim_out x dim_in) with their process-matrix eigenvalues."""
+    """Kraus operators A_l (dim_out x dim_in) with their process-matrix eigenvalues,
+    one finite real weight per operator (else ValueError).  The operators may
+    be non-finite; dilation rejects such a set."""
 
     dim_in: int
     dim_out: int
@@ -105,7 +107,10 @@ class KrausSet:
         if any(a.shape != (self.dim_out, self.dim_in) for a in operators):
             raise DimensionMismatchError(f"Kraus operators must be {self.dim_out}x{self.dim_in}")
         object.__setattr__(self, "operators", operators)
-        frozen = np.array(self.weights, dtype=float)
+        weights = np.asarray(self.weights)
+        if weights.shape != (len(operators),) or weights.dtype.kind not in "iuf" or not np.isfinite(weights).all():
+            raise ValueError(f"Kraus weights must be one finite real number per operator, got {self.weights!r}")
+        frozen = np.array(weights, dtype=float)
         frozen.setflags(write=False)
         object.__setattr__(self, "weights", frozen)
 

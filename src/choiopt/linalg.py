@@ -67,14 +67,19 @@ def require_hermitian(dev: float, error: type = NotHermitianError, what: str = "
         raise error(f"{what}: hermiticity deviation {dev:.3e} exceeds {PSD_TOL:.1e}")
 
 
+def is_natural(x) -> bool:
+    """A Python or numpy integer >= 0, not a bool (a seed or a degree)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+
+
 def is_count(x) -> bool:
     """The count rule: a Python or numpy integer >= 1, not a bool (a dimension or a count)."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 1
+    return is_natural(x) and x >= 1
 
 
 def require_seed(seed) -> None:
-    """The seed rule: raise ValueError unless seed is a Python or numpy integer >= 0, not a bool."""
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+    """The seed rule: raise ValueError unless seed passes is_natural."""
+    if not is_natural(seed):
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 

@@ -99,12 +99,11 @@ def kraus_from_obj(obj: dict) -> KrausSet:
     if any(a.shape != (dim_out, dim_in) for a in ops):
         raise ValueError(f"Kraus operators must be {dim_out}x{dim_in}")
     weights = _checked(obj, "weights", list)
-    if len(weights) != len(ops) or not {*map(type, weights)} <= {int, float}:
-        raise ValueError("weights must hold one number per Kraus operator")
-    weights = np.array([float(w) for w in weights])
-    if not (np.isfinite(weights).all() and all(np.isfinite(a).all() for a in ops)):
-        raise ValueError("Kraus operators and weights must be finite")
-    return KrausSet(dim_in, dim_out, ops, weights)
+    if not {*map(type, weights)} <= {int, float}:
+        raise ValueError("weights must be numbers")
+    if not all(np.isfinite(a).all() for a in ops):
+        raise ValueError("Kraus operators must be finite")
+    return KrausSet(dim_in, dim_out, ops, weights)  # KrausSet judges the weights' count and finiteness
 
 
 def result_to_obj(result: SolverResult) -> dict:

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .channels import operator_matrix, require_admissible
+from .channels import operator_matrix, require_admissible, require_dims
 from .errors import DimensionMismatchError, InvalidChoiError, NormViolationError
 
 NORM_TOL = 1e-12
@@ -39,16 +39,23 @@ class StateFamily:
     """Parametrized pure-state transformation over the Bloch sphere.
 
     evaluator maps angles (theta in [0, pi], phi in [0, 2pi)) to a pair of
-    unit-norm vectors (input of length dim_in, output of length dim_out).  It
-    may broadcast over equal-shaped angle arrays; scalar-only evaluators are
-    handled with a fallback loop.  trig_degree declares the maximum total
-    trigonometric degree of the integrand entries and sizes the quadrature.
+    unit-norm vectors (input of length dim_in, output of length dim_out); see
+    evaluate_family for how it is called and how its output is judged.
+    trig_degree declares the maximum total trigonometric degree of the
+    integrand entries and sizes the quadrature.  The dims must pass
+    channels.require_dims (DimensionMismatchError) and trig_degree must be
+    an integer >= 0, not a bool (ValueError), when the family is built.
     """
 
     dim_in: int
     dim_out: int
     evaluator: Callable
     trig_degree: int
+
+    def __post_init__(self):
+        require_dims(self.dim_in, self.dim_out)
+        if not linalg.is_natural(self.trig_degree):
+            raise ValueError(f"trig_degree must be an integer >= 0, got {self.trig_degree!r}")
 
 
 @dataclass(frozen=True)
@@ -167,32 +174,27 @@ def _angle_arrays(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the family at 1-D angle arrays of equal length, checking norms.
+    """The family's (input, output) states at 1-D angle arrays of equal length,
+    as complex arrays of shape (samples, dim_in) and (samples, dim_out).
 
-    Tries one vectorized call first; falls back to a per-sample loop for
-    evaluators that only accept scalars.
+    The evaluator is called once on the angle arrays and must return exactly
+    two results.  Only if that call raises is the evaluator taken to be
+    scalar-only: it is then called once per sample, and each state raveled.
+    Either way the results must have exactly those shapes, else
+    DimensionMismatchError (a result of another shape is never re-run per
+    sample or reshaped), and every state must have unit norm within
+    NORM_TOL, else NormViolationError.
     """
     thetas, phis = _angle_arrays(thetas, phis)
-    n = len(thetas)
-    want_in = (n, family.dim_in)
-    want_out = (n, family.dim_out)
-    pin = pout = None
     try:
-        a, b = family.evaluator(thetas, phis)
-        a = np.asarray(a, dtype=np.complex128)
-        b = np.asarray(b, dtype=np.complex128)
-        if a.shape == want_in and b.shape == want_out:
-            pin, pout = a, b
-    except Exception:
-        pin = None
-    if pin is None:
-        pin = np.empty(want_in, dtype=np.complex128)
-        pout = np.empty(want_out, dtype=np.complex128)
-        for s in range(n):
-            a, b = family.evaluator(float(thetas[s]), float(phis[s]))
-            pin[s] = np.asarray(a, dtype=np.complex128).ravel()
-            pout[s] = np.asarray(b, dtype=np.complex128).ravel()
-    for name, arr in (("input", pin), ("output", pout)):
+        states = family.evaluator(thetas, phis)
+    except Exception:  # a scalar-only evaluator: one call per sample
+        calls = (family.evaluator(float(t), float(p)) for t, p in zip(thetas, phis))
+        states = zip(*(map(np.ravel, pair) for pair in calls))
+    pin, pout = (np.asarray(s, dtype=np.complex128) for s in states)
+    for name, arr, dim in (("input", pin, family.dim_in), ("output", pout, family.dim_out)):
+        if arr.shape != (len(thetas), dim):
+            raise DimensionMismatchError(f"{name} states have shape {arr.shape}, expected {(len(thetas), dim)}")
         dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0).max()
         if not dev <= NORM_TOL:  # NaN fails too
             raise NormViolationError(f"{name} state norm deviates by {dev:.3e}")

@@ -149,9 +149,11 @@ class TestPptCheck:
         assert report.ppt
         assert not report.certifies_separability
 
-    def test_dim_mismatch(self):
+    # (2, 3) does not factor 4; the others fail the count rule (channels.require_dims).
+    @pytest.mark.parametrize("dims", [(2, 3), (2.0, 2), (4, 1.0), (True, 4), (-2, -2)], ids=str)
+    def test_dim_mismatch(self, dims):
         with pytest.raises(DimensionMismatchError):
-            ppt_check(DensityMatrix(np.eye(4) / 4), 2, 3)
+            ppt_check(DensityMatrix(np.eye(4) / 4), *dims)
 
 
 @pytest.fixture(scope="module")

@@ -200,6 +200,21 @@ class TestKrausSumsFromOneStack:
         with pytest.raises(DimensionMismatchError, match="Kraus operators must be 3x2"):
             channels.KrausSet(2, 3, (np.zeros((2, 3)),), [1.0])
 
+    # KrausSet owns its weights: a set built in code is one that the Kraus
+    # file reader would load back.
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 2.0, np.nan], [], [1.0, 2.0], [np.nan], [np.inf], [1 + 1j], ["1"], [True], [None], [[1.0]]],
+        ids=["three-with-nan", "none", "two", "nan", "inf", "complex", "string", "bool", "None", "nested"],
+    )
+    def test_one_finite_real_weight_per_operator(self, weights):
+        with pytest.raises(ValueError, match="Kraus weights must be one finite real number per operator"):
+            channels.KrausSet(2, 2, (np.eye(2),), weights)
+
+    def test_weights_are_frozen_floats(self):
+        ks = channels.KrausSet(2, 2, (np.eye(2),), [np.int64(1)])
+        assert ks.weights.dtype == float and not ks.weights.flags.writeable
+
 
 class TestValidateChoi:
     def test_maxmix(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,64 @@ class TestAngleArrays:
     def test_scalars_are_one_sample(self):
         pin, pout = evaluate_family(model_family(ModelSpec("unot", copies=1)), 0.4, 1.1)
         assert pin.shape == pout.shape == (1, 2)
+
+
+class CountingEvaluator:
+    """Wraps an evaluator and counts its calls."""
+
+    def __init__(self, evaluator):
+        self.evaluator, self.calls = evaluator, 0
+
+    def __call__(self, theta, phi):
+        self.calls += 1
+        return self.evaluator(theta, phi)
+
+
+class TestFamilyContract:
+    # evaluate_family calls a broadcasting evaluator once and judges its
+    # output once; a result of the wrong shape raises and is not re-run per
+    # sample, where a (dim, samples) result would pass.
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda t, p: (bloch_state(t, p).T, bloch_state(t, p).T),
+            lambda t, p: (np.ones(np.shape(t) + (3,)) / np.sqrt(3), bloch_state(t, p)),
+        ],
+        ids=["dim-by-samples", "wrong-length"],
+    )
+    def test_broadcast_result_of_the_wrong_shape_is_called_once(self, bad):
+        ev = CountingEvaluator(bad)
+        with pytest.raises(DimensionMismatchError, match=r"^input states have shape \(\d, 3\), expected \(3, 2\)$"):
+            evaluate_family(StateFamily(2, 2, ev, 4), [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+        assert ev.calls == 1
+
+    def test_scalar_only_result_of_the_wrong_length(self):
+        def scalar_ev(theta, phi):
+            assert np.isscalar(theta) and np.isscalar(phi)
+            return bloch_state(theta, phi), np.ones(3) / np.sqrt(3)
+
+        with pytest.raises(DimensionMismatchError, match=r"output states have shape \(2, 3\), expected \(2, 2\)"):
+            evaluate_family(StateFamily(2, 2, scalar_ev, 4), [0.1, 0.2], [0.3, 0.4])
+
+    def test_one_call_per_slice(self):
+        family = model_family(ModelSpec("cloner", copies=2))
+        ev = CountingEvaluator(family.evaluator)
+        build_r_montecarlo(StateFamily(family.dim_in, family.dim_out, ev, family.trig_degree), 2 * SAMPLE_BLOCK + 1, 0)
+        assert ev.calls == 3
+
+    @pytest.mark.parametrize("dims", [(2.0, 2), (0, 2)], ids=str)
+    def test_dims_are_judged_where_built(self, dims):
+        with pytest.raises(DimensionMismatchError, match=re.escape(f"dimensions must be integers >= 1, got {dims}")):
+            StateFamily(*dims, bloch_state, 4)
+
+    @pytest.mark.parametrize("degree", [40.5, "4", -1, True])
+    def test_trig_degree_is_judged_where_built(self, degree):
+        with pytest.raises(ValueError, match=re.escape(f"trig_degree must be an integer >= 0, got {degree!r}")):
+            StateFamily(2, 2, bloch_state, degree)
+
+    @pytest.mark.parametrize("degree", [0, np.int64(4)])
+    def test_integer_degrees_pass(self, degree):
+        assert StateFamily(np.int64(2), 2, bloch_state, degree).trig_degree == degree
 
 
 class TestFidelityBound:
