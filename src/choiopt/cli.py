@@ -42,18 +42,6 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def _add_model_args(p: argparse.ArgumentParser, r_file: bool = False) -> None:
-    choices = [kind.replace("_", "-") for kind in models.MODEL_KINDS]
-    if r_file:  # exactly one operator source: --model or --r FILE
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--model", choices=choices)
-        source.add_argument("--r", help="target-operator JSON file instead of --model")
-    else:
-        p.add_argument("--model", choices=choices, required=True)
-    p.add_argument("--copies", type=int, default=1, help="copy count N (unot and cloner only)")
-    p.add_argument("--alpha", type=float, default=0.0, help="shift angle in radians (shifter only)")
-
-
 def _model_spec(args) -> models.ModelSpec:
     return models.parse_model(args.model, copies=args.copies, alpha=args.alpha)
 
@@ -227,48 +215,54 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve for the optimal channel")
-    _add_model_args(p, r_file=True)
+    # Parent parsers: each option that several subcommands share is declared once.
+    spec = models.ModelSpec  # the model defaults are its field defaults
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--copies", type=int, default=spec.copies, help="copy count N (unot and cloner only)")
+    params.add_argument("--alpha", type=float, default=spec.alpha, help="shift angle in radians (shifter only)")
+    choices = [kind.replace("_", "-") for kind in models.MODEL_KINDS]
+    model = argparse.ArgumentParser(add_help=False, parents=[params])
+    model.add_argument("--model", choices=choices, required=True)
+    target = argparse.ArgumentParser(add_help=False, parents=[params])
+    source = target.add_mutually_exclusive_group(required=True)  # exactly one operator source
+    source.add_argument("--model", choices=choices)
+    source.add_argument("--r", help="target-operator JSON file instead of --model")
+    chi = argparse.ArgumentParser(add_help=False)
+    chi.add_argument("--chi", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the result as JSON")
+
+    p = sub.add_parser("solve", parents=[target, out], help="solve for the optimal channel")
     defaults = solver.SolverOptions  # the CLI defaults are its field defaults
     p.add_argument("--tol", type=float, default=defaults.fid_tol, help="fidelity-delta tolerance")
     p.add_argument("--max-iters", type=int, default=defaults.max_iters)
     p.add_argument("--init", default=defaults.init, help="maxmix | random:SEED | chi JSON file")
     p.add_argument("--strict", action="store_true", help="exit 4 when not converged")
-    p.add_argument("--out", help="write the solver result as JSON")
     p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser("bound", help="fidelity upper bound of a target")
-    _add_model_args(p, r_file=True)
+    p = sub.add_parser("bound", parents=[target], help="fidelity upper bound of a target")
     p.set_defaults(handler=_cmd_bound)
 
-    p = sub.add_parser("rmatrix", help="emit a model's target operator")
-    _add_model_args(p)
+    p = sub.add_parser("rmatrix", parents=[model, out], help="emit a model's target operator")
     p.add_argument("--quadrature", action="store_true", help="build by quadrature instead of the closed form")
     p.add_argument("--nodes-theta", type=int, default=None)
     p.add_argument("--nodes-phi", type=int, default=None)
-    p.add_argument("--out", help="write the operator as JSON")
     p.set_defaults(handler=_cmd_rmatrix)
 
-    p = sub.add_parser("kraus", help="Kraus operators of a process matrix")
-    p.add_argument("--chi", required=True)
+    p = sub.add_parser("kraus", parents=[chi, out], help="Kraus operators of a process matrix")
     p.add_argument("--cutoff", type=float, default=KRAUS_CUTOFF)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_kraus)
 
-    p = sub.add_parser("dilate", help="isometric dilation of a process matrix")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--out")
+    p = sub.add_parser("dilate", parents=[chi, out], help="isometric dilation of a process matrix")
     p.set_defaults(handler=_cmd_dilate)
 
-    p = sub.add_parser("apply", help="apply a channel to a state")
-    p.add_argument("--chi", required=True)
+    p = sub.add_parser("apply", parents=[chi, out], help="apply a channel to a state")
     source = p.add_mutually_exclusive_group(required=True)  # exactly one input state
     source.add_argument(
         "--state", type=_bloch_angles,
         help="THETA,PHI Bloch angles of a pure input state (write --state=THETA,PHI if either is negative)",
     )
     source.add_argument("--rho", help="density-matrix JSON file")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_apply)
 
     p = sub.add_parser("scan", help="shift-angle scan of the shifter model")
@@ -279,16 +273,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", required=True)
     p.set_defaults(handler=_cmd_scan)
 
-    p = sub.add_parser("curve", help="state-dependent fidelity curve of a channel")
-    _add_model_args(p)
-    p.add_argument("--chi", required=True)
+    p = sub.add_parser("curve", parents=[model, chi], help="state-dependent fidelity curve of a channel")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--csv", required=True)
     p.set_defaults(handler=_cmd_curve)
 
-    p = sub.add_parser("validate", help="constraint report and sampled fidelity of a channel")
-    _add_model_args(p)
-    p.add_argument("--chi", required=True)
+    p = sub.add_parser("validate", parents=[model, chi], help="constraint report and sampled fidelity of a channel")
     p.add_argument("--samples", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_validate)

@@ -77,6 +77,11 @@ def is_count(x) -> bool:
     return is_natural(x) and x >= 1
 
 
+def is_real(x) -> bool:
+    """The real-number rule: a Python or numpy integer or float, not a bool; NaN and inf pass."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def require_seed(seed) -> None:
     """The seed rule: raise ValueError unless seed passes is_natural."""
     if not is_natural(seed):
@@ -114,11 +119,11 @@ def inverse_on_support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
 
 
 def require_cutoff(rel_cutoff: float) -> None:
-    """Raise ValueError unless rel_cutoff, a fraction of the largest eigenvalue,
-    lies in [0, 1]; support, which runs on every solver step, does not check it."""
-    if np.isnan(rel_cutoff):
+    """Raise ValueError unless rel_cutoff, a fraction of the largest eigenvalue, passes
+    is_real and lies in [0, 1]; support, which runs on every solver step, does not check it."""
+    if is_real(rel_cutoff) and np.isnan(rel_cutoff):
         raise ValueError("cutoff must not be NaN")
-    if not 0.0 <= rel_cutoff <= 1.0:
+    if not (is_real(rel_cutoff) and 0.0 <= rel_cutoff <= 1.0):
         raise ValueError(f"cutoff must be in [0, 1], got {rel_cutoff}")
 
 

@@ -57,7 +57,7 @@ class ModelSpec:
             raise InvalidSpecError(f"{self.kind} takes no copies (only unot and cloner do)")
         if self.kind != "shifter" and self.alpha != 0.0:
             raise InvalidSpecError(f"{self.kind} takes no alpha (only shifter does)")
-        if not 0.0 <= self.alpha <= math.pi:
+        if not (linalg.is_real(self.alpha) and 0.0 <= self.alpha <= math.pi):
             raise OutOfRangeError(f"alpha {self.alpha} outside [0, pi]")
 
     @property
@@ -275,7 +275,7 @@ def damping_channel(beta: float) -> ChoiOperator:
     is still completely positive and is what the optimal shifter channel uses
     for shifts past pi/2.
     """
-    if not 0.0 <= beta <= math.pi:
+    if not (linalg.is_real(beta) and 0.0 <= beta <= math.pi):
         raise OutOfRangeError(f"beta {beta} outside [0, pi]")
     c, s = math.cos(beta), math.sin(beta)
     m = np.zeros((4, 4), dtype=np.complex128)
@@ -315,7 +315,7 @@ def shifter_closed_forms(alpha: float) -> ShifterOptimum:
     cos(beta) = (3 pi/4 tan(a) - 1)^{-1}.  The formula is evaluated as
     written all the way to alpha = pi, where beta reaches pi and F = 2/3.
     """
-    if not 0.0 <= alpha <= math.pi:
+    if not (linalg.is_real(alpha) and 0.0 <= alpha <= math.pi):
         raise OutOfRangeError(f"alpha {alpha} outside [0, pi]")
     if alpha <= ALPHA_THRESHOLD:
         beta = 0.0

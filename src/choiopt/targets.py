@@ -181,9 +181,9 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
     two results.  Only if that call raises is the evaluator taken to be
     scalar-only: it is then called once per sample, and each state raveled.
     Either way the results must have exactly those shapes, else
-    DimensionMismatchError (a result of another shape is never re-run per
-    sample or reshaped), and every state must have unit norm within
-    NORM_TOL, else NormViolationError.
+    DimensionMismatchError (ragged states too; a result of another shape is
+    never re-run per sample or reshaped), and every state must have unit
+    norm within NORM_TOL, else NormViolationError.
     """
     thetas, phis = _angle_arrays(thetas, phis)
     try:
@@ -191,14 +191,23 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
     except Exception:  # a scalar-only evaluator: one call per sample
         calls = (family.evaluator(float(t), float(p)) for t, p in zip(thetas, phis))
         states = zip(*(map(np.ravel, pair) for pair in calls))
-    pin, pout = (np.asarray(s, dtype=np.complex128) for s in states)
-    for name, arr, dim in (("input", pin, family.dim_in), ("output", pout, family.dim_out)):
-        if arr.shape != (len(thetas), dim):
-            raise DimensionMismatchError(f"{name} states have shape {arr.shape}, expected {(len(thetas), dim)}")
-        dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0).max()
-        if not dev <= NORM_TOL:  # NaN fails too
-            raise NormViolationError(f"{name} state norm deviates by {dev:.3e}")
-    return pin, pout
+    pin, pout = states
+    samples = len(thetas)
+    return _state_array("input", pin, (samples, family.dim_in)), _state_array("output", pout, (samples, family.dim_out))
+
+
+def _state_array(name: str, states, shape: tuple[int, int]) -> np.ndarray:
+    """evaluate_family's one conversion of a result and its checks."""
+    try:
+        arr = np.asarray(states, dtype=np.complex128)
+    except ValueError as exc:  # numpy refuses ragged states and non-numeric strings
+        raise DimensionMismatchError(f"{name} states are ragged or not numbers, expected shape {shape}") from exc
+    if arr.shape != shape:
+        raise DimensionMismatchError(f"{name} states have shape {arr.shape}, expected {shape}")
+    dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0).max()
+    if not dev <= NORM_TOL:  # NaN fails too
+        raise NormViolationError(f"{name} state norm deviates by {dev:.3e}")
+    return arr
 
 
 def sphere_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ from choiopt.errors import (
     InvalidSpecError,
     NegativeEigenvalueError,
     NotHermitianError,
+    OutOfRangeError,
     TraceConditionError,
 )
 from choiopt.analysis import state_fidelity_curve
@@ -680,6 +681,52 @@ class TestOneSeedRule:
         for call in _SEEDED.values():
             with pytest.raises(ValueError, match="seed rule called"):
                 call(0)
+
+
+# Each real-valued parameter check, called with a value; each keeps its own
+# error type, and its message names the parameter.
+_REAL_CHECKS = {
+    "fid_tol": (lambda x: solver.SolverOptions(fid_tol=x), InvalidSpecError, "fid_tol"),
+    "alpha": (lambda x: models.ModelSpec("shifter", alpha=x), OutOfRangeError, "alpha"),
+    "shifter_closed_forms": (models.shifter_closed_forms, OutOfRangeError, "alpha"),
+    "damping_channel": (models.damping_channel, OutOfRangeError, "beta"),
+    "kraus_cutoff": (lambda x: channels.kraus_from_choi(channels.identity_choi(2), cutoff=x), ValueError, "cutoff"),
+    "reg_inverse_cutoff": (lambda x: linalg.reg_inverse(np.diag([1.0, 0.5]), x), ValueError, "cutoff"),
+}
+
+
+class TestOneRealRule:
+    # linalg.is_real is the one type test of a real parameter: a Python or
+    # numpy integer or float, not a bool. NaN and inf are left to the ranges.
+    @pytest.mark.parametrize(
+        "x", [0, 1, 0.5, np.float64(0.5), np.float32(0.25), np.int64(1), np.uint8(0), np.nan, -np.inf]
+    )
+    def test_reals(self, x):
+        assert linalg.is_real(x)
+
+    @pytest.mark.parametrize("x", [True, False, np.True_, "1", None, 1j, np.complex128(1), [0.5], np.array(0.5)])
+    def test_not_reals(self, x):
+        assert not linalg.is_real(x)
+
+    @pytest.mark.parametrize("x", ["1", None, 1j, True], ids=repr)
+    @pytest.mark.parametrize("name", list(_REAL_CHECKS))
+    def test_refused(self, name, x):
+        check, error, parameter = _REAL_CHECKS[name]
+        with pytest.raises(error, match=re.escape(parameter)) as info:
+            check(x)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("x", [np.float64(0.5), np.float32(0.5), np.int64(1), 1])
+    @pytest.mark.parametrize("name", list(_REAL_CHECKS))
+    def test_numpy_and_python_reals_pass(self, name, x):
+        check = _REAL_CHECKS[name][0]
+        check(x)
+
+    def test_every_check_reads_one_real_rule(self, monkeypatch):
+        monkeypatch.setattr(linalg, "is_real", lambda x: False)
+        for check, error, _ in _REAL_CHECKS.values():
+            with pytest.raises(error):
+                check(0.5)
 
 
 class TestOneDimensionMatch:

@@ -688,3 +688,134 @@ def test_apply_state_with_a_negative_angle(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: argument --state: ") and err.count("\n") == 1 and err.count("error:") == 1
     assert not out_file.exists()
+
+
+_KINDS = ("unot", "cloner", "entangler-a", "entangler-b", "shifter", "identity")
+_TARGET = ("--model", "--r")
+_INPUT = ("--state", "--rho")
+# Every option of every subcommand, as the parser declares it:
+# option: (dest, default, type, choices, required, nargs, mutually exclusive group).
+_OPTIONS = {
+    "solve": {
+        "--model": ("model", None, None, _KINDS, False, None, _TARGET),
+        "--r": ("r", None, None, None, False, None, _TARGET),
+        "--copies": ("copies", 1, "int", None, False, None, None),
+        "--alpha": ("alpha", 0.0, "float", None, False, None, None),
+        "--tol": ("tol", 1e-12, "float", None, False, None, None),
+        "--max-iters": ("max_iters", 10000, "int", None, False, None, None),
+        "--init": ("init", "maxmix", None, None, False, None, None),
+        "--strict": ("strict", False, None, None, False, 0, None),
+        "--out": ("out", None, None, None, False, None, None),
+    },
+    "bound": {
+        "--model": ("model", None, None, _KINDS, False, None, _TARGET),
+        "--r": ("r", None, None, None, False, None, _TARGET),
+        "--copies": ("copies", 1, "int", None, False, None, None),
+        "--alpha": ("alpha", 0.0, "float", None, False, None, None),
+    },
+    "rmatrix": {
+        "--model": ("model", None, None, _KINDS, True, None, None),
+        "--copies": ("copies", 1, "int", None, False, None, None),
+        "--alpha": ("alpha", 0.0, "float", None, False, None, None),
+        "--quadrature": ("quadrature", False, None, None, False, 0, None),
+        "--nodes-theta": ("nodes_theta", None, "int", None, False, None, None),
+        "--nodes-phi": ("nodes_phi", None, "int", None, False, None, None),
+        "--out": ("out", None, None, None, False, None, None),
+    },
+    "kraus": {
+        "--chi": ("chi", None, None, None, True, None, None),
+        "--cutoff": ("cutoff", 1e-10, "float", None, False, None, None),
+        "--out": ("out", None, None, None, False, None, None),
+    },
+    "dilate": {
+        "--chi": ("chi", None, None, None, True, None, None),
+        "--out": ("out", None, None, None, False, None, None),
+    },
+    "apply": {
+        "--chi": ("chi", None, None, None, True, None, None),
+        "--state": ("state", None, "_bloch_angles", None, False, None, _INPUT),
+        "--rho": ("rho", None, None, None, False, None, _INPUT),
+        "--out": ("out", None, None, None, False, None, None),
+    },
+    "scan": {
+        "--model": ("model", None, None, ("shifter",), True, None, None),
+        "--from": ("start", None, "float", None, True, None, None),
+        "--to": ("stop", None, "float", None, True, None, None),
+        "--steps": ("steps", None, "int", None, True, None, None),
+        "--csv": ("csv", None, None, None, True, None, None),
+    },
+    "curve": {
+        "--model": ("model", None, None, _KINDS, True, None, None),
+        "--copies": ("copies", 1, "int", None, False, None, None),
+        "--alpha": ("alpha", 0.0, "float", None, False, None, None),
+        "--chi": ("chi", None, None, None, True, None, None),
+        "--steps": ("steps", None, "int", None, True, None, None),
+        "--csv": ("csv", None, None, None, True, None, None),
+    },
+    "validate": {
+        "--model": ("model", None, None, _KINDS, True, None, None),
+        "--copies": ("copies", 1, "int", None, False, None, None),
+        "--alpha": ("alpha", 0.0, "float", None, False, None, None),
+        "--chi": ("chi", None, None, None, True, None, None),
+        "--samples": ("samples", 100000, "int", None, False, None, None),
+        "--seed": ("seed", 0, "int", None, False, None, None),
+    },
+}
+
+
+def _subcommands() -> dict:
+    (commands,) = [a for a in _build_parser()._actions if a.dest == "command"]
+    return commands.choices
+
+
+def _declared_options(sub) -> dict:
+    groups = {
+        id(action): tuple(s for member in group._group_actions for s in member.option_strings)
+        for group in sub._mutually_exclusive_groups
+        for action in group._group_actions
+    }
+    return {
+        option: (
+            action.dest,
+            action.default,
+            getattr(action.type, "__name__", None),
+            None if action.choices is None else tuple(action.choices),
+            action.required,
+            action.nargs,
+            groups.get(id(action)),
+        )
+        for action in sub._actions
+        if action.dest != "help"
+        for option in action.option_strings
+    }
+
+
+def test_option_inventory():
+    # Option order is free (it only moves --help text); everything else is pinned.
+    subcommands = _subcommands()
+    assert list(subcommands) == list(_OPTIONS)
+    for name, sub in subcommands.items():
+        assert _declared_options(sub) == _OPTIONS[name], name
+
+
+@pytest.mark.parametrize("option", ["--copies", "--alpha", "--chi", "--out"])
+def test_shared_options_are_declared_once(option):
+    # Subcommands that take a shared option take the one declaration of it.
+    actions = {id(a) for sub in _subcommands().values() for a in sub._actions if option in a.option_strings}
+    assert len(actions) == 1
+
+
+@pytest.mark.parametrize("columns", ["40", "200"])  # wrapped and unwrapped usage lines
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_each_subcommand_help_exits_zero(capsys, monkeypatch, command, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, err = run(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: choiopt {command} ")
+    for option in _OPTIONS[command]:
+        assert option in out
+
+
+def test_model_defaults_are_the_model_spec_defaults():
+    args = _build_parser().parse_args(["bound", "--model", "unot"])
+    assert (args.copies, args.alpha) == (ModelSpec.copies, ModelSpec.alpha)

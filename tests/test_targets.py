@@ -235,6 +235,36 @@ class TestFamilyContract:
         with pytest.raises(DimensionMismatchError, match=r"output states have shape \(2, 3\), expected \(2, 2\)"):
             evaluate_family(StateFamily(2, 2, scalar_ev, 4), [0.1, 0.2], [0.3, 0.4])
 
+    def test_ragged_scalar_only_states(self):
+        def scalar_ev(theta, phi):
+            assert np.isscalar(theta) and np.isscalar(phi)
+            n = 2 if theta < 0.15 else 3  # a 2-vector at 0.1, a 3-vector at 0.2
+            return np.ones(n) / np.sqrt(n), bloch_state(theta, phi)
+
+        message = r"^input states are ragged or not numbers, expected shape \(2, 2\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            evaluate_family(StateFamily(2, 2, scalar_ev, 4), [0.1, 0.2], [0.3, 0.4])
+
+    def test_ragged_broadcast_states(self):
+        ev = CountingEvaluator(lambda t, p: (bloch_state(t, p), [[1.0, 0.0], [1.0, 0.0, 0.0]]))
+        message = r"^output states are ragged or not numbers, expected shape \(2, 2\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            evaluate_family(StateFamily(2, 2, ev, 4), [0.1, 0.2], [0.3, 0.4])
+        assert ev.calls == 1
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_scalar_only_evaluator_errors_propagate(self, error):
+        def scalar_ev(theta, phi):
+            if not np.isscalar(theta):
+                raise TypeError("scalars only")
+            if theta > 0.15:
+                raise error("the evaluator's own error")
+            return bloch_state(theta, phi), bloch_state(theta, phi)
+
+        with pytest.raises(error, match="the evaluator's own error") as info:
+            evaluate_family(StateFamily(2, 2, scalar_ev, 4), [0.1, 0.2], [0.3, 0.4])
+        assert type(info.value) is error
+
     def test_one_call_per_slice(self):
         family = model_family(ModelSpec("cloner", copies=2))
         ev = CountingEvaluator(family.evaluator)
