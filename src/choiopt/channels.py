@@ -159,15 +159,14 @@ def require_valid_choi(chi: ChoiOperator) -> None:
 def identity_choi(dim: int) -> ChoiOperator:
     """Process matrix of the identity channel: the projector on sum_j |j>|j>."""
     require_dims(dim, dim)
-    v = np.zeros(dim * dim, dtype=np.complex128)
-    v[:: dim + 1] = 1.0
-    return ChoiOperator(dim, dim, np.outer(v, v.conj()))
+    v = np.eye(dim).ravel()
+    return ChoiOperator(dim, dim, np.outer(v, v))
 
 
 def maxmix_choi(dim_in: int, dim_out: int) -> ChoiOperator:
-    """Channel sending every input to the maximally mixed output state."""
+    """Channel sending every input to the maximally mixed output state: chi = 1_{dim_in dim_out} / dim_out."""
     require_dims(dim_in, dim_out)
-    return ChoiOperator(dim_in, dim_out, linalg.kron(np.eye(dim_in), np.eye(dim_out) / dim_out))
+    return ChoiOperator(dim_in, dim_out, np.eye(dim_in * dim_out) / dim_out)
 
 
 def apply_matrix(chi: ChoiOperator, x) -> np.ndarray:

@@ -82,6 +82,12 @@ def is_real(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
+def _shown(x) -> str:
+    """x as a refusal message quotes it: a real as str (0.5, not np.float64(0.5)),
+    anything that fails is_real as repr ('1e-3', not 1e-3)."""
+    return str(x) if is_real(x) else repr(x)
+
+
 def require_seed(seed) -> None:
     """The seed rule: raise ValueError unless seed passes is_natural."""
     if not is_natural(seed):
@@ -124,7 +130,7 @@ def require_cutoff(rel_cutoff: float) -> None:
     if is_real(rel_cutoff) and np.isnan(rel_cutoff):
         raise ValueError("cutoff must not be NaN")
     if not (is_real(rel_cutoff) and 0.0 <= rel_cutoff <= 1.0):
-        raise ValueError(f"cutoff must be in [0, 1], got {rel_cutoff}")
+        raise ValueError(f"cutoff must be in [0, 1], got {_shown(rel_cutoff)}")
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class ModelSpec:
         if self.kind != "shifter" and self.alpha != 0.0:
             raise InvalidSpecError(f"{self.kind} takes no alpha (only shifter does)")
         if not (linalg.is_real(self.alpha) and 0.0 <= self.alpha <= math.pi):
-            raise OutOfRangeError(f"alpha {self.alpha} outside [0, pi]")
+            raise OutOfRangeError(f"alpha {linalg._shown(self.alpha)} outside [0, pi]")
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -276,7 +276,7 @@ def damping_channel(beta: float) -> ChoiOperator:
     for shifts past pi/2.
     """
     if not (linalg.is_real(beta) and 0.0 <= beta <= math.pi):
-        raise OutOfRangeError(f"beta {beta} outside [0, pi]")
+        raise OutOfRangeError(f"beta {linalg._shown(beta)} outside [0, pi]")
     c, s = math.cos(beta), math.sin(beta)
     m = np.zeros((4, 4), dtype=np.complex128)
     m[0, 0] = c * c
@@ -316,7 +316,7 @@ def shifter_closed_forms(alpha: float) -> ShifterOptimum:
     written all the way to alpha = pi, where beta reaches pi and F = 2/3.
     """
     if not (linalg.is_real(alpha) and 0.0 <= alpha <= math.pi):
-        raise OutOfRangeError(f"alpha {alpha} outside [0, pi]")
+        raise OutOfRangeError(f"alpha {linalg._shown(alpha)} outside [0, pi]")
     if alpha <= ALPHA_THRESHOLD:
         beta = 0.0
         f = 0.5 * (1.0 + math.cos(alpha))
@@ -347,21 +347,12 @@ ENTANGLER_A_MIN_FIDELITY = 4.0 * math.sqrt(2.0) * (math.sqrt(2.0) - 1.0) ** 2
 
 def entangler_a_isometry() -> np.ndarray:
     """The optimal entangling isometry |0> -> |00>, |1> -> (|01>+|10>)/sqrt(2)."""
-    v = np.zeros((4, 2), dtype=np.complex128)
-    v[:, 0] = KET_00
-    v[:, 1] = PSI_PLUS
-    return v
+    return np.stack((KET_00, PSI_PLUS), axis=1)
 
 
 def entangler_b_output_state() -> np.ndarray:
-    """The constant optimal output (|00><00| + |Psi+><Psi+| + |11><11|)/3."""
-    e11 = np.zeros(4, dtype=np.complex128)
-    e11[3] = 1.0
-    return (
-        np.outer(KET_00, KET_00.conj())
-        + np.outer(PSI_PLUS, PSI_PLUS.conj())
-        + np.outer(e11, e11.conj())
-    ) / 3.0
+    """The constant optimal output (|00><00| + |11><11| + |Psi+><Psi+|)/3."""
+    return (np.diag([1.0, 0.0, 0.0, 1.0]) + np.outer(PSI_PLUS, PSI_PLUS.conj())) / 3.0
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,7 @@ class SolverOptions:
         if not linalg.is_count(self.max_iters):
             raise InvalidSpecError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (linalg.is_real(self.fid_tol) and 0 < self.fid_tol < np.inf):  # NaN fails too
-            raise InvalidSpecError(f"fid_tol must be finite and > 0, got {self.fid_tol}")
+            raise InvalidSpecError(f"fid_tol must be finite and > 0, got {linalg._shown(self.fid_tol)}")
         if not isinstance(self.init, ChoiOperator) and not _named_init(self.init):
             raise InvalidSpecError(f"unknown init {self.init!r}")
 

@@ -187,19 +187,19 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
     """
     thetas, phis = _angle_arrays(thetas, phis)
     try:
-        states = family.evaluator(thetas, phis)
+        states, per_sample = family.evaluator(thetas, phis), False
     except Exception:  # a scalar-only evaluator: one call per sample
-        calls = (family.evaluator(float(t), float(p)) for t, p in zip(thetas, phis))
-        states = zip(*(map(np.ravel, pair) for pair in calls))
+        states, per_sample = zip(*[family.evaluator(float(t), float(p)) for t, p in zip(thetas, phis)]), True
     pin, pout = states
-    samples = len(thetas)
-    return _state_array("input", pin, (samples, family.dim_in)), _state_array("output", pout, (samples, family.dim_out))
+    shape_in, shape_out = (len(thetas), family.dim_in), (len(thetas), family.dim_out)
+    return _state_array("input", pin, shape_in, per_sample), _state_array("output", pout, shape_out, per_sample)
 
 
-def _state_array(name: str, states, shape: tuple[int, int]) -> np.ndarray:
-    """evaluate_family's one conversion of a result and its checks."""
+def _state_array(name: str, states, shape: tuple[int, int], per_sample: bool) -> np.ndarray:
+    """evaluate_family's one conversion of a result and its checks; per-sample
+    states are raveled one by one inside that conversion."""
     try:
-        arr = np.asarray(states, dtype=np.complex128)
+        arr = np.asarray([np.ravel(s) for s in states] if per_sample else states, dtype=np.complex128)
     except ValueError as exc:  # numpy refuses ragged states and non-numeric strings
         raise DimensionMismatchError(f"{name} states are ragged or not numbers, expected shape {shape}") from exc
     if arr.shape != shape:

@@ -3,6 +3,11 @@
 import numpy as np
 
 
+def same_bytes(a, b):
+    """a and b have the same dtype, shape and bytes (so -0.0 differs from 0.0)."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def random_hermitian(rng, n):
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (m + m.conj().T) / 2

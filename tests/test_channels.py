@@ -22,6 +22,7 @@ from choiopt.targets import TargetOperator, fidelity_bound
 from helpers import (
     random_density,
     random_state,
+    same_bytes,
     unot_channel_action,
     unot_r_matrix,
 )
@@ -727,6 +728,41 @@ class TestOneRealRule:
         for check, error, _ in _REAL_CHECKS.values():
             with pytest.raises(error):
                 check(0.5)
+
+    # A refused non-real is quoted (repr), so "1e-3" does not read as a
+    # number; a refused real, numpy scalars too, is shown as str.
+    @pytest.mark.parametrize("x", ["1e-3", "1", "nan"])
+    @pytest.mark.parametrize("name", list(_REAL_CHECKS))
+    def test_refused_non_real_is_quoted(self, name, x):
+        check, error, _ = _REAL_CHECKS[name]
+        with pytest.raises(error, match=re.escape(f"{x!r}")) as info:
+            check(x)
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("x", [np.float64(-0.5), np.float32(-0.5), np.int64(-1), -0.5, np.inf])
+    @pytest.mark.parametrize("name", list(_REAL_CHECKS))
+    def test_refused_real_is_shown_as_str(self, name, x):
+        check, error, _ = _REAL_CHECKS[name]
+        with pytest.raises(error, match=re.escape(f" {x}")) as info:
+            check(x)
+        assert "np." not in str(info.value)
+
+
+class TestFixedOperatorsFromTheirDefinitions:
+    # maxmix_choi is 1/dim_out on the diagonal and identity_choi the projector
+    # on vec 1; each keeps the exact bytes of its former construction, which
+    # stays here as the oracle.
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_maxmix_choi(self, d):
+        for k in range(1, 9):
+            old = np.kron(np.eye(d), np.eye(k) / k).astype(np.complex128)
+            assert same_bytes(channels.maxmix_choi(d, k).matrix, old)
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    def test_identity_choi(self, dim):
+        v = np.zeros(dim * dim, dtype=np.complex128)
+        v[:: dim + 1] = 1.0
+        assert same_bytes(channels.identity_choi(dim).matrix, np.outer(v, v.conj()))
 
 
 class TestOneDimensionMatch:

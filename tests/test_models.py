@@ -18,7 +18,9 @@ from choiopt.models import (
     bloch_state,
     damping_channel,
     damping_fidelity,
+    entangler_a_isometry,
     entangler_a_state_fidelity,
+    entangler_b_output_state,
     known_optimum,
     model_family,
     orthogonal_state,
@@ -27,7 +29,7 @@ from choiopt.models import (
     symmetric_state,
 )
 from choiopt.targets import NORM_TOL, build_r_quadrature, evaluate_family
-from helpers import unot_r_matrix
+from helpers import same_bytes, unot_r_matrix
 
 
 class TestSpecs:
@@ -215,6 +217,27 @@ class TestKnownOptima:
     def test_multi_copy_maps_not_specified(self):
         assert known_optimum(ModelSpec("unot", copies=2)).chi is None
         assert known_optimum(ModelSpec("cloner", copies=2)).chi is None
+
+
+class TestEntanglerReferencesFromTheirDefinitions:
+    # The isometry stacks |00> and |Psi+> as columns, and the entangler-b
+    # output writes |00><00| + |11><11| as one diagonal; each keeps the exact
+    # bytes of its former construction, which stays here as the oracle.
+    def test_entangler_a_isometry(self):
+        old = np.zeros((4, 2), dtype=np.complex128)
+        old[:, 0] = KET_00
+        old[:, 1] = PSI_PLUS
+        assert same_bytes(entangler_a_isometry(), old)
+        w = old.T.ravel()
+        assert same_bytes(known_optimum(ModelSpec("entangler_a")).chi.matrix, np.outer(w, w.conj()))
+
+    def test_entangler_b_output_state(self):
+        e11 = np.zeros(4, dtype=np.complex128)
+        e11[3] = 1.0
+        terms = [np.outer(v, v.conj()) for v in (KET_00, PSI_PLUS, e11)]
+        old = (terms[0] + terms[1] + terms[2]) / 3.0
+        assert same_bytes(entangler_b_output_state(), old)
+        assert same_bytes(known_optimum(ModelSpec("entangler_b")).chi.matrix, np.kron(np.eye(2), old))
 
 
 class TestShifterClosedForms:

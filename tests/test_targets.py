@@ -252,6 +252,28 @@ class TestFamilyContract:
             evaluate_family(StateFamily(2, 2, ev, 4), [0.1, 0.2], [0.3, 0.4])
         assert ev.calls == 1
 
+    @pytest.mark.parametrize("name", ["input", "output"])
+    def test_ragged_single_scalar_only_state(self, name):
+        ragged = [[1.0, 0.0], [0.0]]
+
+        def scalar_ev(theta, phi):
+            assert np.isscalar(theta) and np.isscalar(phi)
+            good = bloch_state(theta, phi)
+            return (ragged, good) if name == "input" else (good, ragged)
+
+        message = rf"^{name} states are ragged or not numbers, expected shape \(2, 2\)$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            evaluate_family(StateFamily(2, 2, scalar_ev, 4), [0.1, 0.2], [0.3, 0.4])
+
+    def test_scalar_only_column_vectors_are_raveled(self):
+        def scalar_ev(theta, phi):
+            assert np.isscalar(theta) and np.isscalar(phi)
+            return bloch_state(theta, phi)[:, None], orthogonal_state(theta, phi)[:, None]
+
+        pin, pout = evaluate_family(StateFamily(2, 2, scalar_ev, 4), [0.1, 0.2], [0.3, 0.4])
+        assert np.array_equal(pin, bloch_state(np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+        assert np.array_equal(pout, orthogonal_state(np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+
     @pytest.mark.parametrize("error", [ValueError, KeyError])
     def test_scalar_only_evaluator_errors_propagate(self, error):
         def scalar_ev(theta, phi):
