@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: install test accept verify refset bench bench-smoke bench-record bench-pairs
+.PHONY: install test accept verify refset bench bench-smoke bench-record bench-pairs lines
 
 # An editable install without build isolation builds with the installed setuptools, which
 # pyproject.toml wants at >= 68, and needs wheel; pip checks neither, so check both first.
@@ -54,3 +54,7 @@ bench-record:
 # make bench-pairs REF=<commit> W=<workload> [PAIRS=N] [SEED=S]: alternating runs of REF and the working tree
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --ref $(REF) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
+
+# each src/choiopt module's lines (wc -l) and code lines (tokenize, without docstrings, comments and blank lines), with totals
+lines:
+	$(PYTHON) scripts/line_count.py

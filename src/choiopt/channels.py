@@ -41,6 +41,16 @@ class ChoiOperator:
         m = operator_matrix(self.matrix, self.dim_in, self.dim_out, "process matrix")
         object.__setattr__(self, "matrix", m)
 
+    @classmethod
+    def _frozen(cls, dim_in: int, dim_out: int, matrix: np.ndarray) -> ChoiOperator:
+        """The operator of a complex128 (dim_in dim_out)^2 array that nothing else
+        holds, made read-only in place: no checks and no copy, for an array
+        the package has just computed from checked operands."""
+        matrix.setflags(write=False)
+        chi = object.__new__(cls)
+        chi.__dict__.update(dim_in=dim_in, dim_out=dim_out, matrix=matrix)
+        return chi
+
 
 def require_dims(dim_in, dim_out) -> None:
     """Raise DimensionMismatchError unless both dims pass the count rule (linalg.is_count)."""
@@ -133,15 +143,23 @@ def measure_admissibility(m, dim_in: int, dim_out: int) -> tuple[ChoiReport, np.
     return ChoiReport(float(w.min()), tp_dev, herm_dev), w
 
 
-def require_admissible(m, dim_in: int, dim_out: int, error: type) -> np.ndarray:
-    """Raise error unless m is Hermitian and positive within PSD_TOL and meets
-    its trace condition within TP_TOL; return its ascending eigenvalues."""
-    report, w = measure_admissibility(m, dim_in, dim_out)
+def _require_report(report: ChoiReport, error: type) -> None:
+    """The admissibility rule: raise error unless the report's operator is
+    Hermitian and positive within PSD_TOL and meets its trace condition
+    within TP_TOL.  require_admissible and the solver's block measurement
+    both raise through it."""
     linalg.require_hermitian(report.hermiticity_deviation, error)  # a non-finite m reports inf
     if report.min_eigenvalue < -PSD_TOL:
         raise error(f"minimum eigenvalue {report.min_eigenvalue:.3e} below -{PSD_TOL:.1e}")
     if report.trace_preservation_deviation > TP_TOL:
         raise error(f"trace deviation {report.trace_preservation_deviation:.3e} exceeds {TP_TOL:.1e}")
+
+
+def require_admissible(m, dim_in: int, dim_out: int, error: type) -> np.ndarray:
+    """Raise error unless m passes the admissibility rule (_require_report);
+    return its ascending eigenvalues."""
+    report, w = measure_admissibility(m, dim_in, dim_out)
+    _require_report(report, error)
     return w
 
 

@@ -42,10 +42,15 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _matrices(m) -> np.ndarray:
+    """A 3-D m as a complex128 stack of matrices, any other m through as_matrix."""
+    return np.asarray(m, dtype=np.complex128) if np.ndim(m) == 3 else as_matrix(m)
+
+
 def hermitian_part(m) -> np.ndarray:
-    """(m + m†)/2."""
-    m = as_matrix(m)
-    return (m + m.conj().T) / 2
+    """(m + m†)/2, of each matrix of a stack too."""
+    m = _matrices(m)
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def frozen_copy(values) -> np.ndarray:
@@ -56,9 +61,10 @@ def frozen_copy(values) -> np.ndarray:
 
 
 def hermiticity_deviation(m) -> float:
-    """Largest entrywise |m - m†| of a square m; inf for a non-finite m."""
-    m = as_matrix(m)  # m - m† would warn on NaN/Inf
-    return float(np.abs(m - m.conj().T).max()) if np.isfinite(m).all() else float("inf")
+    """Largest entrywise |m - m†| of a square m, or over a stack of them; inf
+    for a non-finite m."""
+    m = _matrices(m)  # m - m† would warn on NaN/Inf
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if np.isfinite(m).all() else float("inf")
 
 
 def require_hermitian(dev: float, error: type = NotHermitianError, what: str = "not Hermitian") -> None:
@@ -96,10 +102,11 @@ def require_seed(seed) -> None:
 
 def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
     """hermiticity_deviation and ascending eigenvalues of the Hermitian part of
-    a square m; a non-finite m gets NaNs without reaching the eigensolver."""
-    m = as_matrix(m)
+    a square m, or of each matrix of a stack in one eigvalsh; a non-finite m
+    gets NaNs without reaching the eigensolver."""
+    m = _matrices(m)
     dev = hermiticity_deviation(m)
-    return dev, np.full(len(m), np.nan) if dev == np.inf else np.linalg.eigvalsh(hermitian_part(m))
+    return dev, np.full(m.shape[:-1], np.nan) if dev == np.inf else np.linalg.eigvalsh(hermitian_part(m))
 
 
 def clip_roots(w: np.ndarray) -> np.ndarray:

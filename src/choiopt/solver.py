@@ -32,6 +32,14 @@ tangent, kept if it stays feasible, then damped Newton steps), a primal chi
 from complementary slackness and one more update.  Its answer is kept only
 with a certified duality gap of at most fid_tol; otherwise the iteration
 continues as if the attempt had not been made.
+
+A solve validates at its boundaries, not on every step.  initial_choi checks
+a given start; iterate_once checks only that its operands' dims agree and
+freezes the step's fresh array in place, with no copy and no second check.
+The result, and the endgame's answer, are checked once, against the same
+admissibility rule as channels.require_valid_choi: on R's blocks when the
+iterate is on them (one stacked eigvalsh of the (B, s, s) blocks, Tr_K from
+the block diagonals), else densely with require_valid_choi.
 """
 
 from __future__ import annotations
@@ -42,9 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import channels, linalg
 from .channels import ChoiOperator, fidelity, maxmix_choi, require_dims, require_same_dims, require_valid_choi
-from .errors import ChoiOptError, InvalidSpecError, SingularLambdaError
+from .errors import ChoiOptError, InvalidChoiError, InvalidSpecError, SingularLambdaError
 from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import BlockPlan, TargetOperator, fidelity_bound
 
@@ -145,17 +153,43 @@ def _block_step(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.nd
     return roots, plan.scatter((full + full.conj().swapaxes(1, 2)) / 2)
 
 
-def _step(chi: np.ndarray, r: TargetOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The extremal step from the matrix chi: on R's blocks when chi is exactly
-    zero off them, else the dense _extremal_step.  The test counts nonzero
-    words of the int64 views (a -0.0 counts, and only sends chi to the dense
-    path): chi is on the blocks when its blocks hold all of them."""
+def _on_blocks(chi: np.ndarray, r: TargetOperator) -> np.ndarray | None:
+    """The (B, s, s) blocks of the matrix chi on R's blocks when chi is exactly
+    zero off them; None when it is not, or when R has no block plan.  The test
+    counts nonzero words of the int64 views (a -0.0 counts, and only sends chi
+    to the dense path): chi is on the blocks when its blocks hold all of them."""
     plan = r.blocks
-    if plan is not None:
-        blocks = plan.gather(chi)
-        if np.count_nonzero(blocks.view(np.int64)) == np.count_nonzero(chi.ravel().view(np.int64)):
-            return _block_step(plan, blocks, r.dim_in)
+    if plan is None:
+        return None
+    blocks = plan.gather(chi)
+    return blocks if np.count_nonzero(blocks.view(np.int64)) == np.count_nonzero(chi.ravel().view(np.int64)) else None
+
+
+def _step(chi: np.ndarray, r: TargetOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The extremal step from the matrix chi: on R's blocks when chi is on
+    them (_on_blocks), else the dense _extremal_step."""
+    blocks = _on_blocks(chi, r)
+    if blocks is not None:
+        return _block_step(r.blocks, blocks, r.dim_in)
     return _extremal_step(r.matrix @ chi @ r.matrix, r.dim_in, r.dim_out)
+
+
+def _require_valid(chi: ChoiOperator, r: TargetOperator) -> None:
+    """require_valid_choi of a chi with R's dims, measured on R's blocks when chi
+    is on them (_on_blocks): the hermiticity deviation over the (B, s, s)
+    stack, the smallest eigenvalue of one stacked eigvalsh (the padding adds
+    zeros, which the rule never refuses), and Tr_K's diagonal as the block
+    diagonals summed per input (its off-diagonal is exactly zero, since no
+    block holds (a, k) and (b, k) with a != b).  One rule judges both
+    measurements (channels._require_report)."""
+    blocks = _on_blocks(chi.matrix, r)
+    if blocks is None:
+        return require_valid_choi(chi)
+    dev, w = linalg.hermitian_spectrum(blocks)
+    diag, inputs = blocks.diagonal(axis1=1, axis2=2).ravel(), r.blocks.inputs.ravel()
+    re, im = (np.bincount(inputs, part, r.dim_in) for part in (diag.real, diag.imag))
+    report = channels.ChoiReport(float(w.min()), float(np.hypot(re - 1.0, im).max()), dev)
+    channels._require_report(report, InvalidChoiError)
 
 
 def _pinch(r: TargetOperator, m: np.ndarray) -> np.ndarray:
@@ -196,9 +230,11 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
-    """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized."""
+    """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized.
+    chi's dims are checked against R's; the step's fresh result is frozen in
+    place, not checked again or copied."""
     require_same_dims(chi, r, "process", "target")
-    return ChoiOperator(r.dim_in, r.dim_out, _step(chi.matrix, r)[1])
+    return ChoiOperator._frozen(r.dim_in, r.dim_out, _step(chi.matrix, r)[1])
 
 
 def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
@@ -287,7 +323,7 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
         if np.linalg.eigvalsh(x)[0] < -PSD_TOL:
             return None
         chi = iterate_once(ChoiOperator(d, k, _pinch(r, linalg.hermitian_part(p @ x @ p.conj().T))), r)
-        require_valid_choi(chi)
+        _require_valid(chi, r)
     except (np.linalg.LinAlgError, ChoiOptError):
         return None
     return chi, float(np.trace(y).real + d * max(0.0, -z_eigs[0]) - fidelity(chi, r))
@@ -336,7 +372,7 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
             chi = iterate_once(chi, r)
         fids.append(fidelity(chi, r))
         converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
-    require_valid_choi(chi)
+    _require_valid(chi, r)
     return SolverResult(
         chi=chi,
         fidelity=fids[-1],

@@ -13,7 +13,7 @@ so building R once reduces every fidelity evaluation to Tr[chi R].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -178,8 +178,10 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
     as complex arrays of shape (samples, dim_in) and (samples, dim_out).
 
     The evaluator is called once on the angle arrays and must return exactly
-    two results.  Only if that call raises is the evaluator taken to be
-    scalar-only: it is then called once per sample, and each state raveled.
+    two results, else DimensionMismatchError.  Only if that call raises is
+    the evaluator taken to be scalar-only: it is then called once per
+    sample, each call must return exactly two results, and each state is
+    raveled.
     Either way the results must have exactly those shapes, else
     DimensionMismatchError (ragged states too; a result of another shape is
     never re-run per sample or reshaped), and every state must have unit
@@ -189,10 +191,18 @@ def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.n
     try:
         states, per_sample = family.evaluator(thetas, phis), False
     except Exception:  # a scalar-only evaluator: one call per sample
-        states, per_sample = zip(*[family.evaluator(float(t), float(p)) for t, p in zip(thetas, phis)]), True
-    pin, pout = states
+        states, per_sample = [_two_results(family.evaluator(float(t), float(p))) for t, p in zip(thetas, phis)], True
+    pin, pout = zip(*states) if per_sample else _two_results(states)
     shape_in, shape_out = (len(thetas), family.dim_in), (len(thetas), family.dim_out)
     return _state_array("input", pin, shape_in, per_sample), _state_array("output", pout, shape_out, per_sample)
+
+
+def _two_results(results) -> tuple:
+    """An evaluator's results as the pair (input, output) they must be."""
+    results = tuple(results)
+    if len(results) != 2:
+        raise DimensionMismatchError(f"the evaluator returned {len(results)} results, expected exactly two")
+    return results
 
 
 def _state_array(name: str, states, shape: tuple[int, int], per_sample: bool) -> np.ndarray:
@@ -204,7 +214,8 @@ def _state_array(name: str, states, shape: tuple[int, int], per_sample: bool) ->
         raise DimensionMismatchError(f"{name} states are ragged or not numbers, expected shape {shape}") from exc
     if arr.shape != shape:
         raise DimensionMismatchError(f"{name} states have shape {arr.shape}, expected {shape}")
-    dev = np.abs(np.linalg.norm(arr, axis=1) - 1.0).max()
+    f = np.ascontiguousarray(arr).view(np.float64)  # each row's real and imaginary parts
+    dev = np.abs(np.sqrt(np.einsum("ij,ij->i", f, f)) - 1.0).max()
     if not dev <= NORM_TOL:  # NaN fails too
         raise NormViolationError(f"{name} state norm deviates by {dev:.3e}")
     return arr
@@ -266,6 +277,15 @@ def quadrature_nodes(trig_degree: int, nodes_theta=None, nodes_phi=None) -> tupl
     return nt, nph
 
 
+@cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
+    nodes = np.polynomial.legendre.leggauss(count)
+    for a in nodes:
+        a.setflags(write=False)
+    return nodes
+
+
 def build_r_quadrature(
     family: StateFamily,
     nodes_theta: int | None = None,
@@ -280,7 +300,7 @@ def build_r_quadrature(
     further should not change the matrix (a useful plateau check).
     """
     nt, np_ = quadrature_nodes(family.trig_degree, nodes_theta, nodes_phi)
-    x, w = np.polynomial.legendre.leggauss(nt)
+    x, w = _gauss_legendre(int(nt))  # one cache entry per count, a numpy integer's too
     thetas = (x + 1.0) * (np.pi / 2.0)
     # 1/(4pi) * [(pi/2) w] * sin(theta) * (2pi/np_)  ->  w sin(theta) pi/(4 np_)
     weights = w * np.sin(thetas) * (np.pi / (4.0 * np_))

@@ -22,9 +22,10 @@ from choiopt import solver as solver_module
 from choiopt import targets as targets_module
 from choiopt.models import ALPHA_THRESHOLD, model_family, shifter_closed_forms
 from choiopt.targets import build_r_montecarlo, build_r_quadrature
-from choiopt.channels import TP_TOL, identity_choi
+from choiopt.channels import TP_TOL, identity_choi, require_valid_choi
 from helpers import (
     entangler_b_mixed_state,
+    same_bytes,
     random_density,
     random_hermitian,
     random_target_matrix,
@@ -944,3 +945,135 @@ class TestEndgameOnTheBlocks:
     def test_forced_on_a_wide_output(self, monkeypatch):
         r = analytic_r(ModelSpec("cloner", copies=10))
         self.check(r, iterate_once(maxmix_choi(r.dim_in, r.dim_out), r), monkeypatch)
+
+
+def full_block(r: TargetOperator) -> int:
+    """The first of R's blocks that has no padding."""
+    return int(np.flatnonzero(~r.blocks.pad.any(axis=(1, 2)))[0])
+
+
+def negative_in_one_block(r: TargetOperator, m: np.ndarray) -> None:
+    """Give one block of m the eigenvalue -1e-3 in place of its smallest."""
+    idx = r.blocks.flat[full_block(r)]
+    block = m.ravel()[idx]
+    w, v = np.linalg.eigh(block)
+    m.ravel()[idx] = block - (w[0] + 1e-3) * np.outer(v[:, 0], v[:, 0].conj())
+
+
+def trace_off_on_one_input(r: TargetOperator, m: np.ndarray) -> None:
+    m[0, 0] += 1e-6
+
+
+def non_hermitian_pair(r: TargetOperator, m: np.ndarray) -> None:
+    m.ravel()[r.blocks.flat[full_block(r), 0, 1]] += 1e-6
+
+
+def nan_entry(r: TargetOperator, m: np.ndarray) -> None:
+    m.ravel()[r.blocks.flat[full_block(r), 1, 0]] = np.nan
+
+
+def refuse_dense_check(chi):
+    raise AssertionError("dense admissibility check called")
+
+
+class TestClosingCheckOnTheBlocks:
+    # solve's closing check, and the endgame's check of its answer, measure a
+    # chi on R's blocks off the (B, s, s) stack; channels' one rule judges both
+    # measurements, so they refuse alike.
+    SPECS = [
+        ModelSpec("unot", copies=2),
+        ModelSpec("cloner", copies=10),
+        ModelSpec("entangler_a"),
+        ModelSpec("entangler_b"),
+        ModelSpec("shifter", alpha=1.0),
+    ]
+
+    @pytest.mark.parametrize(
+        "fault",
+        [negative_in_one_block, trace_off_on_one_input, non_hermitian_pair, nan_entry],
+        ids=["negative-eigenvalue", "trace", "non-hermitian", "nan"],
+    )
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_a_fault_raises_as_the_dense_check_does(self, spec, fault, monkeypatch):
+        r = analytic_r(spec)
+        m = np.array(solve(r).chi.matrix)
+        fault(r, m)
+        chi = ChoiOperator(r.dim_in, r.dim_out, m)
+        assert solver_module._on_blocks(chi.matrix, r) is not None
+        with pytest.raises(InvalidChoiError) as dense:
+            require_valid_choi(chi)
+        monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
+        with pytest.raises(InvalidChoiError) as blocked:
+            solver_module._require_valid(chi, r)
+        assert type(blocked.value) is type(dense.value) and str(blocked.value) == str(dense.value)
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:2"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_solves_on_the_blocks_skip_the_dense_check(self, spec, init, monkeypatch):
+        r = analytic_r(spec)
+        want = solve(r, SolverOptions(init=init))
+        monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
+        got = solve(r, SolverOptions(init=init))
+        assert same_bytes(got.chi.matrix, want.chi.matrix) and got.iterations == want.iterations
+
+    def test_endgame_answer_is_checked_on_the_blocks(self, monkeypatch):
+        r = analytic_r(ModelSpec("cloner", copies=10))
+        monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
+        assert _dual_endgame(r, iterate_once(maxmix_choi(r.dim_in, r.dim_out), r)) is not None
+
+    def test_an_init_off_the_blocks_takes_the_dense_check(self, monkeypatch):
+        r = analytic_r(ModelSpec("unot", copies=2))
+        init = random_choi(r.dim_in, r.dim_out, 7)
+        assert r.blocks is not None and solver_module._on_blocks(init.matrix, r) is None
+        checked = []
+        real = solver_module.require_valid_choi
+        monkeypatch.setattr(solver_module, "require_valid_choi", lambda chi: checked.append(chi) or real(chi))
+        result = solve(r, SolverOptions(init=init))
+        assert solver_module._on_blocks(result.chi.matrix, r) is None
+        assert checked[0] is init and checked[-1] is result.chi and len(checked) == 2
+
+    @pytest.mark.parametrize("spec", SAMPLED_SPECS[:2], ids=str)
+    def test_a_target_without_a_plan_takes_the_dense_check(self, spec, monkeypatch):
+        r = build_r_montecarlo(model_family(spec), 500, 1)
+        checked = []
+        real = solver_module.require_valid_choi
+        monkeypatch.setattr(solver_module, "require_valid_choi", lambda chi: checked.append(chi) or real(chi))
+        result = solve(r)
+        assert r.blocks is None and checked[-1] is result.chi  # the endgame's answer may come first
+
+
+class TestIterateOnceTrustsItsStep:
+    # iterate_once checks its operands' dims, then freezes the step's fresh
+    # array in place: the bytes the public constructor's copy would hold.
+    @pytest.mark.parametrize(
+        "spec, sampled, init",
+        [
+            (ModelSpec("unot", copies=2), False, "maxmix"),
+            (ModelSpec("cloner", copies=10), False, "random:3"),
+            (ModelSpec("entangler_a"), False, "random:3"),
+            (ModelSpec("unot", copies=2), False, None),  # a start off the blocks
+            (ModelSpec("cloner", copies=2), True, "random:3"),
+        ],
+        ids=["unot-2", "cloner-10", "entangler-a", "off-blocks", "sampled"],
+    )
+    def test_read_only_same_bytes_no_alias(self, spec, sampled, init):
+        r = build_r_montecarlo(model_family(spec), 500, 1) if sampled else analytic_r(spec)
+        chi = random_choi(r.dim_in, r.dim_out, 7) if init is None else initial_choi(r, init)
+        out = iterate_once(chi, r).matrix
+        want = ChoiOperator(r.dim_in, r.dim_out, solver_module._step(chi.matrix, r)[1]).matrix
+        assert same_bytes(out, want) and out.flags.c_contiguous == want.flags.c_contiguous
+        assert not out.flags.writeable
+        with pytest.raises(ValueError):
+            out[0, 0] = 0.0
+        assert not np.shares_memory(out, chi.matrix) and not np.shares_memory(out, r.matrix)
+
+    def test_public_constructor_keeps_its_checks(self):
+        with pytest.raises(DimensionMismatchError):
+            ChoiOperator(2, 2, np.eye(3))
+        m = np.eye(4, dtype=complex)
+        chi = ChoiOperator(2, 2, m)
+        assert not np.shares_memory(chi.matrix, m) and m.flags.writeable
+
+    def test_dims_still_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            iterate_once(maxmix_choi(2, 3), UNOT1)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from choiopt.errors import DimensionMismatchError, InvalidChoiError, NormViolationError
 from choiopt.models import ModelSpec, analytic_r, bloch_state, model_family, orthogonal_state
+from choiopt import targets as targets_module
 from choiopt.targets import (
+    NORM_TOL,
     SAMPLE_BLOCK,
     StateFamily,
     TargetOperator,
@@ -21,7 +23,7 @@ from choiopt.targets import (
     quadrature_nodes,
     sphere_samples,
 )
-from helpers import unot_r_matrix
+from helpers import same_bytes, unot_r_matrix
 
 ALL_SPECS = [
     ModelSpec("unot", copies=1),
@@ -412,3 +414,109 @@ class TestQuadratureNodes:
             quadrature_nodes(4, **{which: count})
         with pytest.raises(ValueError, match=message):
             build_r_quadrature(model_family(ModelSpec("unot", copies=1)), **{which: count})
+
+
+def on_path(evaluator, path: str):
+    """evaluator as a broadcasting one, or as a scalar-only one that raises on arrays."""
+
+    def scalar_only(theta, phi):
+        if not np.isscalar(theta):
+            raise TypeError("scalars only")
+        return evaluator(theta, phi)
+
+    return evaluator if path == "broadcast" else scalar_only
+
+
+PATHS = ["broadcast", "per-sample"]
+
+
+class TestExactlyTwoResults:
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_another_count_is_a_dimension_mismatch(self, count, path):
+        ev = CountingEvaluator(on_path(lambda t, p: (bloch_state(t, p),) * count, path))
+        message = rf"^the evaluator returned {count} results, expected exactly two$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            evaluate_family(StateFamily(2, 2, ev, 4), [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+        assert ev.calls == (1 if path == "broadcast" else 2)  # the per-sample path stops at its first sample
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_two_results_as_any_iterable(self, path):
+        ev = on_path(lambda t, p: iter([bloch_state(t, p), orthogonal_state(t, p)]), path)
+        pin, pout = evaluate_family(StateFamily(2, 2, ev, 4), [0.1, 0.2], [0.3, 0.4])
+        assert np.array_equal(pin, bloch_state(np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+        assert np.array_equal(pout, orthogonal_state(np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+
+
+class TestNormCheckAtItsTolerance:
+    # Each state's norm deviation is held to NORM_TOL on both sides of 1.
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("name", ["input", "output"])
+    @pytest.mark.parametrize("sign", [1, -1], ids=["long", "short"])
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    def test_deviation_against_norm_tol(self, factor, sign, name, path):
+        scale = 1.0 + sign * factor * NORM_TOL
+
+        def ev(t, p):
+            good, scaled = bloch_state(t, p), scale * orthogonal_state(t, p)
+            return (scaled, good) if name == "input" else (good, scaled)
+
+        family = StateFamily(2, 2, on_path(ev, path), 4)
+        if factor < 1:
+            evaluate_family(family, [0.1, 0.2], [0.3, 0.4])
+        else:
+            with pytest.raises(NormViolationError, match=rf"^{name} state norm deviates by 1\.1\d\de-12$"):
+                evaluate_family(family, [0.1, 0.2], [0.3, 0.4])
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)], ids=str)
+    def test_non_finite_input_state(self, value, path):
+        def ev(t, p):
+            state = np.array(bloch_state(t, p))
+            state[..., 0] = value
+            return state, bloch_state(t, p)
+
+        with pytest.raises(NormViolationError, match=r"^input state norm deviates by (nan|inf)$"):
+            evaluate_family(StateFamily(2, 2, on_path(ev, path), 4), [0.1, 0.2], [0.3, 0.4])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_states_of_built_in_families_pass(self, spec):
+        thetas, phis = sphere_samples(SAMPLE_BLOCK, 3)
+        pin, pout = evaluate_family(model_family(spec), thetas, phis)
+        for states in (pin, pout):
+            assert np.abs(np.linalg.norm(states, axis=1) - 1.0).max() <= NORM_TOL
+
+
+def quadrature_from_leggauss(family: StateFamily, nodes_theta=None, nodes_phi=None) -> np.ndarray:
+    """build_r_quadrature's matrix with its Gauss-Legendre nodes computed afresh."""
+    nt, nph = quadrature_nodes(family.trig_degree, nodes_theta, nodes_phi)
+    x, w = np.polynomial.legendre.leggauss(nt)
+    thetas = (x + 1.0) * (np.pi / 2.0)
+    weights = w * np.sin(thetas) * (np.pi / (4.0 * nph))
+    phis = 2.0 * np.pi * np.arange(nph) / nph
+    tg, pg = np.meshgrid(thetas, phis, indexing="ij")
+    return targets_module._weighted_gram(family, tg.ravel(), pg.ravel(), np.repeat(weights, nph)).matrix
+
+
+class TestGaussLegendreNodesOncePerCount:
+    @pytest.mark.parametrize("count", [1, 32, 40])
+    def test_cached_read_only_and_as_computed(self, count):
+        nodes = targets_module._gauss_legendre(count)
+        assert targets_module._gauss_legendre(count) is nodes
+        for got, want in zip(nodes, np.polynomial.legendre.leggauss(count)):
+            assert same_bytes(got, want) and not got.flags.writeable
+
+    def test_one_computation_per_count(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or real(n))
+        family = model_family(ModelSpec("unot", copies=1))
+        for count in (37, np.int64(37), 37):
+            build_r_quadrature(family, nodes_theta=count)
+        assert len(calls) <= 1  # none if an earlier build used 37 nodes
+
+    @pytest.mark.parametrize("nodes", [(None, None), (40, 12)], ids=["default", "given"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_quadrature_targets_keep_their_bytes(self, spec, nodes):
+        family = model_family(spec)
+        assert same_bytes(build_r_quadrature(family, *nodes).matrix, quadrature_from_leggauss(family, *nodes))
