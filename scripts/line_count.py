@@ -9,9 +9,17 @@ multi-line token in a statement does.  A last row gives both totals.  Run
 via `make lines` or directly, optionally on other files:
 
     python3 scripts/line_count.py [FILE ...]
+
+With --ref (`make lines REF=<commit>`), each module's row gives its lines
+and code lines at that commit (read with `git show`), then in the working
+tree, then the change; a module missing on one side counts 0 there:
+
+    python3 scripts/line_count.py --ref REF
 """
 
+import argparse
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -34,14 +42,46 @@ def count_lines(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code)
 
 
-def main(argv: list[str]) -> None:
-    paths = [Path(a) for a in argv] or sorted((ROOT / "src" / "choiopt").glob("*.py"))
+def git(root: Path, *args: str) -> str:
+    proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"error: git {' '.join(args)}: {proc.stderr.strip()}")
+    return proc.stdout
+
+
+def ref_counts(ref: str, root: Path) -> dict[str, tuple[int, int]]:
+    """{module name: (lines, code lines)} of the src/choiopt modules at commit ref."""
+    paths = git(root, "ls-tree", "--name-only", ref, "src/choiopt/").splitlines()
+    return {Path(p).name: count_lines(git(root, "show", f"{ref}:{p}")) for p in paths if p.endswith(".py")}
+
+
+def print_rows(header: tuple, rows: list) -> None:
+    """Names left-aligned to the longest row name, the other cells right-aligned
+    to their header's width, at least 6."""
+    width = max(len(row[0]) for row in rows)
+    widths = [max(6, len(h)) for h in header[1:]]
+    for name, *cells in (header, *rows):
+        print("  ".join([f"{name:<{width}}", *(f"{c:>{w}}" for c, w in zip(cells, widths))]))
+
+
+def main(argv: list[str], root: Path = ROOT) -> None:
+    parser = argparse.ArgumentParser(description="Count the lines and code lines of each module.")
+    parser.add_argument("files", nargs="*", type=Path, help="modules to count instead of src/choiopt/*.py")
+    parser.add_argument("--ref", help="a commit: also count its src/choiopt modules, and print the change")
+    args = parser.parse_args(argv)
+    if args.ref and args.files:
+        parser.error("--ref counts src/choiopt and takes no FILE")
+    paths = args.files or sorted((root / "src" / "choiopt").glob("*.py"))
     counts = [(path.name, *count_lines(path.read_text())) for path in paths]
-    counts.append(("total", sum(c[1] for c in counts), sum(c[2] for c in counts)))
-    width = max(len(name) for name, _, _ in counts)
-    print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}")
-    for name, lines, code in counts:
-        print(f"{name:<{width}}  {lines:>6}  {code:>6}")
+    if not args.ref:
+        counts.append(("total", sum(c[1] for c in counts), sum(c[2] for c in counts)))
+        print_rows(("module", "lines", "code"), counts)
+        return
+    old, new = ref_counts(args.ref, root), {name: (lines, code) for name, lines, code in counts}
+    rows = [(name, *old.get(name, (0, 0)), *new.get(name, (0, 0))) for name in sorted(old.keys() | new.keys())]
+    rows.append(("total", *(sum(r[i] for r in rows) for i in range(1, 5))))
+    header = ("module", "ref_lines", "ref_code", "lines", "code", "d_lines", "d_code")
+    print_rows(header, [(*r, f"{r[3] - r[1]:+d}", f"{r[4] - r[2]:+d}") for r in rows])
 
 
 if __name__ == "__main__":

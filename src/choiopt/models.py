@@ -10,6 +10,10 @@ fidelity with its channel where one is available:
   entangler_b   |psi> -> (|psi>|psi_perp> + |psi_perp>|psi>)/sqrt(2)
   shifter(a)    |psi(theta, phi)> -> |psi(theta + a, phi)>
   identity      |psi> -> |psi>  (the shifter at a = 0)
+
+Each kind's facts (dims, state family, closed-form target and known optimum)
+live in one branch of _model; ModelSpec.dims, model_family, analytic_r and
+known_optimum only read its record.
 """
 
 from __future__ import annotations
@@ -62,18 +66,12 @@ class ModelSpec:
 
     @property
     def dims(self) -> tuple[int, int]:
-        if self.kind == "unot":
-            return (self.copies + 1, 2)
-        if self.kind == "cloner":
-            return (2, self.copies + 1)
-        if self.kind in ("entangler_a", "entangler_b"):
-            return (2, 4)
-        return (2, 2)
+        return _model(self).dims
 
 
 def parse_model(name: str, copies: int = 1, alpha: float = 0.0) -> ModelSpec:
     """Build a ModelSpec from a CLI-style name ('entangler-a' etc.)."""
-    return ModelSpec(name.replace("-", "_"), copies=copies, alpha=alpha)
+    return ModelSpec(name.replace("-", "_") if isinstance(name, str) else name, copies=copies, alpha=alpha)
 
 
 def bloch_state(theta, phi) -> np.ndarray:
@@ -99,8 +97,10 @@ def symmetric_state(n_qubits: int, theta, phi) -> np.ndarray:
     amplitude there is sqrt(C(N, j)) e^{i j phi} cos^{N-j}(theta/2)
     sin^j(theta/2), built from the qubit's amplitudes by running products
     (_symmetric_power).  Unit norm for every (theta, phi) by the binomial
-    theorem.
+    theorem.  n_qubits must pass linalg.is_natural, else ValueError.
     """
+    if not linalg.is_natural(n_qubits):
+        raise ValueError(f"n_qubits must be an integer >= 0, got {n_qubits!r}")
     return _symmetric_power(bloch_state(theta, phi), n_qubits)
 
 
@@ -146,34 +146,6 @@ def _entangler_b_output(a: np.ndarray) -> np.ndarray:
     b = np.stack([a[..., 1].conj(), -a[..., 0].conj()], axis=-1)
     pair = np.einsum("...i,...j->...ij", a, b) + np.einsum("...i,...j->...ij", b, a)
     return pair.reshape(pair.shape[:-2] + (4,)) / np.sqrt(2.0)
-
-
-def model_family(spec: ModelSpec) -> StateFamily:
-    """State family (input/output evaluator plus quadrature degree) for a model."""
-    dim_in, dim_out = spec.dims
-    n = spec.copies
-    if spec.kind == "unot":
-        ev = lambda t, p: (symmetric_state(n, t, p), orthogonal_state(t, p))
-        degree = 2 * (n + 1)
-    elif spec.kind == "cloner":
-        ev = _from_qubit(lambda a: _symmetric_power(a, n))
-        degree = 2 * (n + 1)
-    elif spec.kind == "entangler_a":
-        # The output is rational in cos(theta): no finite trig degree exists,
-        # but its harmonics decay geometrically, so the default node floor of
-        # the quadrature already integrates it to rounding.
-        ev = _from_qubit(_entangler_a_output)
-        degree = 4
-    elif spec.kind == "entangler_b":
-        ev = _from_qubit(_entangler_b_output)
-        degree = 6
-    else:  # shifter, and identity as the shifter at alpha = 0
-        alpha = spec.alpha
-        # Evaluated literally at theta + alpha even past the pole; that is the
-        # convention under which the closed-form target below is derived.
-        ev = lambda t, p: (bloch_state(t, p), bloch_state(np.asarray(t, dtype=float) + alpha, p))
-        degree = 4
-    return StateFamily(dim_in, dim_out, ev, degree)
 
 
 def _r_unot(n: int) -> np.ndarray:
@@ -249,22 +221,6 @@ def _r_shifter(alpha: float) -> np.ndarray:
     ).astype(np.complex128)
     r[0, 3] = r[3, 0] = ca / 6.0
     return r
-
-
-def analytic_r(spec: ModelSpec) -> TargetOperator:
-    """Closed-form target operator; matches build_r_quadrature(model_family(...))."""
-    dim_in, dim_out = spec.dims
-    if spec.kind == "unot":
-        m = _r_unot(spec.copies)
-    elif spec.kind == "cloner":
-        m = _r_cloner(spec.copies)
-    elif spec.kind == "entangler_a":
-        m = _r_entangler_a()
-    elif spec.kind == "entangler_b":
-        m = _r_entangler_b()
-    else:  # shifter or identity
-        m = _r_shifter(spec.alpha)
-    return TargetOperator(dim_in, dim_out, m)
 
 
 def damping_channel(beta: float) -> ChoiOperator:
@@ -364,22 +320,70 @@ class KnownOptimum:
     chi: ChoiOperator | None
 
 
-def known_optimum(spec: ModelSpec) -> KnownOptimum:
-    n = spec.copies
+@dataclass(frozen=True)
+class _Model:
+    """One kind's facts: its dims, its family's evaluator and quadrature
+    degree, and zero-argument builders of R's closed-form matrix (target) and
+    of the known optimum, so that a family builds neither and R no optimum."""
+
+    dims: tuple[int, int]
+    evaluator: Callable
+    degree: int
+    target: Callable[[], np.ndarray]
+    optimum: Callable[[], KnownOptimum]
+
+
+def _model(spec: ModelSpec) -> _Model:
+    """The facts of spec's kind at spec's parameters: the one dispatch on the kind."""
+    n, alpha = spec.copies, spec.alpha
     if spec.kind == "unot":
-        if n == 1:
-            # chi = 2R here: twice the projector onto span{|01>,|10>,|Phi->}/3.
-            chi = ChoiOperator(2, 2, 2.0 * analytic_r(spec).matrix)
-        else:
-            chi = None
-        return KnownOptimum((n + 1) / (n + 2), chi)
+        ev = lambda t, p: (symmetric_state(n, t, p), orthogonal_state(t, p))
+        # chi = 2R at N = 1: twice the projector onto span{|01>,|10>,|Phi->}/3.
+        chi = lambda: ChoiOperator(2, 2, 2.0 * _r_unot(1)) if n == 1 else None
+        optimum = lambda: KnownOptimum((n + 1) / (n + 2), chi())
+        return _Model((n + 1, 2), ev, 2 * (n + 1), lambda: _r_unot(n), optimum)
     if spec.kind == "cloner":
-        return KnownOptimum(2.0 / (n + 1), None)
+        ev = _from_qubit(lambda a: _symmetric_power(a, n))
+        optimum = lambda: KnownOptimum(2.0 / (n + 1), None)
+        return _Model((2, n + 1), ev, 2 * (n + 1), lambda: _r_cloner(n), optimum)
     if spec.kind == "entangler_a":
-        w = entangler_a_isometry().T.ravel()  # |0>|00> + |1>|Psi+>
-        return KnownOptimum(ENTANGLER_A_FIDELITY, ChoiOperator(2, 4, np.outer(w, w.conj())))
+
+        def optimum():
+            w = entangler_a_isometry().T.ravel()  # |0>|00> + |1>|Psi+>
+            return KnownOptimum(ENTANGLER_A_FIDELITY, ChoiOperator(2, 4, np.outer(w, w.conj())))
+
+        # The output is rational in cos(theta): no finite trig degree exists,
+        # but its harmonics decay geometrically, so the default node floor of
+        # the quadrature already integrates it to rounding.
+        return _Model((2, 4), _from_qubit(_entangler_a_output), 4, _r_entangler_a, optimum)
     if spec.kind == "entangler_b":
-        chi = ChoiOperator(2, 4, linalg.kron(np.eye(2), entangler_b_output_state()))
-        return KnownOptimum(1.0 / 3.0, chi)
-    opt = shifter_closed_forms(spec.alpha)  # shifter or identity
-    return KnownOptimum(opt.fidelity, damping_channel(opt.beta_opt))
+        chi = lambda: ChoiOperator(2, 4, linalg.kron(np.eye(2), entangler_b_output_state()))
+        optimum = lambda: KnownOptimum(1.0 / 3.0, chi())
+        return _Model((2, 4), _from_qubit(_entangler_b_output), 6, _r_entangler_b, optimum)
+
+    # The shifter, and identity as the shifter at alpha = 0.  Its output is
+    # evaluated literally at theta + alpha even past the pole; that is the
+    # convention under which the closed-form target is derived.
+    ev = lambda t, p: (bloch_state(t, p), bloch_state(np.asarray(t, dtype=float) + alpha, p))
+
+    def optimum():
+        opt = shifter_closed_forms(alpha)
+        return KnownOptimum(opt.fidelity, damping_channel(opt.beta_opt))
+
+    return _Model((2, 2), ev, 4, lambda: _r_shifter(alpha), optimum)
+
+
+def model_family(spec: ModelSpec) -> StateFamily:
+    """State family (input/output evaluator plus quadrature degree) for a model."""
+    model = _model(spec)
+    return StateFamily(*model.dims, model.evaluator, model.degree)
+
+
+def analytic_r(spec: ModelSpec) -> TargetOperator:
+    """Closed-form target operator; matches build_r_quadrature(model_family(...))."""
+    model = _model(spec)
+    return TargetOperator(*model.dims, model.target())
+
+
+def known_optimum(spec: ModelSpec) -> KnownOptimum:
+    return _model(spec).optimum()

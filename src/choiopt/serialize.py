@@ -36,6 +36,8 @@ def matrix_to_obj(m: np.ndarray) -> dict:
 def _checked(obj, key: str, kind: type = int):
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
     if not (linalg.is_count(obj[key]) if kind is int else type(obj[key]) is kind):
         raise ValueError(f"{key!r} must be a {'positive ' * (kind is int)}{kind.__name__}")
     return obj[key]

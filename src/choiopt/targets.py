@@ -163,12 +163,12 @@ def fidelity_bound(r: TargetOperator) -> float:
 
 def _angle_arrays(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
     """(thetas, phis) as float arrays; raises DimensionMismatchError unless
-    both are 1-D (scalars count as length 1) and of equal length."""
+    both are 1-D (scalars count as length 1) and of equal length >= 1."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    if thetas.ndim != 1 or thetas.shape != phis.shape:
+    if thetas.ndim != 1 or thetas.shape != phis.shape or not len(thetas):
         raise DimensionMismatchError(
-            f"angle arrays must be 1-D and of equal length, got shapes {thetas.shape} and {phis.shape}"
+            f"angle arrays must be 1-D and of equal length >= 1, got shapes {thetas.shape} and {phis.shape}"
         )
     return thetas, phis
 

@@ -162,6 +162,15 @@ class TestKrausDilate:
         assert err.startswith("error:")
 
 
+    def test_missing_key_is_a_usage_error_on_one_line(self, capsys, tmp_path):
+        path = tmp_path / "no_dims.json"
+        obj = serialize.choi_to_obj(random_choi(2, 2, seed=1))
+        del obj["dim_in"]
+        serialize.dump_json(obj, path)
+        code, out, err = run(capsys, "kraus", "--chi", str(path))
+        assert (code, out, err) == (2, "", "error: missing key 'dim_in'\n")
+
+
 class TestScanCurve:
     def test_scan_csv(self, capsys, tmp_path):
         csv = tmp_path / "scan.csv"

@@ -1,5 +1,8 @@
 import importlib.util
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("line_count", ROOT / "scripts" / "line_count.py")
@@ -40,3 +43,35 @@ def test_prints_each_module_and_the_totals(tmp_path, capsys):
     line_count.main([str(a), str(b)])
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["a.py", "15", "7"], ["b.py", "3", "1"], ["total", "18", "8"]]
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), *args], check=True, capture_output=True)
+
+
+def test_ref_prints_both_sides_and_the_change(tmp_path, capsys):
+    pkg = tmp_path / "src" / "choiopt"
+    pkg.mkdir(parents=True)
+    (pkg / "kept.py").write_text(SNIPPET)
+    (pkg / "gone.py").write_text("x = 1\n")
+    _git(tmp_path, "init", "-q")
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "base")
+    (pkg / "gone.py").unlink()
+    (pkg / "kept.py").write_text(SNIPPET + "y = 2\n")
+    (pkg / "new.py").write_text('"""Only a docstring."""\n\nx = 1\n')
+    line_count.main(["--ref", "HEAD"], root=tmp_path)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["module", "ref_lines", "ref_code", "lines", "code", "d_lines", "d_code"],
+        ["gone.py", "1", "1", "0", "0", "-1", "-1"],
+        ["kept.py", "15", "7", "16", "8", "+1", "+1"],
+        ["new.py", "0", "0", "3", "1", "+3", "+1"],
+        ["total", "16", "8", "19", "9", "+3", "+1"],
+    ]
+
+
+def test_ref_of_an_unknown_commit_exits_with_the_git_error(tmp_path):
+    _git(tmp_path, "init", "-q")
+    with pytest.raises(SystemExit, match="^error: git ls-tree"):
+        line_count.main(["--ref", "nosuch"], root=tmp_path)

@@ -1,14 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from choiopt import models
 from choiopt.channels import apply_matrix, density_from_state, fidelity, validate_choi
 from choiopt.errors import InvalidSpecError, OutOfRangeError
 from choiopt.models import (
     ALPHA_THRESHOLD,
+    MODEL_KINDS,
     ENTANGLER_A_FIDELITY,
     ENTANGLER_A_MIN_FIDELITY,
     KET_00,
@@ -366,3 +369,59 @@ class TestIdentityIsTheShifterAtZero:
         a, b = known_optimum(ident), known_optimum(shift)
         assert a.fidelity == b.fidelity == 1.0
         assert np.array_equal(a.chi.matrix, b.chi.matrix)
+
+
+class TestTypedErrorsAtTheBoundary:
+    @pytest.mark.parametrize("name", [3, None])
+    def test_parse_model_refuses_a_non_string_name(self, name):
+        with pytest.raises(InvalidSpecError, match=f"^unknown model kind {name}$"):
+            parse_model(name)
+
+    @pytest.mark.parametrize("n_qubits", [-1, 1.5, True, "2"])
+    def test_symmetric_state_refuses_a_non_natural_count(self, n_qubits):
+        with pytest.raises(ValueError, match=rf"^n_qubits must be an integer >= 0, got {re.escape(repr(n_qubits))}$"):
+            symmetric_state(n_qubits, 0.4, 1.1)
+
+    def test_symmetric_state_of_no_qubits(self):
+        assert np.array_equal(symmetric_state(0, [0.4, 2.0], [1.1, 0.3]), np.ones((2, 1)))
+
+
+def _specs(kind):
+    """Two parameter values for the kinds that take one, else the one spec."""
+    if kind in ("unot", "cloner"):
+        return [ModelSpec(kind, copies=n) for n in (1, 4)]
+    if kind == "shifter":
+        return [ModelSpec(kind, alpha=a) for a in (0.3, 2.5)]
+    return [ModelSpec(kind)]
+
+
+ALL_SPECS = [spec for kind in MODEL_KINDS for spec in _specs(kind)]
+R_BUILDERS = ("_r_unot", "_r_cloner", "_r_entangler_a", "_r_entangler_b", "_r_shifter")
+OPTIMUM_HELPERS = ("shifter_closed_forms", "damping_channel", "entangler_a_isometry", "entangler_b_output_state")
+
+
+def _raise_from(monkeypatch, names):
+    def refuse(*args):
+        raise AssertionError("called a builder that was not asked for")
+
+    for name in names:
+        monkeypatch.setattr(models, name, refuse)
+
+
+class TestOneDispatch:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_every_view_of_a_kind_has_its_dims(self, spec):
+        family, r, chi = model_family(spec), analytic_r(spec), known_optimum(spec).chi
+        assert (family.dim_in, family.dim_out) == (r.dim_in, r.dim_out) == spec.dims
+        assert chi is None or (chi.dim_in, chi.dim_out) == spec.dims
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_the_family_builds_no_target_and_no_optimum(self, spec, monkeypatch):
+        _raise_from(monkeypatch, R_BUILDERS + OPTIMUM_HELPERS)
+        pin, pout = evaluate_family(model_family(spec), THETAS, PHIS)
+        assert (pin.shape[1], pout.shape[1]) == spec.dims
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_the_target_builds_no_optimum(self, spec, monkeypatch):
+        _raise_from(monkeypatch, OPTIMUM_HELPERS)
+        assert (analytic_r(spec).dim_in, analytic_r(spec).dim_out) == spec.dims

@@ -260,3 +260,29 @@ class TestKrausReader:
         change(obj)
         with pytest.raises(ValueError):
             serialize.kraus_from_obj(obj)
+
+
+_OPERATOR_KEYS = ("dim_in", "dim_out", "rows", "cols", "data")
+_REQUIRED_KEYS = {
+    "matrix_from_obj": (serialize.matrix_to_obj(np.eye(2)), ("rows", "cols", "data")),
+    "choi_from_obj": (serialize.choi_to_obj(random_choi(2, 2, seed=1)), _OPERATOR_KEYS),
+    "target_from_obj": (serialize.target_to_obj(analytic_r(ModelSpec("cloner", copies=2))), _OPERATOR_KEYS),
+    "kraus_from_obj": (_kraus_obj(), ("dim_in", "dim_out", "operators", "weights")),
+}
+
+
+class TestMissingKeys:
+    # A missing key is a malformed file: a ValueError that names the key,
+    # not a bare KeyError.
+    @pytest.mark.parametrize(
+        "loader, key", [(loader, key) for loader, (_, keys) in _REQUIRED_KEYS.items() for key in keys]
+    )
+    def test_each_loader_names_the_missing_key(self, loader, key):
+        obj = dict(_REQUIRED_KEYS[loader][0])
+        del obj[key]
+        with pytest.raises(ValueError, match=f"^missing key '{key}'$"):
+            getattr(serialize, loader)(obj)
+
+    def test_an_empty_object(self):
+        with pytest.raises(ValueError, match="^missing key 'dim_in'$"):
+            serialize.choi_from_obj({})

@@ -430,6 +430,23 @@ def on_path(evaluator, path: str):
 PATHS = ["broadcast", "per-sample"]
 
 
+class TestEmptyAngleArrays:
+    # Zero samples used to fail as an untyped ValueError deep in the norm
+    # check (broadcast) or the unpacking of the results (per sample).
+    @pytest.mark.parametrize("path", PATHS)
+    def test_evaluate_family_refuses_zero_samples(self, path):
+        ev = CountingEvaluator(on_path(lambda t, p: (bloch_state(t, p), orthogonal_state(t, p)), path))
+        with pytest.raises(DimensionMismatchError, match=r"^angle arrays must be 1-D and of equal length >= 1, "):
+            evaluate_family(StateFamily(2, 2, ev, 4), [], [])
+        assert ev.calls == 0
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_integrand_rows_refuses_zero_samples(self, path):
+        family = StateFamily(2, 2, on_path(lambda t, p: (bloch_state(t, p), orthogonal_state(t, p)), path), 4)
+        with pytest.raises(DimensionMismatchError, match="length >= 1"):
+            integrand_rows(family, np.empty(0), np.empty(0))
+
+
 class TestExactlyTwoResults:
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("count", [1, 3])
