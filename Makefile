@@ -34,9 +34,10 @@ accept:
 verify:
 	PYTHONPATH=src $(PYTHON) -X dev -W error::RuntimeWarning scripts/verify_reference_values.py
 
-# solves the 381-solve reference set and prints how they ended; exits 1 on a raising or unconverged solve
+# solves the 381-solve reference set and prints how they ended; exits 1 on a raising or unconverged solve;
+# make refset ROWS=FILE also writes one line per solve to FILE, for a diff against another tree's
 refset:
-	PYTHONPATH=src $(PYTHON) -X dev -W error::RuntimeWarning scripts/reference_set.py
+	PYTHONPATH=src $(PYTHON) -X dev -W error::RuntimeWarning scripts/reference_set.py $(if $(ROWS),--rows $(ROWS))
 
 bench:
 	$(PYTHON) perfbench/run.py

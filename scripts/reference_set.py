@@ -10,12 +10,17 @@ the summed time spent in dual-endgame calls, the calls and how many of them
 certified, the unconverged rows, the rows reported converged but further
 than fid_tol from the known optimum, and the rows that ended through the
 endgame but further than 1e-12 from it.
-Exits 1 when a solve raises or ends unconverged, 0 otherwise.  Run via
-`make refset` or directly:
+Exits 1 when a solve raises or ends unconverged, 0 otherwise.  With --rows
+FILE it also writes one line per solve to FILE: spec, init, iterations,
+converged, repr(fidelity) and repr(gap), or spec, init and the error of a
+raising solve;
+`diff` of two such files shows which rows changed.  Run via
+`make refset [ROWS=FILE]` or directly:
 
-    PYTHONPATH=src python3 scripts/reference_set.py
+    PYTHONPATH=src python3 scripts/reference_set.py [--rows FILE]
 """
 
+import argparse
 import math
 import sys
 import time
@@ -38,7 +43,10 @@ def specs():
     yield from (ModelSpec(kind) for kind in ("entangler_a", "entangler_b", "identity"))
 
 
-def main():
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rows", metavar="FILE", help="write one line per solve to FILE")
+    args = ap.parse_args(argv)
     calls = 0
     endgame_time = 0.0
     real = solver._dual_endgame
@@ -55,6 +63,7 @@ def main():
     solves = iterations = certified = 0
     raised, unconverged, off, endgame_off = [], [], [], []
     elapsed = 0.0
+    rows = []
     for spec in specs():
         r, optimum = analytic_r(spec), known_optimum(spec).fidelity
         for init in STARTS:
@@ -65,10 +74,12 @@ def main():
                 result = solve(r, opts)
             except Exception as exc:  # a raising solve is a reported row, not the end of the run
                 raised.append(f"{spec} {init}: {type(exc).__name__}: {exc}")
+                rows.append(raised[-1])
                 continue
             finally:
                 elapsed += time.perf_counter() - start
             iterations += result.iterations
+            rows.append(f"{spec} {init} {result.iterations} {result.converged} {result.fidelity!r} {result.gap!r}")
             certified += not math.isnan(result.gap)  # solve keeps a gap only when it certified
             error = abs(result.fidelity - optimum)
             if not result.converged:
@@ -89,6 +100,9 @@ def main():
     )
     for line in raised + unconverged + endgame_off:
         print(f"  {line}")
+    if args.rows:
+        with open(args.rows, "w") as f:
+            f.writelines(f"{row}\n" for row in rows)
     return 1 if raised or unconverged else 0
 
 

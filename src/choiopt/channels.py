@@ -36,19 +36,26 @@ class ChoiOperator:
     dim_in: int
     dim_out: int
     matrix: np.ndarray
+    _stack = (None, None)  # (plan, blocks) carried by an iterate of the block step (_frozen)
 
     def __post_init__(self):
         m = operator_matrix(self.matrix, self.dim_in, self.dim_out, "process matrix")
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _frozen(cls, dim_in: int, dim_out: int, matrix: np.ndarray) -> ChoiOperator:
+    def _frozen(cls, dim_in: int, dim_out: int, matrix: np.ndarray, stack=None) -> ChoiOperator:
         """The operator of a complex128 (dim_in dim_out)^2 array that nothing else
         holds, made read-only in place: no checks and no copy, for an array
-        the package has just computed from checked operands."""
+        the package has just computed from checked operands.  stack is None or
+        (plan, blocks) with matrix exactly plan.scatter(blocks), the (B, s, s)
+        blocks on a target's block plan (targets.BlockPlan); it is carried,
+        read-only too, so that the next step and fidelity need not gather."""
         matrix.setflags(write=False)
         chi = object.__new__(cls)
         chi.__dict__.update(dim_in=dim_in, dim_out=dim_out, matrix=matrix)
+        if stack is not None:
+            stack[1].setflags(write=False)
+            chi.__dict__["_stack"] = stack
         return chi
 
 
@@ -207,11 +214,26 @@ def apply(chi: ChoiOperator, rho: DensityMatrix) -> DensityMatrix:
 
 
 def fidelity(chi: ChoiOperator, target) -> float:
-    """Mean fidelity Tr[chi R] of the channel against a target operator."""
+    """Mean fidelity Tr[chi R] of the channel against a target operator.
+
+    A target with dims (a TargetOperator) must have chi's, else
+    DimensionMismatchError; a raw array must have chi's shape.  Where the
+    target has a block plan, R is exactly zero off its blocks, so the trace
+    is the sum over them, chi's (B, s, s) blocks against the plan's vec(R_b^T):
+    the stack chi carries from the block step on that plan, else the blocks
+    gathered from chi's matrix, the same bits either way.  Any other target
+    takes the trace of the full n x n product."""
     r = target.matrix if hasattr(target, "matrix") else linalg.as_matrix(target)
-    if r.shape != chi.matrix.shape:
+    if hasattr(target, "dim_in"):
+        require_same_dims(chi, target, "channel", "target")
+    elif r.shape != chi.matrix.shape:
         raise DimensionMismatchError(f"target shape {r.shape} != process shape {chi.matrix.shape}")
-    value = np.einsum("ij,ji->", chi.matrix, r)  # Tr[chi R] without forming chi R
+    plan = getattr(target, "blocks", None)
+    if plan is None:
+        value = np.einsum("ij,ji->", chi.matrix, r)  # Tr[chi R] without forming chi R
+    else:
+        carried, stack = chi._stack
+        value = (stack if carried is plan else plan.gather(chi.matrix)).ravel() @ plan.overlap
     if abs(value.imag) > PSD_TOL:  # admissible chi and R can leave up to ~PSD_TOL * n * dim_in
         dev = max(linalg.hermiticity_deviation(chi.matrix), linalg.hermiticity_deviation(r))
         linalg.require_hermitian(dev, InvalidChoiError, f"fidelity has imaginary part {value.imag:.3e}")

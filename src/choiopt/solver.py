@@ -17,7 +17,12 @@ the blocks) is, the step works on the stack of blocks: R_b chi_b R_b as one
 stacked mat-vec of the plan's cached R_b (x) R_b^T against the blocks' vecs,
 a diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling,
 with no n x n product and no eigendecomposition.  Any other chi or R takes
-the dense step, with one eigh.
+the dense step, with one eigh.  The block step's result carries its
+(B, s, s) stack with R's plan next to the scattered matrix, so the next step,
+fidelity and the closing check read the stack: no step gathers chi's blocks
+again or re-tests that chi is zero off them.  A chi without a stack on R's
+plan (a start, the endgame's recovery, a caller's operator) is gathered and
+tested once (_on_blocks); the result of a solve drops its stack.
 
 The iteration converges only linearly where the optimum is rank-deficient
 (the shifter near its threshold and near pi).  The solve watches the rate
@@ -35,7 +40,8 @@ continues as if the attempt had not been made.
 
 A solve validates at its boundaries, not on every step.  initial_choi checks
 a given start; iterate_once checks only that its operands' dims agree and
-freezes the step's fresh array in place, with no copy and no second check.
+freezes the step's fresh array (and its stack) in place, with no copy and no
+second check.
 The result, and the endgame's answer, are checked once, against the same
 admissibility rule as channels.require_valid_choi: on R's blocks when the
 iterate is on them (one stacked eigvalsh of the (B, s, s) blocks, Tr_K from
@@ -139,18 +145,25 @@ def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray
     return roots, (full + full.conj().T) / 2
 
 
-def _block_step(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_stack(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
     """_extremal_step for a chi whose (B, s, s) blocks on R's blocks are all of
-    it: m = R chi R is the stack R_b chi_b R_b, one stacked mat-vec of the
-    plan's R_b (x) R_b^T against the blocks' row-major vecs; Tr_K m is diagonal
-    and read off the blocks' diagonals (so lambda's roots come in input order,
-    unsorted), and Lambda^{-1} scales each block entrywise."""
+    it, as the roots of lambda and the result's (B, s, s) stack: m = R chi R is
+    the stack R_b chi_b R_b, one stacked mat-vec of the plan's R_b (x) R_b^T
+    against the blocks' row-major vecs; Tr_K m is diagonal and read off the
+    blocks' diagonals (so lambda's roots come in input order, unsorted), and
+    Lambda^{-1} scales each block entrywise."""
     m = (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape)
     t = np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
     roots, inv = _inverse_roots(t)
     s = inv[plan.inputs]
     full = m * (s[:, :, None] * s[:, None, :])
-    return roots, plan.scatter((full + full.conj().swapaxes(1, 2)) / 2)
+    return roots, (full + full.conj().swapaxes(1, 2)) / 2
+
+
+def _block_step(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """_block_stack with the stack scattered to the n x n result."""
+    roots, stack = _block_stack(plan, blocks, dim_in)
+    return roots, plan.scatter(stack)
 
 
 def _on_blocks(chi: np.ndarray, r: TargetOperator) -> np.ndarray | None:
@@ -165,6 +178,14 @@ def _on_blocks(chi: np.ndarray, r: TargetOperator) -> np.ndarray | None:
     return blocks if np.count_nonzero(blocks.view(np.int64)) == np.count_nonzero(chi.ravel().view(np.int64)) else None
 
 
+def _blocks_of(chi: ChoiOperator, r: TargetOperator) -> np.ndarray | None:
+    """_on_blocks of chi's matrix, read without a test from the stack chi
+    carries when the block step made it on R's own plan (the same array as
+    the gather: the step's stack is zero on the padding)."""
+    plan, stack = chi._stack
+    return stack if plan is r.blocks else _on_blocks(chi.matrix, r)
+
+
 def _step(chi: np.ndarray, r: TargetOperator) -> tuple[np.ndarray, np.ndarray]:
     """The extremal step from the matrix chi: on R's blocks when chi is on
     them (_on_blocks), else the dense _extremal_step."""
@@ -176,13 +197,13 @@ def _step(chi: np.ndarray, r: TargetOperator) -> tuple[np.ndarray, np.ndarray]:
 
 def _require_valid(chi: ChoiOperator, r: TargetOperator) -> None:
     """require_valid_choi of a chi with R's dims, measured on R's blocks when chi
-    is on them (_on_blocks): the hermiticity deviation over the (B, s, s)
+    is on them (_blocks_of): the hermiticity deviation over the (B, s, s)
     stack, the smallest eigenvalue of one stacked eigvalsh (the padding adds
     zeros, which the rule never refuses), and Tr_K's diagonal as the block
     diagonals summed per input (its off-diagonal is exactly zero, since no
     block holds (a, k) and (b, k) with a != b).  One rule judges both
     measurements (channels._require_report)."""
-    blocks = _on_blocks(chi.matrix, r)
+    blocks = _blocks_of(chi, r)
     if blocks is None:
         return require_valid_choi(chi)
     dev, w = linalg.hermitian_spectrum(blocks)
@@ -232,13 +253,22 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
     """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized.
     chi's dims are checked against R's; the step's fresh result is frozen in
-    place, not checked again or copied."""
+    place, not checked again or copied.  On R's blocks (_blocks_of) the result
+    carries the step's (B, s, s) stack with R's plan, and its matrix is that
+    stack scattered, so the next step and fidelity read the stack directly."""
     require_same_dims(chi, r, "process", "target")
-    return ChoiOperator._frozen(r.dim_in, r.dim_out, _step(chi.matrix, r)[1])
+    d, k = r.dim_in, r.dim_out
+    blocks = _blocks_of(chi, r)
+    if blocks is None:
+        return ChoiOperator._frozen(d, k, _extremal_step(r.matrix @ chi.matrix @ r.matrix, d, k)[1])
+    stack = _block_stack(r.blocks, blocks, d)[1]
+    return ChoiOperator._frozen(d, k, r.blocks.scatter(stack), (r.blocks, stack))
 
 
 def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
-    return float(np.diff(np.sort(_step(chi.matrix, r)[0])).min(initial=np.inf))
+    blocks = _blocks_of(chi, r)
+    roots = _step(chi.matrix, r)[0] if blocks is None else _block_stack(r.blocks, blocks, r.dim_in)[0]
+    return float(np.diff(np.sort(roots)).min(initial=np.inf))
 
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -373,6 +403,8 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
         fids.append(fidelity(chi, r))
         converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
     _require_valid(chi, r)
+    lambda_gap = _multiplier_gap(chi, r)
+    chi.__dict__.pop("_stack", None)  # the result drops its stack: results a caller keeps hold less
     return SolverResult(
         chi=chi,
         fidelity=fids[-1],
@@ -380,6 +412,6 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
         iterations=len(fids) - 1,
         converged=converged,
         fidelity_trace=tuple(fids[1:]),
-        lambda_gap=_multiplier_gap(chi, r),
+        lambda_gap=lambda_gap,
         gap=gap,
     )

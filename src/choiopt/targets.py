@@ -90,13 +90,16 @@ class BlockPlan:
     q of block b; it is n^2 where either position is padding (pad).
     sandwich[b] = R_b (x) R_b^T, the (s^2, s^2) superoperator of X -> R_b X R_b
     on row-major vec(X), zero on the padding; inputs[b, p] is the input index
-    of position p (0 on padding)."""
+    of position p (0 on padding).  overlap holds the row-major vec(R_b^T) of
+    every block, one after the other: R is zero off its blocks, so
+    Tr[X R] = gather(X).ravel() @ overlap for any X."""
 
     labels: np.ndarray
     flat: np.ndarray
     pad: np.ndarray
     sandwich: np.ndarray
     inputs: np.ndarray
+    overlap: np.ndarray
 
     def gather(self, m: np.ndarray) -> np.ndarray:
         """The (B, s, s) blocks of an n x n matrix m, zero on the padding."""
@@ -146,7 +149,7 @@ def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
     np.minimum(flat, n * n, out=flat)
     r = _gather(m, flat, pad)
     sandwich = np.einsum("bik,blj->bijkl", r, r).reshape(len(r), size * size, size * size)
-    return BlockPlan(labels, flat, pad, sandwich, index % n // dim_out)
+    return BlockPlan(labels, flat, pad, sandwich, index % n // dim_out, r.transpose(0, 2, 1).ravel())
 
 
 def _gather(m: np.ndarray, flat: np.ndarray, pad: np.ndarray) -> np.ndarray:

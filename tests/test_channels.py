@@ -293,6 +293,18 @@ class TestTypedErrors:
         with pytest.raises(DimensionMismatchError):
             channels.fidelity(channels.maxmix_choi(2, 2), np.eye(6) / 6)
 
+    def test_fidelity_judges_a_target_by_its_dims(self):
+        # Equal shapes, swapped dims: an 8 x 8 operator on C^4 (x) C^2 is no target for a 2 -> 4 channel.
+        target = TargetOperator(4, 2, np.eye(8) / 8)
+        with pytest.raises(DimensionMismatchError, match=re.escape("channel dims (2,4) != target dims (4,2)")):
+            channels.fidelity(channels.maxmix_choi(2, 4), target)
+        assert channels.fidelity(channels.maxmix_choi(4, 2), target) == pytest.approx(0.5)
+
+    def test_fidelity_judges_a_raw_array_by_its_shape(self):
+        assert channels.fidelity(channels.maxmix_choi(2, 4), np.eye(8) / 8) == pytest.approx(0.25)
+        with pytest.raises(DimensionMismatchError, match=re.escape("target shape (6, 6) != process shape (8, 8)")):
+            channels.fidelity(channels.maxmix_choi(2, 4), np.eye(6) / 6)
+
     def test_fidelity_of_non_hermitian_chi(self):
         chi = channels.ChoiOperator(2, 2, np.eye(4) / 2 + 0.1j * np.eye(4))
         with pytest.raises(InvalidChoiError, match="imaginary part"):

@@ -1,9 +1,13 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from choiopt import solver
+from choiopt.models import ModelSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +36,25 @@ def test_first_line_reports_the_endgame_time(proc):
     endgame = solves.split("  ")[-1]
     assert endgame.startswith("endgame time = ") and endgame.endswith(" s")
     assert 0.0 < float(endgame.removeprefix("endgame time = ").removesuffix(" s")) <= total
+
+
+def test_rows_file_holds_one_line_per_solve(tmp_path, monkeypatch, capsys):
+    # In process, on two specs: the script wraps solver._dual_endgame, which
+    # monkeypatch puts back afterwards.
+    module_spec = importlib.util.spec_from_file_location("reference_set", ROOT / "scripts" / "reference_set.py")
+    reference_set = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(reference_set)
+    monkeypatch.setattr(solver, "_dual_endgame", solver._dual_endgame)
+    specs = [ModelSpec("shifter", alpha=0.71), ModelSpec("unot", copies=2)]
+    monkeypatch.setattr(reference_set, "specs", lambda: iter(specs))
+    rows = tmp_path / "rows.txt"
+    assert reference_set.main(["--rows", str(rows)]) == 0
+    assert capsys.readouterr().out.splitlines()[0].startswith("solves = 6  ")
+    lines = rows.read_text().splitlines()
+    want = [[str(s), init] for s in specs for init in reference_set.STARTS]
+    assert [line.rsplit(" ", 5)[:2] for line in lines] == want
+    for line in lines:
+        _, _, iterations, converged, fid, gap = line.rsplit(" ", 5)
+        assert int(iterations) >= 1 and converged == "True" and 0.0 < float(fid) <= 1.0
+        assert float(gap) >= 0.0 or gap == "nan"
+    assert any(line.endswith(" nan") for line in lines) and not all(line.endswith(" nan") for line in lines)

@@ -1077,3 +1077,95 @@ class TestIterateOnceTrustsItsStep:
     def test_dims_still_checked(self):
         with pytest.raises(DimensionMismatchError):
             iterate_once(maxmix_choi(2, 3), UNOT1)
+
+
+class TestCarriedStack:
+    # An iterate of the block step carries its (B, s, s) stack with R's plan;
+    # the next step and fidelity read it instead of gathering chi's matrix.
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_stack_is_the_gather_of_the_matrix(self, spec, init):
+        r = analytic_r(spec)
+        chi = iterate_once(iterate_once(initial_choi(r, init), r), r)
+        plan, stack = chi._stack
+        assert plan is r.blocks
+        assert same_bytes(stack, plan.gather(chi.matrix))
+        assert not stack.flags.writeable and not chi.matrix.flags.writeable
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_same_bits_with_and_without_the_stack(self, spec, init):
+        r = analytic_r(spec)
+        chi = iterate_once(initial_choi(r, init), r)
+        plain = ChoiOperator(r.dim_in, r.dim_out, chi.matrix)
+        assert plain._stack == (None, None)
+        assert same_bytes(iterate_once(chi, r).matrix, iterate_once(plain, r).matrix)
+        assert same_bytes(np.float64(fidelity(chi, r)), np.float64(fidelity(plain, r)))
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_fidelity_is_the_trace_of_the_product(self, spec, init):
+        r = analytic_r(spec)
+        for chi in (initial_choi(r, init), iterate_once(initial_choi(r, init), r)):
+            assert abs(fidelity(chi, r) - np.einsum("ij,ji->", chi.matrix, r.matrix).real) <= 1e-15
+
+    @pytest.mark.parametrize("spec", [ModelSpec("unot", copies=2), ModelSpec("shifter", alpha=0.5)], ids=str)
+    def test_a_stack_from_another_plan_is_ignored(self, spec):
+        # A zero stack read on r's plan gives F = 0; on an equal target with
+        # its own plan it is not read.
+        r = analytic_r(spec)
+        other = TargetOperator(r.dim_in, r.dim_out, r.matrix)
+        matrix = iterate_once(initial_choi(r, "maxmix"), r).matrix
+        plain = ChoiOperator(r.dim_in, r.dim_out, matrix)
+        wrong = ChoiOperator._frozen(r.dim_in, r.dim_out, matrix, (r.blocks, np.zeros_like(r.blocks.gather(matrix))))
+        assert other.blocks is not r.blocks
+        assert fidelity(wrong, r) == 0.0 != fidelity(plain, r)
+        assert same_bytes(iterate_once(wrong, other).matrix, iterate_once(plain, other).matrix)
+        assert fidelity(wrong, other) == fidelity(plain, other)
+
+    def test_a_solve_returns_no_stack(self):
+        r = analytic_r(ModelSpec("unot", copies=2))
+        result = solve(r)
+        assert result.chi._stack == (None, None)
+        assert fidelity(result.chi, r) == result.fidelity
+
+    def test_dense_steps_carry_no_stack(self):
+        r = analytic_r(ModelSpec("unot", copies=2))
+        off = iterate_once(random_choi(r.dim_in, r.dim_out, 7), r)  # a start off the blocks
+        sampled = build_r_montecarlo(model_family(ModelSpec("unot", copies=2)), 500, 1)
+        assert off._stack == (None, None)
+        assert iterate_once(maxmix_choi(sampled.dim_in, sampled.dim_out), sampled)._stack == (None, None)
+
+
+@pytest.fixture
+def iterate_calls(monkeypatch):
+    """Count the calls of solver.iterate_once, the loop's and the endgame's."""
+    calls = []
+    real = solver_module.iterate_once
+
+    def counted(chi, r):
+        calls.append(1)
+        return real(chi, r)
+
+    monkeypatch.setattr(solver_module, "iterate_once", counted)
+    return calls
+
+
+class TestOneStepPerIteration:
+    # Each reported iteration is one iterate_once call, a certified endgame's
+    # included; perfbench's span check counts a solve's steps this way.  An
+    # uncertified endgame still makes one call more, which is not pinned here.
+    @pytest.mark.parametrize(
+        "target, certified",
+        [
+            (lambda: analytic_r(ModelSpec("shifter", alpha=0.5)), False),
+            (lambda: build_r_montecarlo(model_family(ModelSpec("shifter", alpha=2.0)), 500, 1), False),
+            (lambda: analytic_r(ModelSpec("shifter", alpha=0.71)), True),
+        ],
+        ids=["block-target", "sampled-target", "certified-endgame"],
+    )
+    def test_calls_equal_iterations(self, target, certified, iterate_calls):
+        r = target()
+        result = solve(r)
+        assert result.converged and (not np.isnan(result.gap)) == certified
+        assert len(iterate_calls) == result.iterations > 1
