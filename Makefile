@@ -1,6 +1,6 @@
 PYTHON ?= python3
 
-.PHONY: install test accept verify refset bench bench-smoke bench-record bench-pairs lines
+.PHONY: install test accept verify refset refset-diff bench bench-smoke bench-record bench-pairs lines
 
 # An editable install without build isolation builds with the installed setuptools, which
 # pyproject.toml wants at >= 68, and needs wheel; pip checks neither, so check both first.
@@ -38,6 +38,10 @@ verify:
 # make refset ROWS=FILE also writes one line per solve to FILE, for a diff against another tree's
 refset:
 	PYTHONPATH=src $(PYTHON) -X dev -W error::RuntimeWarning scripts/reference_set.py $(if $(ROWS),--rows $(ROWS))
+
+# make refset-diff REF=<commit>: the reference-set rows of REF's src/ against this tree's, counted and listed
+refset-diff:
+	$(PYTHON) scripts/refset_diff.py --ref $(REF)
 
 bench:
 	$(PYTHON) perfbench/run.py

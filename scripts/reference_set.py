@@ -12,10 +12,10 @@ than fid_tol from the known optimum, and the rows that ended through the
 endgame but further than 1e-12 from it.
 Exits 1 when a solve raises or ends unconverged, 0 otherwise.  With --rows
 FILE it also writes one line per solve to FILE: spec, init, iterations,
-converged, repr(fidelity) and repr(gap), or spec, init and the error of a
-raising solve;
-`diff` of two such files shows which rows changed.  Run via
-`make refset [ROWS=FILE]` or directly:
+converged, repr(fidelity), repr(gap) and repr(lambda_gap), or spec, init
+and the error of a raising solve; `diff` of two such files shows which rows
+changed (`make refset-diff REF=<commit>` makes that diff against a commit's
+src/).  Run via `make refset [ROWS=FILE]` or directly:
 
     PYTHONPATH=src python3 scripts/reference_set.py [--rows FILE]
 """
@@ -79,7 +79,10 @@ def main(argv=None):
             finally:
                 elapsed += time.perf_counter() - start
             iterations += result.iterations
-            rows.append(f"{spec} {init} {result.iterations} {result.converged} {result.fidelity!r} {result.gap!r}")
+            rows.append(
+                f"{spec} {init} {result.iterations} {result.converged} {result.fidelity!r} {result.gap!r} "
+                f"{result.lambda_gap!r}"
+            )
             certified += not math.isnan(result.gap)  # solve keeps a gap only when it certified
             error = abs(result.fidelity - optimum)
             if not result.converged:

@@ -17,12 +17,13 @@ the blocks) is, the step works on the stack of blocks: R_b chi_b R_b as one
 stacked mat-vec of the plan's cached R_b (x) R_b^T against the blocks' vecs,
 a diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling,
 with no n x n product and no eigendecomposition.  Any other chi or R takes
-the dense step, with one eigh.  The block step's result carries its
-(B, s, s) stack with R's plan next to the scattered matrix, so the next step,
-fidelity and the closing check read the stack: no step gathers chi's blocks
-again or re-tests that chi is zero off them.  A chi without a stack on R's
-plan (a start, the endgame's recovery, a caller's operator) is gathered and
-tested once (_on_blocks); the result of a solve drops its stack.
+the dense step, with one eigh.  One function, _step, makes that choice, and
+one, _blocks_of, says whether chi is on the blocks.  The block step's result
+carries its (B, s, s) stack with R's plan next to the scattered matrix, so
+the next step, fidelity and the closing check read the stack: no step
+gathers chi's blocks again or re-tests that chi is zero off them.  A chi
+without a stack on R's plan (a start, the endgame's recovery, a caller's
+operator) is gathered and tested once; the result of a solve drops its stack.
 
 The iteration converges only linearly where the optimum is rank-deficient
 (the shifter near its threshold and near pi).  The solve watches the rate
@@ -39,13 +40,13 @@ with a certified duality gap of at most fid_tol; otherwise the iteration
 continues as if the attempt had not been made.
 
 A solve validates at its boundaries, not on every step.  initial_choi checks
-a given start; iterate_once checks only that its operands' dims agree and
-freezes the step's fresh array (and its stack) in place, with no copy and no
-second check.
-The result, and the endgame's answer, are checked once, against the same
-admissibility rule as channels.require_valid_choi: on R's blocks when the
-iterate is on them (one stacked eigvalsh of the (B, s, s) blocks, Tr_K from
-the block diagonals), else densely with require_valid_choi.
+a given start; iterate_once checks only that its operands' dims agree, and
+_step freezes its fresh array (and its stack) in place, with no copy and no
+second check.  The result, and the endgame's answer, are checked once,
+against the same admissibility rule as channels.require_valid_choi: on R's
+blocks when the iterate is on them (one stacked eigvalsh of the (B, s, s)
+blocks, Tr_K from the block diagonals), else densely with require_valid_choi.
+lambda_gap is read from the roots of one more _step from the result.
 """
 
 from __future__ import annotations
@@ -160,39 +161,37 @@ def _block_stack(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.n
     return roots, (full + full.conj().swapaxes(1, 2)) / 2
 
 
-def _block_step(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """_block_stack with the stack scattered to the n x n result."""
-    roots, stack = _block_stack(plan, blocks, dim_in)
-    return roots, plan.scatter(stack)
-
-
-def _on_blocks(chi: np.ndarray, r: TargetOperator) -> np.ndarray | None:
-    """The (B, s, s) blocks of the matrix chi on R's blocks when chi is exactly
-    zero off them; None when it is not, or when R has no block plan.  The test
-    counts nonzero words of the int64 views (a -0.0 counts, and only sends chi
-    to the dense path): chi is on the blocks when its blocks hold all of them."""
-    plan = r.blocks
-    if plan is None:
-        return None
-    blocks = plan.gather(chi)
-    return blocks if np.count_nonzero(blocks.view(np.int64)) == np.count_nonzero(chi.ravel().view(np.int64)) else None
-
-
 def _blocks_of(chi: ChoiOperator, r: TargetOperator) -> np.ndarray | None:
-    """_on_blocks of chi's matrix, read without a test from the stack chi
-    carries when the block step made it on R's own plan (the same array as
-    the gather: the step's stack is zero on the padding)."""
+    """The (B, s, s) blocks of chi on R's blocks when chi is exactly zero off
+    them; None when it is not, or when R has no block plan.  The stack chi
+    carries when the block step made it on R's own plan is read without a
+    test (the same array as the gather: the step's stack is zero on the
+    padding).  Otherwise the test counts nonzero words of the int64 views (a
+    -0.0 counts, and only sends chi to the dense path): chi is on the blocks
+    when its gathered blocks hold all of them."""
     plan, stack = chi._stack
-    return stack if plan is r.blocks else _on_blocks(chi.matrix, r)
+    if plan is r.blocks:
+        return stack
+    if r.blocks is None:
+        return None
+    blocks = r.blocks.gather(chi.matrix)
+    nonzero = np.count_nonzero(chi.matrix.ravel().view(np.int64))
+    return blocks if np.count_nonzero(blocks.view(np.int64)) == nonzero else None
 
 
-def _step(chi: np.ndarray, r: TargetOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The extremal step from the matrix chi: on R's blocks when chi is on
-    them (_on_blocks), else the dense _extremal_step."""
-    blocks = _on_blocks(chi, r)
-    if blocks is not None:
-        return _block_step(r.blocks, blocks, r.dim_in)
-    return _extremal_step(r.matrix @ chi @ r.matrix, r.dim_in, r.dim_out)
+def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperator]:
+    """The extremal step from chi with R's dims: the roots of lambda and the
+    result, frozen in place (ChoiOperator._frozen).  On R's blocks when chi is
+    on them (_blocks_of), where the result carries the step's (B, s, s) stack
+    with R's plan and its matrix is that stack scattered; else the dense
+    _extremal_step."""
+    d, k = r.dim_in, r.dim_out
+    blocks = _blocks_of(chi, r)
+    if blocks is None:
+        roots, m = _extremal_step(r.matrix @ chi.matrix @ r.matrix, d, k)
+        return roots, ChoiOperator._frozen(d, k, m)
+    roots, stack = _block_stack(r.blocks, blocks, d)
+    return roots, ChoiOperator._frozen(d, k, r.blocks.scatter(stack), (r.blocks, stack))
 
 
 def _require_valid(chi: ChoiOperator, r: TargetOperator) -> None:
@@ -251,24 +250,12 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
-    """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized.
-    chi's dims are checked against R's; the step's fresh result is frozen in
-    place, not checked again or copied.  On R's blocks (_blocks_of) the result
-    carries the step's (B, s, s) stack with R's plan, and its matrix is that
-    stack scattered, so the next step and fidelity read the stack directly."""
+    """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized:
+    _step's result, after a check that chi's dims agree with R's.  The fresh
+    result is frozen in place, not checked again or copied; on R's blocks it
+    carries the step's stack, so the next step and fidelity read it directly."""
     require_same_dims(chi, r, "process", "target")
-    d, k = r.dim_in, r.dim_out
-    blocks = _blocks_of(chi, r)
-    if blocks is None:
-        return ChoiOperator._frozen(d, k, _extremal_step(r.matrix @ chi.matrix @ r.matrix, d, k)[1])
-    stack = _block_stack(r.blocks, blocks, d)[1]
-    return ChoiOperator._frozen(d, k, r.blocks.scatter(stack), (r.blocks, stack))
-
-
-def _multiplier_gap(chi: ChoiOperator, r: TargetOperator) -> float:
-    blocks = _blocks_of(chi, r)
-    roots = _step(chi.matrix, r)[0] if blocks is None else _block_stack(r.blocks, blocks, r.dim_in)[0]
-    return float(np.diff(np.sort(roots)).min(initial=np.inf))
+    return _step(chi, r)[1]
 
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -403,7 +390,7 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
         fids.append(fidelity(chi, r))
         converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
     _require_valid(chi, r)
-    lambda_gap = _multiplier_gap(chi, r)
+    lambda_gap = float(np.diff(np.sort(_step(chi, r)[0])).min(initial=np.inf))
     chi.__dict__.pop("_stack", None)  # the result drops its stack: results a caller keeps hold less
     return SolverResult(
         chi=chi,

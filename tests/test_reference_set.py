@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -52,9 +53,12 @@ def test_rows_file_holds_one_line_per_solve(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[0].startswith("solves = 6  ")
     lines = rows.read_text().splitlines()
     want = [[str(s), init] for s in specs for init in reference_set.STARTS]
-    assert [line.rsplit(" ", 5)[:2] for line in lines] == want
+    assert [line.rsplit(" ", 6)[:2] for line in lines] == want
+    gaps = []
     for line in lines:
-        _, _, iterations, converged, fid, gap = line.rsplit(" ", 5)
+        _, _, iterations, converged, fid, gap, lambda_gap = line.rsplit(" ", 6)
         assert int(iterations) >= 1 and converged == "True" and 0.0 < float(fid) <= 1.0
         assert float(gap) >= 0.0 or gap == "nan"
-    assert any(line.endswith(" nan") for line in lines) and not all(line.endswith(" nan") for line in lines)
+        assert math.isfinite(float(lambda_gap)) and float(lambda_gap) >= 0.0
+        gaps.append(gap)
+    assert "nan" in gaps and any(gap != "nan" for gap in gaps)

@@ -891,9 +891,32 @@ class TestBlockStep:
     def test_lambda_gap_matches_the_dense_formula(self, spec, init):
         r = analytic_r(spec)
         result = solve(r, SolverOptions(init=init))
-        m = r.matrix @ result.chi.matrix @ r.matrix
-        roots = clip_roots(np.linalg.eigvalsh(hermitian_part(partial_trace(m, r.dim_in, r.dim_out))))
-        assert abs(result.lambda_gap - np.diff(roots).min()) <= 1e-12
+        assert abs(result.lambda_gap - dense_lambda_gap(result.chi, r)) <= 1e-12
+
+    # A solve off R's blocks reads lambda_gap from the dense step's roots; an
+    # endgame's answer (cloner-2 from this start) is pinched back to the blocks.
+    @pytest.mark.parametrize(
+        "target, off_block_start",
+        [
+            (lambda: analytic_r(ModelSpec("unot", copies=2)), True),
+            (lambda: analytic_r(ModelSpec("cloner", copies=2)), True),
+            (lambda: build_r_montecarlo(model_family(ModelSpec("unot", copies=2)), 500, 1), False),
+        ],
+        ids=["unot-2-off-block-start", "cloner-2-off-block-start", "sampled-unot-2"],
+    )
+    def test_lambda_gap_off_the_blocks_matches_the_dense_formula(self, target, off_block_start):
+        r = target()
+        init = random_choi(r.dim_in, r.dim_out, 7) if off_block_start else "maxmix"
+        result = solve(r, SolverOptions(init=init))
+        assert (solver_module._blocks_of(result.chi, r) is None) == np.isnan(result.gap)
+        assert abs(result.lambda_gap - dense_lambda_gap(result.chi, r)) <= 1e-12
+
+
+def dense_lambda_gap(chi: ChoiOperator, r: TargetOperator) -> float:
+    """The smallest gap between adjacent roots of lambda = (Tr_K[R chi R])^{1/2}, from one eigvalsh."""
+    m = r.matrix @ chi.matrix @ r.matrix
+    roots = clip_roots(np.linalg.eigvalsh(hermitian_part(partial_trace(m, r.dim_in, r.dim_out))))
+    return np.diff(roots).min()
 
 
 class TestRootsInAnyOrder:
@@ -905,7 +928,8 @@ class TestRootsInAnyOrder:
         r = analytic_r(spec)
         chi = initial_choi(r, init).matrix
         plan = r.blocks
-        block_roots, block_step = solver_module._block_step(plan, plan.gather(chi), r.dim_in)
+        block_roots, stack = solver_module._block_stack(plan, plan.gather(chi), r.dim_in)
+        block_step = plan.scatter(stack)
         dense_roots, dense_step = solver_module._extremal_step(r.matrix @ chi @ r.matrix, r.dim_in, r.dim_out)
         assert np.abs(np.sort(block_roots) - dense_roots).max() <= 1e-13
         assert np.abs(block_step - dense_step).max() <= 1e-13
@@ -914,7 +938,7 @@ class TestRootsInAnyOrder:
         # From maxmix on R = diag(.6, 0, 0, .4), Tr_K[R chi R] = diag(.18, .08) is not ascending by input.
         r = TargetOperator(2, 2, np.diag([0.6, 0, 0, 0.4]))
         chi = maxmix_choi(r.dim_in, r.dim_out).matrix
-        roots = solver_module._block_step(r.blocks, r.blocks.gather(chi), r.dim_in)[0]
+        roots = solver_module._block_stack(r.blocks, r.blocks.gather(chi), r.dim_in)[0]
         assert not np.array_equal(roots, np.sort(roots))
 
     def test_an_all_zero_marginal_is_singular_on_both_paths(self, monkeypatch):
@@ -924,7 +948,7 @@ class TestRootsInAnyOrder:
             solver_module._extremal_step(zero, r.dim_in, r.dim_out)
         monkeypatch.setattr(solver_module, "_extremal_step", _refuse_dense_step)
         with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
-            solver_module._step(zero, r)
+            solver_module._step(ChoiOperator(r.dim_in, r.dim_out, zero), r)
 
 
 class TestEndgameOnTheBlocks:
@@ -999,7 +1023,7 @@ class TestClosingCheckOnTheBlocks:
         m = np.array(solve(r).chi.matrix)
         fault(r, m)
         chi = ChoiOperator(r.dim_in, r.dim_out, m)
-        assert solver_module._on_blocks(chi.matrix, r) is not None
+        assert solver_module._blocks_of(chi, r) is not None
         with pytest.raises(InvalidChoiError) as dense:
             require_valid_choi(chi)
         monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
@@ -1024,12 +1048,12 @@ class TestClosingCheckOnTheBlocks:
     def test_an_init_off_the_blocks_takes_the_dense_check(self, monkeypatch):
         r = analytic_r(ModelSpec("unot", copies=2))
         init = random_choi(r.dim_in, r.dim_out, 7)
-        assert r.blocks is not None and solver_module._on_blocks(init.matrix, r) is None
+        assert r.blocks is not None and solver_module._blocks_of(init, r) is None
         checked = []
         real = solver_module.require_valid_choi
         monkeypatch.setattr(solver_module, "require_valid_choi", lambda chi: checked.append(chi) or real(chi))
         result = solve(r, SolverOptions(init=init))
-        assert solver_module._on_blocks(result.chi.matrix, r) is None
+        assert solver_module._blocks_of(result.chi, r) is None
         assert checked[0] is init and checked[-1] is result.chi and len(checked) == 2
 
     @pytest.mark.parametrize("spec", SAMPLED_SPECS[:2], ids=str)
@@ -1060,7 +1084,7 @@ class TestIterateOnceTrustsItsStep:
         r = build_r_montecarlo(model_family(spec), 500, 1) if sampled else analytic_r(spec)
         chi = random_choi(r.dim_in, r.dim_out, 7) if init is None else initial_choi(r, init)
         out = iterate_once(chi, r).matrix
-        want = ChoiOperator(r.dim_in, r.dim_out, solver_module._step(chi.matrix, r)[1]).matrix
+        want = ChoiOperator(r.dim_in, r.dim_out, solver_module._step(chi, r)[1].matrix).matrix
         assert same_bytes(out, want) and out.flags.c_contiguous == want.flags.c_contiguous
         assert not out.flags.writeable
         with pytest.raises(ValueError):
@@ -1154,7 +1178,8 @@ def iterate_calls(monkeypatch):
 class TestOneStepPerIteration:
     # Each reported iteration is one iterate_once call, a certified endgame's
     # included; perfbench's span check counts a solve's steps this way.  An
-    # uncertified endgame still makes one call more, which is not pinned here.
+    # uncertified endgame still makes one call more, the step it discards:
+    # test_calls_equal_iterations_after_an_uncertified_endgame pins that as a strict xfail.
     @pytest.mark.parametrize(
         "target, certified",
         [
@@ -1169,3 +1194,11 @@ class TestOneStepPerIteration:
         result = solve(r)
         assert result.converged and (not np.isnan(result.gap)) == certified
         assert len(iterate_calls) == result.iterations > 1
+
+    @pytest.mark.xfail(strict=True, reason="an uncertified endgame discards one iterate_once call")
+    def test_calls_equal_iterations_after_an_uncertified_endgame(self, iterate_calls):
+        # With fid_tol = 1e-300 no endgame certifies and the fidelity rule never
+        # fires, so the solve runs all 300 steps; the endgame's discarded step is one more call.
+        result = solve(analytic_r(ModelSpec("shifter", alpha=0.7)), SolverOptions(max_iters=300, fid_tol=1e-300))
+        assert not result.converged and np.isnan(result.gap)
+        assert len(iterate_calls) == result.iterations
