@@ -6,7 +6,8 @@ Exports REF with `git archive` into a temporary directory, then runs
 pair per seed S .. S+N-1; the first pair runs REF first and each later pair
 flips the order.  Prints, per end-to-end metric, each side's median
 [quartiles], the change of the medians relative to REF's, the pairs the
-working tree won (ties count for neither side) and the failed item counts:
+working tree won (ties count for neither side) and the failed item counts,
+then one verdict line per metric (verdict):
 
     python3 scripts/bench_pairs.py --ref REF --workload W --pairs N --seed S [--seconds T] [--size full|smoke]
 """
@@ -22,7 +23,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BETTER = {m["name"]: m["better"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BETTER = {m["name"]: m["better"] for m in END_TO_END}
+BOUND = {m["name"]: m["bound"] for m in END_TO_END}
 
 
 def export(ref: str, dest: Path) -> None:
@@ -54,6 +57,17 @@ def spread(values: list) -> tuple:
     return q2, q1, q3
 
 
+def _values(pairs: list, name: str) -> tuple[list, list]:
+    """The metric's values in REF's runs and in the working tree's, pair by pair."""
+    return [a["metrics"][name]["value"] for a, _ in pairs], [b["metrics"][name]["value"] for _, b in pairs]
+
+
+def _wins(ref: list, new: list, direction: str) -> int:
+    """The pairs in which the working tree's value is better (direction "lower" or "higher")."""
+    sign = 1 if direction == "higher" else -1
+    return sum(sign * (b - a) > 0 for a, b in zip(ref, new))
+
+
 def summarize(pairs: list, better: dict = BETTER) -> list:
     """Report lines for pairs of (REF result, working-tree result): one line
     per end-to-end metric in better (name -> "lower" or "higher"), then the
@@ -61,10 +75,8 @@ def summarize(pairs: list, better: dict = BETTER) -> list:
     n = len(pairs)
     lines = [f"{'metric':<14}{'ref median [quartiles]':>34}{'change median [quartiles]':>34}{'change':>9}  won"]
     for name, direction in better.items():
-        ref = [a["metrics"][name]["value"] for a, _ in pairs]
-        new = [b["metrics"][name]["value"] for _, b in pairs]
-        sign = 1 if direction == "higher" else -1
-        won = sum(sign * (b - a) > 0 for a, b in zip(ref, new))
+        ref, new = _values(pairs, name)
+        won = _wins(ref, new, direction)
         (rm, r1, r3), (nm, n1, n3) = spread(ref), spread(new)
         rel = f"{(nm - rm) / rm:+.1%}" if rm else "n/a"
         lines.append(
@@ -76,6 +88,27 @@ def summarize(pairs: list, better: dict = BETTER) -> list:
         attempted = sum(p[i]["attempted"] for p in pairs)
         lines.append(f"failed items ({side}): {failed}/{attempted}")
     return lines
+
+
+def verdict(ref: list, new: list, direction: str, bound: float) -> str:
+    """The verdict on one metric from its values in REF's runs and the working
+    tree's, pair by pair, better when "lower" or "higher" (direction):
+    "claim met" when the working tree wins at least 9 in 10 of the pairs and
+    its median is better than REF's by more than REF's interquartile range;
+    "worse than bound" when its median is worse than REF's by more than
+    bound, a fraction of REF's median; "within noise" otherwise."""
+    sign = 1 if direction == "higher" else -1
+    (rm, r1, r3), nm = spread(ref), spread(new)[0]
+    if 10 * _wins(ref, new, direction) >= 9 * len(ref) and sign * (nm - rm) > r3 - r1:
+        return "claim met"
+    if -sign * (nm - rm) > bound * abs(rm):
+        return "worse than bound"
+    return "within noise"
+
+
+def verdicts(pairs: list, better: dict = BETTER, bound: dict = BOUND) -> list:
+    """One line per end-to-end metric in better: its name and its verdict."""
+    return [f"{name:<14}{verdict(*_values(pairs, name), direction, bound[name])}" for name, direction in better.items()]
 
 
 def main(argv=None) -> int:
@@ -103,7 +136,7 @@ def main(argv=None) -> int:
                   file=sys.stderr, flush=True)
     print(f"{args.workload}: {args.pairs} alternating pairs, ref {args.ref} against the working tree, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}, {args.seconds:g} s, size {args.size}")
-    print("\n".join(summarize(pairs)))
+    print("\n".join(summarize(pairs) + verdicts(pairs)))
     return 0
 
 

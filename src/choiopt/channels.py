@@ -43,20 +43,42 @@ class ChoiOperator:
         object.__setattr__(self, "matrix", m)
 
     @classmethod
-    def _frozen(cls, dim_in: int, dim_out: int, matrix: np.ndarray, stack=None) -> ChoiOperator:
+    def _frozen(cls, dim_in: int, dim_out: int, matrix: np.ndarray | None, stack=None) -> ChoiOperator:
         """The operator of a complex128 (dim_in dim_out)^2 array that nothing else
         holds, made read-only in place: no checks and no copy, for an array
         the package has just computed from checked operands.  stack is None or
-        (plan, blocks) with matrix exactly plan.scatter(blocks), the (B, s, s)
-        blocks on a target's block plan (targets.BlockPlan); it is carried,
-        read-only too, so that the next step and fidelity need not gather."""
-        matrix.setflags(write=False)
+        (plan, blocks), the (B, s, s) blocks on a target's block plan
+        (targets.BlockPlan) of a matrix exactly plan.scatter(blocks); it is
+        carried, read-only too, so that the next step and fidelity need not
+        gather.  With a stack, matrix may be None: it is then scattered on
+        its first read (_ScatteredOnFirstRead), frozen and kept, so an
+        iterate that nothing reads as a matrix never writes one."""
         chi = object.__new__(cls)
-        chi.__dict__.update(dim_in=dim_in, dim_out=dim_out, matrix=matrix)
+        chi.__dict__.update(dim_in=dim_in, dim_out=dim_out)
+        if matrix is not None:
+            matrix.setflags(write=False)
+            chi.__dict__["matrix"] = matrix
         if stack is not None:
             stack[1].setflags(write=False)
             chi.__dict__["_stack"] = stack
         return chi
+
+
+class _ScatteredOnFirstRead:
+    """ChoiOperator.matrix where an operator holds none, one _frozen from a stack
+    only: the stack scattered, frozen and kept in the operator, so that later
+    reads find the array itself.  A class attribute without __set__, so an
+    operator that holds its matrix never calls it, and no other attribute
+    lookup goes through it; read on the class it raises AttributeError."""
+
+    def __get__(self, chi, owner=None):
+        plan, blocks = chi._stack
+        chi.__dict__["matrix"] = matrix = plan.scatter(blocks)
+        matrix.setflags(write=False)
+        return matrix
+
+
+ChoiOperator.matrix = _ScatteredOnFirstRead()
 
 
 def require_dims(dim_in, dim_out) -> None:

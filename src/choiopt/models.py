@@ -76,12 +76,14 @@ def parse_model(name: str, copies: int = 1, alpha: float = 0.0) -> ModelSpec:
 
 def bloch_state(theta, phi) -> np.ndarray:
     """Qubit cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>; broadcasts over angles."""
+    return _bloch(theta, np.exp(1j * np.asarray(phi, dtype=float)))
+
+
+def _bloch(theta, phase) -> np.ndarray:
+    """bloch_state(theta, phi) from phi's phase e^{i phi}, so that states at
+    one phi share one evaluation of the phase."""
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    return np.stack(
-        [np.cos(theta / 2) * np.ones_like(phi), np.exp(1j * phi) * np.sin(theta / 2)],
-        axis=-1,
-    )
+    return np.stack([np.cos(theta / 2) * np.ones_like(phase.real), phase * np.sin(theta / 2)], axis=-1)
 
 
 def orthogonal_state(theta, phi) -> np.ndarray:
@@ -363,8 +365,10 @@ def _model(spec: ModelSpec) -> _Model:
 
     # The shifter, and identity as the shifter at alpha = 0.  Its output is
     # evaluated literally at theta + alpha even past the pole; that is the
-    # convention under which the closed-form target is derived.
-    ev = lambda t, p: (bloch_state(t, p), bloch_state(np.asarray(t, dtype=float) + alpha, p))
+    # convention under which the closed-form target is derived.  Both states share phi's phase.
+    def ev(t, p):
+        phase = np.exp(1j * np.asarray(p, dtype=float))
+        return _bloch(t, phase), _bloch(np.asarray(t, dtype=float) + alpha, phase)
 
     def optimum():
         opt = shifter_closed_forms(alpha)

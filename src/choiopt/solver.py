@@ -19,11 +19,14 @@ a diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling,
 with no n x n product and no eigendecomposition.  Any other chi or R takes
 the dense step, with one eigh.  One function, _step, makes that choice, and
 one, _blocks_of, says whether chi is on the blocks.  The block step's result
-carries its (B, s, s) stack with R's plan next to the scattered matrix, so
-the next step, fidelity and the closing check read the stack: no step
-gathers chi's blocks again or re-tests that chi is zero off them.  A chi
-without a stack on R's plan (a start, the endgame's recovery, a caller's
-operator) is gathered and tested once; the result of a solve drops its stack.
+carries its (B, s, s) stack with R's plan, and its n x n matrix is scattered
+from the stack only on its first read (ChoiOperator._frozen): the next step,
+fidelity and the closing check read the stack, so no step writes an n x n
+matrix, gathers chi's blocks again or re-tests that chi is zero off them.  A
+pinched random start and the endgame's pinched recovery carry their gathered
+blocks the same way; any other chi without a stack on R's plan (maxmix, a
+caller's operator) is gathered and tested once.  The result of a solve has
+its matrix scattered and drops its stack.
 
 The iteration converges only linearly where the optimum is rank-deficient
 (the shifter near its threshold and near pi).  The solve watches the rate
@@ -127,11 +130,13 @@ class SolverResult:
 
 def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The roots of lambda from the eigenvalues w of lambda^2, in w's order (the
-    clip rule), and their inverses on the support rule's support (0 elsewhere)."""
+    clip rule), and their inverses on the support rule's support (0 elsewhere);
+    SingularLambdaError when that support is empty."""
     roots = linalg.clip_roots(w)
-    if roots.max() <= 0.0:
+    inv = linalg.inverse_on_support(roots, PINV_CUTOFF)
+    if not np.count_nonzero(inv):
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
-    return roots, linalg.inverse_on_support(roots, PINV_CUTOFF)
+    return roots, inv
 
 
 def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,13 +157,16 @@ def _block_stack(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.n
     the stack R_b chi_b R_b, one stacked mat-vec of the plan's R_b (x) R_b^T
     against the blocks' row-major vecs; Tr_K m is diagonal and read off the
     blocks' diagonals (so lambda's roots come in input order, unsorted), and
-    Lambda^{-1} scales each block entrywise."""
+    Lambda^{-1} scales each block entrywise.  The product's fresh array is
+    scaled and re-Hermitized in place."""
     m = (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape)
-    t = np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
+    t = np.bincount(plan.flat_inputs, m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
     roots, inv = _inverse_roots(t)
     s = inv[plan.inputs]
-    full = m * (s[:, :, None] * s[:, None, :])
-    return roots, (full + full.conj().swapaxes(1, 2)) / 2
+    m *= s[:, :, None] * s[:, None, :]
+    m += m.conj().swapaxes(1, 2)
+    m /= 2  # not *= 0.5, which can flip the sign of a zero imaginary part
+    return roots, m
 
 
 def _blocks_of(chi: ChoiOperator, r: TargetOperator) -> np.ndarray | None:
@@ -183,15 +191,15 @@ def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperato
     """The extremal step from chi with R's dims: the roots of lambda and the
     result, frozen in place (ChoiOperator._frozen).  On R's blocks when chi is
     on them (_blocks_of), where the result carries the step's (B, s, s) stack
-    with R's plan and its matrix is that stack scattered; else the dense
-    _extremal_step."""
+    with R's plan, and its matrix is that stack scattered on first read; else
+    the dense _extremal_step."""
     d, k = r.dim_in, r.dim_out
     blocks = _blocks_of(chi, r)
     if blocks is None:
         roots, m = _extremal_step(r.matrix @ chi.matrix @ r.matrix, d, k)
         return roots, ChoiOperator._frozen(d, k, m)
     roots, stack = _block_stack(r.blocks, blocks, d)
-    return roots, ChoiOperator._frozen(d, k, r.blocks.scatter(stack), (r.blocks, stack))
+    return roots, ChoiOperator._frozen(d, k, None, (r.blocks, stack))
 
 
 def _require_valid(chi: ChoiOperator, r: TargetOperator) -> None:
@@ -206,19 +214,23 @@ def _require_valid(chi: ChoiOperator, r: TargetOperator) -> None:
     if blocks is None:
         return require_valid_choi(chi)
     dev, w = linalg.hermitian_spectrum(blocks)
-    diag, inputs = blocks.diagonal(axis1=1, axis2=2).ravel(), r.blocks.inputs.ravel()
-    re, im = (np.bincount(inputs, part, r.dim_in) for part in (diag.real, diag.imag))
+    diag = blocks.diagonal(axis1=1, axis2=2).ravel()
+    re, im = (np.bincount(r.blocks.flat_inputs, part, r.dim_in) for part in (diag.real, diag.imag))
     report = channels.ChoiReport(float(w.min()), float(np.hypot(re - 1.0, im).max()), dev)
     channels._require_report(report, InvalidChoiError)
 
 
-def _pinch(r: TargetOperator, m: np.ndarray) -> np.ndarray:
-    """m zeroed off R's blocks, or m itself where R has no block plan.  The
-    pinch is a Schur product with a 0/1 mask of all-ones blocks, so it keeps
-    a PSD m PSD, and under the plan's rule it leaves Tr_K m's diagonal as it
-    is and zeroes the rest, so a trace-preserving m stays so."""
+def _pinch(r: TargetOperator, m: np.ndarray) -> ChoiOperator:
+    """The operator of m zeroed off R's blocks, carrying its blocks gathered as
+    its stack (its matrix is scattered on first read), or of m itself where R
+    has no block plan.  The pinch is a Schur product with a 0/1 mask of
+    all-ones blocks, so it keeps a PSD m PSD, and under the plan's rule it
+    leaves Tr_K m's diagonal as it is and zeroes the rest, so a
+    trace-preserving m stays so."""
     plan = r.blocks
-    return m if plan is None else plan.scatter(plan.gather(m))
+    if plan is None:
+        return ChoiOperator(r.dim_in, r.dim_out, m)
+    return ChoiOperator._frozen(r.dim_in, r.dim_out, None, (plan, plan.gather(m)))
 
 
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
@@ -228,7 +240,8 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     linalg.require_seed(seed)
     rng = np.random.default_rng(seed)
     n = dim_in * dim_out
-    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    w = np.empty((n, n), dtype=np.complex128)
+    w.real, w.imag = rng.standard_normal((n, n)), rng.standard_normal((n, n))
     return ChoiOperator(dim_in, dim_out, _extremal_step(w @ w.conj().T, dim_in, dim_out)[1])
 
 
@@ -245,8 +258,7 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
         raise InvalidSpecError(f"unknown init {init!r}")
     if init == "maxmix":
         return maxmix_choi(r.dim_in, r.dim_out)
-    chi = random_choi(r.dim_in, r.dim_out, int(init.removeprefix("random:")))
-    return ChoiOperator(r.dim_in, r.dim_out, _pinch(r, chi.matrix))
+    return _pinch(r, random_choi(r.dim_in, r.dim_out, int(init.removeprefix("random:"))).matrix)
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
@@ -307,8 +319,8 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
                 grad = eye - mu * w_trace
                 hess = mu * np.einsum("akbl,dlck->acbd", w, w).reshape(d * d, d * d)
                 # One solve gives the Newton step and the tangent dY/dmu = H^-1 Tr_K[Z^-1].
-                rhs = np.stack([-grad.ravel(), w_trace.ravel()], axis=1)
-                step, tangent = (linalg.hermitian_part(x.reshape(d, d)) for x in _psd_solve(hess, rhs).T)
+                rhs = np.stack((-grad, w_trace), axis=-1).reshape(d * d, 2)
+                step, tangent = linalg.hermitian_part(_psd_solve(hess, rhs).T.reshape(2, d, d))
                 dec2 = -np.vdot(grad, step).real / mu  # squared Newton decrement
                 if dec2 < NEWTON_TOL or last <= dec2 < 1 / 16:  # centred, or at the rounding floor
                     break
@@ -339,7 +351,7 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
         x = linalg.hermitian_part(x)
         if np.linalg.eigvalsh(x)[0] < -PSD_TOL:
             return None
-        chi = iterate_once(ChoiOperator(d, k, _pinch(r, linalg.hermitian_part(p @ x @ p.conj().T))), r)
+        chi = iterate_once(_pinch(r, linalg.hermitian_part(p @ x @ p.conj().T)), r)
         _require_valid(chi, r)
     except (np.linalg.LinAlgError, ChoiOptError):
         return None
@@ -391,7 +403,8 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
         converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
     _require_valid(chi, r)
     lambda_gap = float(np.diff(np.sort(_step(chi, r)[0])).min(initial=np.inf))
-    chi.__dict__.pop("_stack", None)  # the result drops its stack: results a caller keeps hold less
+    chi.__dict__["matrix"] = chi.matrix  # scattered now, if it was not read: the result drops its stack,
+    chi.__dict__.pop("_stack", None)  # so that results a caller keeps hold less
     return SolverResult(
         chi=chi,
         fidelity=fids[-1],

@@ -13,7 +13,7 @@ so building R once reduces every fidelity evaluation to Tr[chi R].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -32,6 +32,9 @@ SAMPLE_BLOCK = 4096
 # entangler-A integrand, rational in cos(theta), decays geometrically).
 MIN_THETA_NODES = 32
 MIN_PHI_NODES = 8
+# Block structures kept by _block_structure, one per zero pattern: a scan over
+# one family's parameter reuses one, and each is a few integer arrays of B s^2 entries.
+STRUCTURES = 32
 
 
 @dataclass(frozen=True)
@@ -90,15 +93,18 @@ class BlockPlan:
     q of block b; it is n^2 where either position is padding (pad).
     sandwich[b] = R_b (x) R_b^T, the (s^2, s^2) superoperator of X -> R_b X R_b
     on row-major vec(X), zero on the padding; inputs[b, p] is the input index
-    of position p (0 on padding).  overlap holds the row-major vec(R_b^T) of
-    every block, one after the other: R is zero off its blocks, so
-    Tr[X R] = gather(X).ravel() @ overlap for any X."""
+    of position p (0 on padding), and flat_inputs is inputs.ravel().  overlap
+    holds the row-major vec(R_b^T) of every block, one after the other: R is
+    zero off its blocks, so Tr[X R] = gather(X).ravel() @ overlap for any X.
+    labels, flat, pad, inputs and flat_inputs depend only on R's zero pattern
+    and are shared, read-only, by the plans of every R with that pattern."""
 
     labels: np.ndarray
     flat: np.ndarray
     pad: np.ndarray
     sandwich: np.ndarray
     inputs: np.ndarray
+    flat_inputs: np.ndarray
     overlap: np.ndarray
 
     def gather(self, m: np.ndarray) -> np.ndarray:
@@ -115,18 +121,36 @@ class BlockPlan:
 
 def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
     """The block plan of an operator m on C^dim_in (x) C^dim_out, or None when
-    a component holds two indices (a, k) and (b, k) with a != b (pinching to
-    the blocks would then change Tr_K), or when B s^4 >= n^3: the B sandwich
-    superoperators would then hold, and their product cost, at least the n^3
-    of one dense n x n product.  (B s^4 < n^3 also keeps the padded stack,
-    B s^2 entries, below m's n^2: B <= n, so B s^2 >= n^2 needs s^2 >= n.)
+    its zero pattern has none (_block_structure).  Only sandwich and overlap
+    are built from m's entries; the rest comes from the pattern, computed
+    once per pattern."""
+    structure = _block_structure(dim_in, dim_out, np.packbits(m != 0).tobytes())
+    if structure is None:
+        return None
+    labels, flat, pad, inputs, flat_inputs = structure
+    r = _gather(m, flat, pad)
+    size = r.shape[1]
+    sandwich = np.einsum("bik,blj->bijkl", r, r).reshape(len(r), size * size, size * size)
+    return BlockPlan(labels, flat, pad, sandwich, inputs, flat_inputs, r.transpose(0, 2, 1).ravel())
+
+
+@lru_cache(maxsize=STRUCTURES)
+def _block_structure(dim_in: int, dim_out: int, nonzero: bytes) -> tuple | None:
+    """(labels, flat, pad, inputs, flat_inputs) of BlockPlan, read-only, for the
+    zero pattern whose packed bits (np.packbits of m != 0) are nonzero; None
+    when a component holds two indices (a, k) and (b, k) with a != b
+    (pinching to the blocks would then change Tr_K), or when B s^4 >= n^3:
+    the B sandwich superoperators would then hold, and their product cost,
+    at least the n^3 of one dense n x n product.  (B s^4 < n^3 also keeps the
+    padded stack, B s^2 entries, below m's n^2: B <= n, so B s^2 >= n^2 needs
+    s^2 >= n.)
 
     The labels come from sweeps over the edges of m != 0 (made symmetric, and
     with every index its own neighbour): each index starts at its smallest
     neighbour and jumps to its label's label, then takes the smallest label
     among its neighbours, until no edge joins two labels."""
-    n = len(m)
-    edge = m != 0
+    n = dim_in * dim_out
+    edge = np.unpackbits(np.frombuffer(nonzero, dtype=np.uint8), count=n * n).reshape(n, n).view(bool)
     edge |= edge.T
     edge.ravel()[:: n + 1] = True
     labels = edge.argmax(axis=1)
@@ -147,9 +171,11 @@ def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
     flat = index[:, :, None] * n + index[:, None, :]
     pad = flat >= n * n
     np.minimum(flat, n * n, out=flat)
-    r = _gather(m, flat, pad)
-    sandwich = np.einsum("bik,blj->bijkl", r, r).reshape(len(r), size * size, size * size)
-    return BlockPlan(labels, flat, pad, sandwich, index % n // dim_out, r.transpose(0, 2, 1).ravel())
+    inputs = index % n // dim_out
+    structure = labels, flat, pad, inputs, inputs.ravel()
+    for a in structure:
+        a.setflags(write=False)
+    return structure
 
 
 def _gather(m: np.ndarray, flat: np.ndarray, pad: np.ndarray) -> np.ndarray:

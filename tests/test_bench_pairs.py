@@ -39,3 +39,34 @@ def test_a_single_pair_is_its_own_quartiles():
     assert bench_pairs.spread([2.5]) == (2.5, 2.5, 2.5)
     lines = bench_pairs.summarize(PAIRS[:1], BETTER)
     assert lines[1].split()[-1] == "1/1"
+
+
+# verdict: ref values, then the change's, pair by pair; REF's quartiles of [1.0 .. 1.9] are 1.225 and 1.675.
+REF10 = [1.0 + 0.1 * i for i in range(10)]
+
+
+def test_a_claim_needs_nine_wins_and_a_drop_beyond_the_ref_spread():
+    faster = [a - 0.5 for a in REF10]  # median drop 0.5 > IQR 0.45, 10/10 won
+    assert bench_pairs.verdict(REF10, faster, "lower", 0.25) == "claim met"
+    eight = faster[:8] + [a + 0.01 for a in REF10[8:]]  # 8/10 won
+    assert bench_pairs.verdict(REF10, eight, "lower", 0.25) == "within noise"
+    small = [a - 0.4 for a in REF10]  # 10/10 won, but a drop of 0.4 < IQR 0.45
+    assert bench_pairs.verdict(REF10, small, "lower", 0.25) == "within noise"
+
+
+def test_higher_is_better_reads_the_other_way():
+    more = [a + 0.5 for a in REF10]  # median 1.45 -> 1.95, +34%
+    assert bench_pairs.verdict(REF10, more, "higher", 0.25) == "claim met"
+    assert bench_pairs.verdict(REF10, more, "lower", 0.25) == "worse than bound"
+    assert bench_pairs.verdict(REF10, more, "lower", 0.4) == "within noise"
+    less = [a - 0.5 for a in REF10]  # -34%
+    assert bench_pairs.verdict(REF10, less, "higher", 0.25) == "worse than bound"
+
+
+def test_one_verdict_line_per_metric():
+    lines = bench_pairs.verdicts(PAIRS, BETTER, {"wall_s": 0.25, "items_per_s": 0.25})
+    assert [line.split() for line in lines] == [["wall_s", "within", "noise"], ["items_per_s", "within", "noise"]]
+    slower = [(a, result(2 * a["metrics"]["wall_s"]["value"], 10.0)) for a, _ in PAIRS]
+    assert bench_pairs.verdicts(slower, BETTER, {"wall_s": 0.25, "items_per_s": 0.25})[0].split()[1:] == [
+        "worse", "than", "bound"
+    ]

@@ -109,6 +109,29 @@ class TestSharedAmplitudes:
         assert np.abs(build_r_quadrature(model_family(spec)).matrix - analytic_r(spec).matrix).max() <= 1e-12
 
 
+def explicit_bloch_state(theta, phi):
+    """cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>, each state with its own phase."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    return np.stack([np.cos(theta / 2) * np.ones_like(phi), np.exp(1j * phi) * np.sin(theta / 2)], axis=-1)
+
+
+class TestOnePhasePerShifterSample:
+    # The shifter's input and output states share one evaluation of e^{i phi},
+    # with the bytes of two separate bloch_state evaluations.
+    @pytest.mark.parametrize("alpha", [0.0, 1.3, 2.6, np.pi])
+    def test_states_keep_their_bytes(self, alpha):
+        ev = model_family(ModelSpec("shifter", alpha=alpha)).evaluator
+        for theta, phi in ((THETAS, PHIS), (0.0, 1.1), (np.pi, 4.0), (0.7, 0.0)):
+            pin, pout = ev(theta, phi)
+            assert same_bytes(pin, explicit_bloch_state(theta, phi))
+            assert same_bytes(pout, explicit_bloch_state(np.asarray(theta, dtype=float) + alpha, phi))
+            assert same_bytes(bloch_state(theta, phi), explicit_bloch_state(theta, phi))
+
+    def test_identity_is_the_same_evaluation(self):
+        pin, pout = model_family(ModelSpec("identity")).evaluator(THETAS, PHIS)
+        assert same_bytes(pin, explicit_bloch_state(THETAS, PHIS)) and same_bytes(pout, pin)
+
+
 class TestOrthogonalState:
     def test_matches_the_explicit_formula(self):
         want = np.stack([np.sin(THETAS / 2), -np.exp(1j * PHIS) * np.cos(THETAS / 2)], axis=-1)

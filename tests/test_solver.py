@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,7 +13,15 @@ from choiopt.errors import (
     NegativeEigenvalueError,
     SingularLambdaError,
 )
-from choiopt.linalg import clip_roots, hermitian_part, partial_trace, psd_sqrt, reg_inverse, support
+from choiopt.linalg import (
+    clip_roots,
+    hermitian_part,
+    inverse_on_support,
+    partial_trace,
+    psd_sqrt,
+    reg_inverse,
+    support,
+)
 from choiopt.models import (
     ModelSpec,
     analytic_r,
@@ -1202,3 +1214,162 @@ class TestOneStepPerIteration:
         result = solve(analytic_r(ModelSpec("shifter", alpha=0.7)), SolverOptions(max_iters=300, fid_tol=1e-300))
         assert not result.converged and np.isnan(result.gap)
         assert len(iterate_calls) == result.iterations
+
+
+class TestMatrixOnFirstRead:
+    # A block step's result carries its stack and writes its n x n matrix only
+    # when something reads it: then it is the stack scattered, read-only, and kept.
+    @pytest.mark.parametrize("init", ["maxmix", "random:4"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_read_scatters_the_stack_once(self, spec, init):
+        r = analytic_r(spec)
+        chi = iterate_once(initial_choi(r, init), r)
+        plan, stack = chi._stack
+        assert type(chi) is ChoiOperator and plan is r.blocks
+        assert "matrix" not in chi.__dict__
+        m = chi.matrix
+        assert same_bytes(m, plan.scatter(stack))
+        assert not m.flags.writeable and m.flags.c_contiguous
+        assert chi.matrix is m and chi.__dict__["matrix"] is m
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    def test_copy_and_pickle_keep_the_bytes(self, read_first):
+        r = analytic_r(ModelSpec("unot", copies=2))
+        chi = iterate_once(initial_choi(r, "random:4"), r)
+        want = r.blocks.scatter(chi._stack[1])
+        if read_first:
+            chi.matrix
+        for twin in (copy.deepcopy(chi), pickle.loads(pickle.dumps(chi)), copy.copy(chi)):
+            assert type(twin) is ChoiOperator and (twin.dim_in, twin.dim_out) == (r.dim_in, r.dim_out)
+            assert same_bytes(twin.matrix, want)
+        assert same_bytes(chi.matrix, want)
+
+    def test_equality_and_repr_read_the_matrix(self):
+        r = analytic_r(ModelSpec("shifter", alpha=0.5))
+        chi = iterate_once(initial_choi(r, "maxmix"), r)
+        assert repr(chi) == repr(ChoiOperator(r.dim_in, r.dim_out, r.blocks.scatter(chi._stack[1])))
+        assert "matrix" in chi.__dict__
+
+    def test_the_class_and_other_names_are_as_before(self):
+        r = analytic_r(ModelSpec("unot", copies=2))
+        chi = iterate_once(initial_choi(r, "maxmix"), r)
+        with pytest.raises(AttributeError, match="'ChoiOperator' object has no attribute 'matriks'"):
+            chi.matriks
+        assert not hasattr(ChoiOperator, "matrix")  # as before: the class holds no matrix
+        assert [f.name for f in dataclasses.fields(ChoiOperator)] == ["dim_in", "dim_out", "matrix"]
+        with pytest.raises(TypeError):
+            ChoiOperator(2, 2)  # matrix is still a required field
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:3"])
+    @pytest.mark.parametrize("spec", [ModelSpec("unot", copies=30), ModelSpec("shifter", alpha=0.5)], ids=str)
+    def test_a_loop_of_steps_writes_no_matrix(self, spec, init, monkeypatch):
+        r = analytic_r(spec)
+        chi = initial_choi(r, init)
+        scatters = []
+        real = targets_module.BlockPlan.scatter
+        monkeypatch.setattr(targets_module.BlockPlan, "scatter", lambda plan, b: scatters.append(1) or real(plan, b))
+        iterates = []
+        for _ in range(20):
+            chi = iterate_once(chi, r)
+            fidelity(chi, r)
+            iterates.append(chi)
+        assert scatters == []
+        assert not any("matrix" in it.__dict__ for it in iterates)
+
+    def test_a_pinched_start_carries_its_blocks(self):
+        r = analytic_r(ModelSpec("cloner", copies=10))
+        chi = initial_choi(r, "random:3")
+        plan, stack = chi._stack
+        assert plan is r.blocks and "matrix" not in chi.__dict__
+        assert same_bytes(stack, plan.gather(random_choi(r.dim_in, r.dim_out, 3).matrix))
+        assert same_bytes(chi.matrix, plan.scatter(stack))
+
+    def test_a_solve_reads_its_result(self):
+        r = analytic_r(ModelSpec("unot", copies=30))
+        result = solve(r, SolverOptions(init="random:1"))
+        assert "matrix" in result.chi.__dict__ and "_stack" not in result.chi.__dict__
+        assert not result.chi.matrix.flags.writeable
+
+
+class TestRandomChoiBytes:
+    # random_choi writes its two normal draws into one complex array: the
+    # bytes of the x + 1j y formula.
+    @pytest.mark.parametrize("dims", [(1, 1), (2, 2), (3, 2), (2, 5), (31, 2)], ids=str)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_same_bytes_as_the_sum(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        n = dims[0] * dims[1]
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = solver_module._extremal_step(w @ w.conj().T, *dims)[1]
+        assert same_bytes(random_choi(*dims, seed).matrix, ChoiOperator(*dims, want).matrix)
+
+
+class TestInverseRoots:
+    # Singular exactly when every clipped root is 0; otherwise the support rule's
+    # pseudo-inverse of the roots, bit for bit.
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [0.0, 0.0],
+            [5e-13, 0.0],
+            [-5e-13, 9.9e-13],
+            [1e-12, 0.0],
+            [1.0, 0.0],
+            [4.0, 1e-30, 0.25],
+            [0.3, 1e-25 * 0.3, 2.0],
+            [2.5],
+        ],
+        ids=str,
+    )
+    def test_singular_exactly_when_every_root_is_zero(self, w):
+        w = np.array(w)
+        roots = clip_roots(w)
+        if not roots.any():
+            with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
+                solver_module._inverse_roots(w)
+            return
+        got_roots, inv = solver_module._inverse_roots(w)
+        assert same_bytes(got_roots, roots)
+        assert same_bytes(inv, inverse_on_support(roots, PINV_CUTOFF))
+
+    @pytest.mark.parametrize("w", [[np.nan, np.nan], [np.nan, 1.0]], ids=str)
+    def test_a_nan_spectrum_is_singular(self, w):
+        # A NaN root makes the support empty, so the step refuses it.
+        with pytest.raises(SingularLambdaError):
+            solver_module._inverse_roots(np.array(w))
+
+
+class TestPlanStructurePerZeroPattern:
+    # labels, flat, pad, inputs and flat_inputs come from R's zero pattern, once
+    # per pattern; sandwich and overlap from R's entries, once per target.
+    FIELDS = ("labels", "flat", "pad", "sandwich", "inputs", "flat_inputs", "overlap")
+    SHARED = ("labels", "flat", "pad", "inputs", "flat_inputs")
+
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_cached_plan_equals_a_fresh_one(self, spec):
+        r = analytic_r(spec)
+        cached = block_plan(r.matrix, r.dim_in, r.dim_out)
+        targets_module._block_structure.cache_clear()
+        fresh = block_plan(r.matrix, r.dim_in, r.dim_out)
+        for name in self.FIELDS:
+            a, b = getattr(cached, name), getattr(fresh, name)
+            assert same_bytes(a, b), name
+        assert all(not getattr(cached, name).flags.writeable for name in self.SHARED)
+
+    def test_two_shifter_angles_share_the_structure(self):
+        a, b = (analytic_r(ModelSpec("shifter", alpha=x)).blocks for x in (0.5, 1.1))
+        assert all(getattr(a, name) is getattr(b, name) for name in self.SHARED)
+        assert not np.array_equal(a.sandwich, b.sandwich)
+
+    def test_another_zero_pattern_gets_its_own(self):
+        shifter = analytic_r(ModelSpec("shifter", alpha=0.5)).blocks
+        other = TargetOperator(2, 2, np.diag([0.6, 0, 0, 0.4])).blocks
+        assert not np.array_equal(shifter.labels, other.labels)
+        assert all(getattr(shifter, name) is not getattr(other, name) for name in self.SHARED)
+
+    def test_a_pattern_without_a_plan_is_cached_too(self):
+        r = build_r_montecarlo(model_family(ModelSpec("unot", copies=2)), 500, 1)
+        before = targets_module._block_structure.cache_info().hits
+        assert block_plan(r.matrix, r.dim_in, r.dim_out) is None
+        assert block_plan(r.matrix, r.dim_in, r.dim_out) is None
+        assert targets_module._block_structure.cache_info().hits >= before + 1
