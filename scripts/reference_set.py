@@ -5,11 +5,11 @@ The reference set is 381 solves: the 101-point shifter grid on [0, pi], the
 shifter at pi - 1e-3, 3.13 and ALPHA_THRESHOLD + 1e-4, unot and cloner for
 N = 1..10, entangler-a, entangler-b and identity, each from the starts
 maxmix, random:1 and random:2.  Every solve uses the default SolverOptions.
-The summary gives the solve count and their summed time, the iterations,
-the summed time spent in dual-endgame calls, the calls and how many of them
-certified, the unconverged rows, the rows reported converged but further
-than fid_tol from the known optimum, and the rows that ended through the
-endgame but further than 1e-12 from it.
+The summary gives the solve count and their summed time, the iterations
+(in all, then per start), the summed time spent in dual-endgame calls, the
+calls and how many of them certified, the unconverged rows, the rows
+reported converged but further than fid_tol from the known optimum, and
+the rows that ended through the endgame but further than 1e-12 from it.
 Exits 1 when a solve raises or ends unconverged, 0 otherwise.  With --rows
 FILE it also writes one line per solve to FILE: spec, init, iterations,
 converged, repr(fidelity), repr(gap) and repr(lambda_gap), or spec, init
@@ -60,7 +60,8 @@ def main(argv=None):
         return done
 
     solver._dual_endgame = counted
-    solves = iterations = certified = 0
+    solves = certified = 0
+    iterations = dict.fromkeys(STARTS, 0)  # per start
     raised, unconverged, off, endgame_off = [], [], [], []
     elapsed = 0.0
     rows = []
@@ -78,7 +79,7 @@ def main(argv=None):
                 continue
             finally:
                 elapsed += time.perf_counter() - start
-            iterations += result.iterations
+            iterations[init] += result.iterations
             rows.append(
                 f"{spec} {init} {result.iterations} {result.converged} {result.fidelity!r} {result.gap!r} "
                 f"{result.lambda_gap!r}"
@@ -91,8 +92,9 @@ def main(argv=None):
                 off.append(error)
             if not math.isnan(result.gap) and error > ENDGAME_TOL:
                 endgame_off.append(f"{spec} {init}: {error:.2e}")
+    by_start = " / ".join(f"{init} {count}" for init, count in iterations.items())
     print(
-        f"solves = {solves}  time = {elapsed:.2f} s  iterations = {iterations}  "
+        f"solves = {solves}  time = {elapsed:.2f} s  iterations = {sum(iterations.values())} ({by_start})  "
         f"endgame time = {endgame_time:.2f} s"
     )
     print(f"endgame calls = {calls}  certified = {certified}")

@@ -12,8 +12,8 @@ inverse is a pseudo-inverse so the update stays defined when lambda is
 singular.  Where R has a block plan (TargetOperator.blocks: the connected
 components of R != 0, none holding two indices of one output, as on every
 analytic built-in target) and chi is exactly zero off those blocks, as every
-iterate from maxmix or from a random start (which initial_choi pinches to
-the blocks) is, the step works on the stack of blocks: R_b chi_b R_b as one
+iterate from maxmix or from a random start (which initial_choi builds on the
+blocks) is, the step works on the stack of blocks: R_b chi_b R_b as one
 stacked mat-vec of the plan's cached R_b (x) R_b^T against the blocks' vecs,
 a diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling,
 with no n x n product and no eigendecomposition.  Any other chi or R takes
@@ -22,9 +22,11 @@ one, _blocks_of, says whether chi is on the blocks.  The block step's result
 carries its (B, s, s) stack with R's plan, and its n x n matrix is scattered
 from the stack only on its first read (ChoiOperator._frozen): the next step,
 fidelity and the closing check read the stack, so no step writes an n x n
-matrix, gathers chi's blocks again or re-tests that chi is zero off them.  A
-pinched random start and the endgame's pinched recovery carry their gathered
-blocks the same way; any other chi without a stack on R's plan (maxmix, a
+matrix, gathers chi's blocks again or re-tests that chi is zero off them.
+The named starts are built as their stacks on R's plan, with no n x n
+product and no eigh (a random start is made trace-preserving by the block
+step's own normalization, _normalized), and the endgame's pinched recovery
+carries its gathered blocks; any other chi without a stack on R's plan (a
 caller's operator) is gathered and tested once.  The result of a solve has
 its matrix scattered and drops its stack.
 
@@ -91,11 +93,13 @@ class SolverOptions:
     of at most fid_tol.  converged means that the fidelity rule fired or the
     endgame certified its gap.
     init is "maxmix", "random:SEED" with an integer SEED >= 0, or a ChoiOperator.
-    A random start is random_choi(dim_in, dim_out, SEED) pinched to the blocks
-    of R's zero pattern where those blocks keep the trace condition (see
-    initial_choi); the solve then reaches an optimum on the same blocks, which
-    may differ from the one the raw start would reach (same fidelity; lambda_gap
-    may differ).
+    A random start is random_choi(dim_in, dim_out, SEED)'s Wishart sample
+    pinched to the blocks of R's zero pattern where those blocks keep the
+    trace condition, then made trace-preserving on them (see initial_choi);
+    where R has no such blocks it is random_choi(dim_in, dim_out, SEED).  The
+    solve then reaches an optimum on the same blocks, which may differ from
+    the one the unpinched start would reach (same fidelity; lambda_gap may
+    differ).
     """
 
     max_iters: int = 10000
@@ -155,13 +159,17 @@ def _block_stack(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.n
     """_extremal_step for a chi whose (B, s, s) blocks on R's blocks are all of
     it, as the roots of lambda and the result's (B, s, s) stack: m = R chi R is
     the stack R_b chi_b R_b, one stacked mat-vec of the plan's R_b (x) R_b^T
-    against the blocks' row-major vecs; Tr_K m is diagonal and read off the
-    blocks' diagonals (so lambda's roots come in input order, unsorted), and
-    Lambda^{-1} scales each block entrywise.  The product's fresh array is
-    scaled and re-Hermitized in place."""
-    m = (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape)
-    t = np.bincount(plan.flat_inputs, m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
-    roots, inv = _inverse_roots(t)
+    against the blocks' row-major vecs, then _normalized."""
+    return _normalized(plan, (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape), dim_in)
+
+
+def _normalized(plan: BlockPlan, m: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda^{-1} m Lambda^{-1}, re-Hermitized, for the fresh (B, s, s) blocks m
+    of a PSD operator on R's blocks, in place, and the roots of
+    lambda = (Tr_K m)^{1/2}: Tr_K m is diagonal and read off the blocks'
+    diagonals (so lambda's roots come in input order, unsorted), and
+    Lambda^{-1} scales each block entrywise."""
+    roots, inv = _inverse_roots(np.bincount(plan.flat_inputs, m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in))
     s = inv[plan.inputs]
     m *= s[:, :, None] * s[:, None, :]
     m += m.conj().swapaxes(1, 2)
@@ -233,32 +241,51 @@ def _pinch(r: TargetOperator, m: np.ndarray) -> ChoiOperator:
     return ChoiOperator._frozen(r.dim_in, r.dim_out, None, (plan, plan.gather(m)))
 
 
+def _gaussian(n: int, seed: int) -> np.ndarray:
+    """random_choi's n x n complex Gaussian W: two standard normal draws of
+    np.random.default_rng(seed), its real then its imaginary part."""
+    w = np.empty((n, n), dtype=np.complex128)
+    w.real, w.imag = np.random.default_rng(seed).standard_normal((2, n, n))
+    return w
+
+
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
-    """Random admissible process matrix: a Wishart sample rescaled to satisfy
-    the trace constraint exactly; dims must pass require_dims, seed require_seed."""
+    """Random admissible process matrix: a Wishart sample W W^dagger rescaled to
+    satisfy the trace constraint exactly; dims must pass require_dims, seed
+    require_seed."""
     require_dims(dim_in, dim_out)
     linalg.require_seed(seed)
-    rng = np.random.default_rng(seed)
-    n = dim_in * dim_out
-    w = np.empty((n, n), dtype=np.complex128)
-    w.real, w.imag = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    w = _gaussian(dim_in * dim_out, seed)
     return ChoiOperator(dim_in, dim_out, _extremal_step(w @ w.conj().T, dim_in, dim_out)[1])
 
 
 def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
-    """The start a solve iterates from.  "random:SEED" is random_choi pinched to
-    R's blocks (_pinch): every iterate then stays on the blocks, and every step
-    takes the block step.  Where R has no block plan (a sampled R, or round-off
-    off the sectors) the start is random_choi unchanged."""
+    """The start a solve iterates from.  Where R has a block plan, a named start
+    is built on R's blocks and carries its (B, s, s) stack, so every iterate
+    stays on them and every step takes the block step: "maxmix" as the stack
+    of 1/dim_out on the diagonal, and "random:SEED" as random_choi's Wishart
+    sample W W^dagger pinched to the blocks (only the Gram blocks W_b W_b^dagger
+    of W's rows on each block are formed), then made trace-preserving on the
+    blocks (_normalized).  Where R has no block plan (a sampled R, or
+    round-off off the sectors) they are maxmix_choi and random_choi."""
     if isinstance(init, ChoiOperator):
         require_same_dims(init, r, "init", "target")
         require_valid_choi(init)
         return init
     if not _named_init(init):
         raise InvalidSpecError(f"unknown init {init!r}")
-    if init == "maxmix":
-        return maxmix_choi(r.dim_in, r.dim_out)
-    return _pinch(r, random_choi(r.dim_in, r.dim_out, int(init.removeprefix("random:"))).matrix)
+    d, k, plan = r.dim_in, r.dim_out, r.blocks
+    seed = None if init == "maxmix" else int(init.removeprefix("random:"))
+    if plan is None:
+        return maxmix_choi(d, k) if seed is None else random_choi(d, k, seed)
+    if seed is None:
+        stack = (np.eye(plan.pad.shape[1]) * (~plan.pad / k)).astype(np.complex128)
+    else:
+        rows = plan.flat[:, :, 0] // (d * k)  # n on the padding, which reads row n - 1, zeroed next
+        w = _gaussian(d * k, seed).take(rows, axis=0, mode="clip")
+        w[rows == d * k] = 0.0
+        stack = _normalized(plan, w @ w.conj().swapaxes(1, 2), d)[1]
+    return ChoiOperator._frozen(d, k, None, (plan, stack))
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:

@@ -39,6 +39,16 @@ def test_first_line_reports_the_endgame_time(proc):
     assert 0.0 < float(endgame.removeprefix("endgame time = ").removesuffix(" s")) <= total
 
 
+def test_first_line_splits_the_iterations_by_start(proc):
+    # "iterations = TOTAL (maxmix A / random:1 B / random:2 C)"
+    part = proc.stdout.splitlines()[0].split("  iterations = ")[1].split("  ")[0]
+    total, by_start = part.removesuffix(")").split(" (")
+    counts = [entry.split(" ") for entry in by_start.split(" / ")]
+    assert [init for init, _ in counts] == ["maxmix", "random:1", "random:2"]
+    assert all(int(count) >= 127 for _, count in counts)  # each of the 127 specs takes a step at least
+    assert sum(int(count) for _, count in counts) == int(total)
+
+
 def test_rows_file_holds_one_line_per_solve(tmp_path, monkeypatch, capsys):
     # In process, on two specs: the script wraps solver._dual_endgame, which
     # monkeypatch puts back afterwards.

@@ -328,9 +328,23 @@ def block_labels(r: np.ndarray) -> np.ndarray:
     return labels
 
 
+def pinched_wishart_start(r, seed):
+    """The random start built densely: random_choi's W W^dagger from the same
+    draws of np.random.default_rng(seed), zeroed off R's blocks (block_labels),
+    then scaled on both sides by its Tr_K's diagonal to the power -1/2."""
+    n = r.dim_in * r.dim_out
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    labels = block_labels(r.matrix)
+    g = np.where(labels[:, None] == labels[None, :], w @ w.conj().T, 0.0)
+    scale = np.repeat(np.diag(partial_trace(g, r.dim_in, r.dim_out)).real ** -0.5, r.dim_out)
+    return g * scale[:, None] * scale[None, :]
+
+
 class TestPinchedStart:
-    # initial_choi pinches a random start to R's blocks where they keep the
-    # trace condition: every analytic built-in target, none sampled.
+    # initial_choi builds a random start on R's blocks where they keep the
+    # trace condition: every analytic built-in target, none sampled.  It is
+    # W W^dagger pinched to the blocks, then made trace-preserving.
     @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
     def test_on_the_blocks_of_analytic_targets(self, spec):
         r = analytic_r(spec)
@@ -341,8 +355,8 @@ class TestPinchedStart:
         labels = block_labels(r.matrix)
         off = labels[:, None] != labels[None, :]
         assert off.any() and not chi.matrix[off].any()
-        assert np.array_equal(chi.matrix[~off], random_choi(r.dim_in, r.dim_out, 3).matrix[~off])
-        assert np.array_equal(initial_choi(r, "random:3").matrix, chi.matrix)
+        assert np.abs(chi.matrix - pinched_wishart_start(r, 3)).max() <= 1e-14
+        assert same_bytes(initial_choi(r, "random:3").matrix, chi.matrix)
 
     @pytest.mark.parametrize(
         "build",
@@ -355,10 +369,11 @@ class TestPinchedStart:
         assert np.array_equal(initial_choi(r, "random:3").matrix, random_choi(r.dim_in, r.dim_out, 3).matrix)
 
     def test_no_eigh_after_the_start(self, monkeypatch):
-        # The start's own normalization (random_choi) is its only eigh; if a
-        # BLAS broke the exact zeros, every step would fall back to eigh.
+        # The start is normalized on the blocks, with no eigh of its own, and
+        # so is every step; if a BLAS broke the exact zeros, every step would
+        # fall back to eigh.  The start's calls and the steps' are counted apart.
         r = analytic_r(ModelSpec("unot", copies=10))
-        calls = []
+        calls, at_start = [], []
         real_eigh, real_init = np.linalg.eigh, solver_module.initial_choi
 
         def counted(*args, **kwargs):
@@ -367,6 +382,7 @@ class TestPinchedStart:
 
         def start(r, init):
             chi = real_init(r, init)
+            at_start.extend(calls)
             calls.clear()
             return chi
 
@@ -374,7 +390,87 @@ class TestPinchedStart:
         monkeypatch.setattr(solver_module, "initial_choi", start)
         result = solve(r, SolverOptions(init="random:1"))
         assert result.converged and result.iterations > 10
-        assert calls == []
+        assert at_start == [] and calls == []
+
+
+class TestStartOnTheBlocks:
+    # On a target with a block plan, both named starts are built as their
+    # (B, s, s) stack on R's plan: no eigh, no random_choi, maxmix_choi or
+    # dense extremal step, and no gather or scatter of an n x n matrix.
+    @pytest.fixture
+    def dense_calls(self, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for module, name in [
+            (np.linalg, "eigh"),
+            (np.linalg, "eigvalsh"),
+            (solver_module, "random_choi"),
+            (solver_module, "maxmix_choi"),
+            (solver_module, "_extremal_step"),
+            (targets_module.BlockPlan, "gather"),
+            (targets_module.BlockPlan, "scatter"),
+        ]:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:3"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_no_dense_work_in_the_start(self, spec, init, dense_calls):
+        r = analytic_r(spec)  # which finds lambda_max(R) by eigvalsh
+        dense_calls.clear()
+        chi = initial_choi(r, init)
+        plan, stack = chi._stack
+        assert dense_calls == []
+        assert plan is r.blocks and "matrix" not in chi.__dict__
+        assert stack.shape == plan.pad.shape and not stack.flags.writeable
+
+    @pytest.mark.parametrize("init", ["maxmix", "random:3"])
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_admissible_and_zero_off_the_blocks(self, spec, init):
+        r = analytic_r(spec)
+        chi = initial_choi(r, init)
+        report = validate_choi(chi)
+        assert report.min_eigenvalue >= 0.0
+        assert report.trace_preservation_deviation <= TP_TOL
+        labels = block_labels(r.matrix)
+        assert not chi.matrix[labels[:, None] != labels[None, :]].any()
+        assert same_bytes(chi._stack[1], r.blocks.gather(chi.matrix))  # zero on the padding too
+
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_seeds_give_different_stacks(self, spec):
+        r = analytic_r(spec)
+        stacks = [initial_choi(r, f"random:{seed}")._stack[1] for seed in (1, 2, 3)]
+        assert all(not np.array_equal(a, b) for i, a in enumerate(stacks) for b in stacks[i + 1 :])
+
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_maxmix_is_the_gather_of_maxmix_choi(self, spec):
+        r = analytic_r(spec)
+        chi = initial_choi(r, "maxmix")
+        want = maxmix_choi(r.dim_in, r.dim_out).matrix
+        assert same_bytes(chi._stack[1], r.blocks.gather(want))
+        assert same_bytes(chi.matrix, want)
+
+    @pytest.mark.parametrize("spec", [ModelSpec("unot", copies=10), ModelSpec("shifter", alpha=0.5)], ids=str)
+    def test_the_first_step_from_maxmix_gathers_nothing(self, spec, monkeypatch):
+        r = analytic_r(spec)
+        chi = initial_choi(r, "maxmix")
+        want = iterate_once(ChoiOperator(r.dim_in, r.dim_out, chi.matrix), r)  # gathered and tested
+        gathers = []
+        real = targets_module.BlockPlan.gather
+        monkeypatch.setattr(targets_module.BlockPlan, "gather", lambda plan, m: gathers.append(1) or real(plan, m))
+        got = iterate_once(chi, r)
+        assert gathers == []
+        assert same_bytes(got._stack[1], want._stack[1])
+
+    @pytest.mark.parametrize("spec", SAMPLED_SPECS, ids=str)
+    def test_sampled_targets_keep_maxmix_choi(self, spec):
+        r = build_r_quadrature(model_family(spec))
+        chi = initial_choi(r, "maxmix")
+        assert r.blocks is None and chi._stack == (None, None)
+        assert same_bytes(chi.matrix, maxmix_choi(r.dim_in, r.dim_out).matrix)
 
 
 class TestFidTolMustBeFinite:
@@ -1281,7 +1377,8 @@ class TestMatrixOnFirstRead:
         chi = initial_choi(r, "random:3")
         plan, stack = chi._stack
         assert plan is r.blocks and "matrix" not in chi.__dict__
-        assert same_bytes(stack, plan.gather(random_choi(r.dim_in, r.dim_out, 3).matrix))
+        assert np.abs(stack - plan.gather(pinched_wishart_start(r, 3))).max() <= 1e-14
+        assert same_bytes(stack, initial_choi(r, "random:3")._stack[1])
         assert same_bytes(chi.matrix, plan.scatter(stack))
 
     def test_a_solve_reads_its_result(self):
