@@ -6,10 +6,11 @@ shifter at pi - 1e-3, 3.13 and ALPHA_THRESHOLD + 1e-4, unot and cloner for
 N = 1..10, entangler-a, entangler-b and identity, each from the starts
 maxmix, random:1 and random:2.  Every solve uses the default SolverOptions.
 The summary gives the solve count and their summed time, the iterations
-(in all, then per start), the summed time spent in dual-endgame calls, the
-calls and how many of them certified, the unconverged rows, the rows
-reported converged but further than fid_tol from the known optimum, and
-the rows that ended through the endgame but further than 1e-12 from it.
+(in all, then per start); how many dual-endgame calls certified, their
+summed time and, per start, the median and the largest Newton step count
+of a call that returned an answer; the unconverged rows, the rows reported
+converged but further than fid_tol from the known optimum, and the rows
+that ended through the endgame but further than 1e-12 from it.
 Exits 1 when a solve raises or ends unconverged, 0 otherwise.  With --rows
 FILE it also writes one line per solve to FILE: spec, init, iterations,
 converged, repr(fidelity), repr(gap) and repr(lambda_gap), or spec, init
@@ -22,6 +23,7 @@ src/).  Run via `make refset [ROWS=FILE]` or directly:
 
 import argparse
 import math
+import statistics
 import sys
 import time
 
@@ -47,19 +49,28 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rows", metavar="FILE", help="write one line per solve to FILE")
     args = ap.parse_args(argv)
-    calls = 0
+    calls = solves_made = 0
     endgame_time = 0.0
-    real = solver._dual_endgame
+    newton = {init: [] for init in STARTS}  # per start, the Newton steps of each call that returned an answer
+    real, real_solve = solver._dual_endgame, solver._psd_solve
 
-    def counted(r, chi):  # counts the endgame calls and sums their time
-        nonlocal calls, endgame_time
+    def counted_solve(m, v):  # one per Newton step, and one in the recovery of an answer
+        nonlocal solves_made
+        solves_made += 1
+        return real_solve(m, v)
+
+    def counted(r, chi):  # counts the endgame calls, sums their time and keeps their Newton steps
+        nonlocal calls, endgame_time, solves_made
+        solves_made = 0
         start = time.perf_counter()
         done = real(r, chi)
         endgame_time += time.perf_counter() - start
         calls += 1
+        if done is not None:
+            newton[init].append(solves_made - 1)
         return done
 
-    solver._dual_endgame = counted
+    solver._dual_endgame, solver._psd_solve = counted, counted_solve
     solves = certified = 0
     iterations = dict.fromkeys(STARTS, 0)  # per start
     raised, unconverged, off, endgame_off = [], [], [], []
@@ -93,11 +104,15 @@ def main(argv=None):
             if not math.isnan(result.gap) and error > ENDGAME_TOL:
                 endgame_off.append(f"{spec} {init}: {error:.2e}")
     by_start = " / ".join(f"{init} {count}" for init, count in iterations.items())
-    print(
-        f"solves = {solves}  time = {elapsed:.2f} s  iterations = {sum(iterations.values())} ({by_start})  "
-        f"endgame time = {endgame_time:.2f} s"
+    print(f"solves = {solves}  time = {elapsed:.2f} s  iterations = {sum(iterations.values())} ({by_start})")
+    steps = " / ".join(
+        f"{init} {statistics.median(counts):g}, {max(counts)}" if counts else f"{init} -"
+        for init, counts in newton.items()
     )
-    print(f"endgame calls = {calls}  certified = {certified}")
+    print(
+        f"{certified} of {calls} endgame calls certified  endgame time = {endgame_time:.2f} s  "
+        f"Newton steps (median, max) = {steps}"
+    )
     print(
         f"raised = {len(raised)}  unconverged = {len(unconverged)}  "
         f"converged but off by more than fid_tol = {len(off)} (max {max(off, default=0.0):.2e})  "

@@ -6,52 +6,27 @@ stationarity condition
     chi = Lambda^{-1} R chi R Lambda^{-1},
     Lambda = lambda (x) 1_K,   lambda = (Tr_K[R chi R])^{1/2},
 
-with lambda fixed as the positive Hermitian root.  Iterating this update
-preserves positivity and the trace constraint at every step; the multiplier
-inverse is a pseudo-inverse so the update stays defined when lambda is
-singular.  Where R has a block plan (TargetOperator.blocks: the connected
-components of R != 0, none holding two indices of one output, as on every
-analytic built-in target) and chi is exactly zero off those blocks, as every
-iterate from maxmix or from a random start (which initial_choi builds on the
-blocks) is, the step works on the stack of blocks: R_b chi_b R_b as one
-stacked mat-vec of the plan's cached R_b (x) R_b^T against the blocks' vecs,
-a diagonal Tr_K read off the blocks' diagonals, and an entrywise scaling,
-with no n x n product and no eigendecomposition.  Any other chi or R takes
-the dense step, with one eigh.  One function, _step, makes that choice, and
-one, _blocks_of, says whether chi is on the blocks.  The block step's result
-carries its (B, s, s) stack with R's plan, and its n x n matrix is scattered
-from the stack only on its first read (ChoiOperator._frozen): the next step,
-fidelity and the closing check read the stack, so no step writes an n x n
-matrix, gathers chi's blocks again or re-tests that chi is zero off them.
-The named starts are built as their stacks on R's plan, with no n x n
-product and no eigh (a random start is made trace-preserving by the block
-step's own normalization, _normalized), and the endgame's pinched recovery
-carries its gathered blocks; any other chi without a stack on R's plan (a
-caller's operator) is gathered and tested once.  The result of a solve has
-its matrix scattered and drops its stack.
+with lambda the positive Hermitian root, inverted on its support (so the
+update stays defined when lambda is singular).  Each update keeps chi
+positive and trace-preserving.  Where R has a block plan
+(TargetOperator.blocks) and chi is exactly zero off its blocks, the update
+works on the (B, s, s) stack of blocks, and its result carries that stack
+with R's plan (its matrix is scattered on first read); any other chi or R
+takes the dense update.  _step is the one place that chooses.
 
-The iteration converges only linearly where the optimum is rank-deficient
-(the shifter near its threshold and near pi).  The solve watches the rate
-rho = dF_k / dF_{k-1} of its fidelity increments from step RATE_FROM on.  At
-the first step where rho >= 1, or where linear extrapolation predicts more
-than STEPS_LEFT further steps before an increment falls below fid_tol, a
-solve with dim_in <= dim_out makes one attempt to finish through the dual
-SDP min Tr Y s.t. Y (x) 1_K >= R, whose dim_in^2 real unknowns cost no more
-per Newton step than one update: a barrier solve of the dual that follows the
-central path by predictor-corrector stages (one full step along the path's
-tangent, kept if it stays feasible, then damped Newton steps), a primal chi
-from complementary slackness and one more update.  Its answer is kept only
-with a certified duality gap of at most fid_tol; otherwise the iteration
-continues as if the attempt had not been made.
+Where the fidelity increments predict a long tail (_slow_tail), a solve with
+dim_in <= dim_out makes one attempt to finish through the dual SDP
+min Tr Y s.t. Y (x) 1_K >= R (_dual_endgame).  Its unknowns are taken from
+R's block plan: a real dim_in vector y with a (B, s, s) slack where R has
+one, else a Hermitian dim_in x dim_in Y with an n x n slack.  Its answer is
+kept only with a certified duality gap of at most fid_tol; otherwise the
+iteration goes on as if the attempt had not been made.
 
-A solve validates at its boundaries, not on every step.  initial_choi checks
-a given start; iterate_once checks only that its operands' dims agree, and
-_step freezes its fresh array (and its stack) in place, with no copy and no
-second check.  The result, and the endgame's answer, are checked once,
-against the same admissibility rule as channels.require_valid_choi: on R's
-blocks when the iterate is on them (one stacked eigvalsh of the (B, s, s)
-blocks, Tr_K from the block diagonals), else densely with require_valid_choi.
-lambda_gap is read from the roots of one more _step from the result.
+A solve validates at its boundaries, not on every step: initial_choi checks
+a given start, iterate_once only that the dims agree, and the result is
+checked once, by the rule of channels.require_valid_choi (on R's blocks when
+it is on them): by _dual_endgame when it is the endgame's answer, else by
+solve.  README's "Numerical conventions" describe the layouts.
 """
 
 from __future__ import annotations
@@ -305,57 +280,122 @@ def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u * linalg.inverse_on_support(w, PINV_CUTOFF)) @ (u.conj().T @ v)
 
 
+def _dense_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
+    """_dual_endgame's layout where R has no block plan: a Hermitian
+    dim_in x dim_in Y, the n x n slack Y (x) 1_K - R, and the warm start
+    Tr_K[R chi]."""
+    d, k = r.dim_in, r.dim_out
+    n = d * k
+    lift = np.eye(k)[None, :, None, :]
+
+    def slack(y):  # eigh of Y (x) 1_K - R
+        return np.linalg.eigh((y[:, None, :, None] * lift).reshape(n, n) - r.matrix)
+
+    def derivatives(z_eigs, z_vecs):  # Tr_K[Z^-1] and the Hessian over mu
+        w = ((z_vecs / z_eigs) @ z_vecs.conj().T).reshape(d, k, d, k)  # Z^-1
+        return np.einsum("akbk->ab", w), np.einsum("akbl,dlck->acbd", w, w).reshape(d * d, d * d)
+
+    def kernel(z_eigs, z_vecs, cut):  # the eigenvectors below cut, as the columns of an (n, rank) P
+        return z_vecs[:, z_eigs < cut]
+
+    y = linalg.hermitian_part(linalg.partial_trace(r.matrix @ chi.matrix, d, k))
+    return y, np.eye(d), slack, derivatives, kernel
+
+
+def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
+    """_dual_endgame's layout on R's block plan: a real dim_in vector y, the
+    (B, s, s) slack stack Z_b = diag(y[inputs_b]) - R_b, with 1 on the
+    padding's diagonal.  Padding never counts: the derivatives bincount over
+    the plan's input and pair labels, whose dummy label dim_in is cut off, and
+    the kernel keeps no eigenvector that lives on the padding.  The warm start
+    is the diagonal of Tr_K[R chi], summed per input from the diagonals of
+    R_b chi_b, chi's carried stack or its gathered blocks."""
+    plan, d = r.blocks, r.dim_in
+    n = d * r.dim_out
+    r_b = plan.gather(r.matrix)
+    diagonal = slice(None, None, r_b.shape[1] + 1)  # the diagonal of a raveled s x s block
+    labels = plan.input_labels.ravel()
+    pairs = np.repeat(plan.pair_labels, 2)  # per float of the stack's float64 view: real, imaginary
+    padded = np.ones(d + 1)  # y, then the padding's 1
+
+    def slack(y):  # the batched eigh of the Z_b
+        padded[:d] = y
+        z = -r_b
+        z.reshape(len(z), -1)[:, diagonal] += padded[plan.input_labels]
+        return np.linalg.eigh(z)
+
+    def derivatives(z_eigs, z_vecs):  # Tr_K[Z^-1]'s diagonal and the Hessian over mu, both real
+        w = (z_vecs / z_eigs[:, None, :]) @ z_vecs.conj().swapaxes(1, 2)  # the Z_b^-1
+        w_trace = np.bincount(labels, w.reshape(len(w), -1)[:, diagonal].real.ravel(), d + 1)
+        floats = w.view(np.float64).ravel()
+        hess = np.bincount(pairs, floats * floats, (d + 1) ** 2)  # |Z_b^-1|^2 summed per pair of inputs
+        return w_trace[:d], hess.reshape(d + 1, d + 1)[:d, :d]
+
+    def kernel(z_eigs, z_vecs, cut):  # the eigenvectors below cut, scattered to the columns of P
+        b, j = np.nonzero(z_eigs < cut)
+        p = np.zeros((len(b), n + 1), dtype=np.complex128)
+        p[np.arange(len(b))[:, None], plan.flat[b, :, 0] // n] = z_vecs[b, :, j]  # the padding to column n
+        p = p[:, :n].T
+        return p[:, (p.real**2 + p.imag**2).sum(axis=0) > 0.5]  # a padding eigenvector scatters to 0
+
+    carried, stack = chi._stack
+    blocks = stack if carried is plan else plan.gather(chi.matrix)
+    y = np.bincount(plan.flat_inputs, np.einsum("bpq,bqp->bp", r_b, blocks).real.ravel(), d)
+    return y, np.ones(d), slack, derivatives, kernel
+
+
 def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, float] | None:
     """Optimal chi and its certified gap from the dual SDP
     min Tr Y s.t. Y (x) 1_K >= R, warm-started from chi; None on failure.
 
-    Damped Newton steps on Tr Y - mu log det(Y (x) 1_K - R) follow the central
-    path from Y = Tr_K[R chi] shifted by a multiple of 1 to be strictly
-    feasible (one eigh of the start's slack serves both: the shift moves no
-    eigenvector), mu falling STAGE_CUT-fold per stage.  Between stages a
-    predictor step moves Y along the path's tangent dY/dmu = H^-1 Tr_K[Z^-1] to
-    the next mu in one full step, dropped if Y leaves the strictly feasible
-    set; the next stage's Newton steps are its corrector.  Complementary
-    slackness then gives chi = P X P†, P spanning the kernel of
-    Z = Y (x) 1_K - R, with X solving Tr_K[P X P†] = 1; pinched to R's blocks
-    (if R has a plan) to drop the round-off off them, one extremal step makes
-    the trace condition exact.  Any feasible Y bounds every channel's fidelity
-    by Tr Y, so the gap Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
+    The unknowns are a diagonal y where R has a block plan (_diagonal_dual:
+    pinching onto the blocks maps Y (x) 1_K - R to diag(y) (x) 1_K - R, so the
+    dual keeps its value), else a Hermitian Y (_dense_dual).  A layout gives
+    the warm start, the 1 of its unknowns, and three functions: slack(y), the
+    eigh of the slack Z; derivatives(eigs, vecs), Tr_K[Z^-1] and the Hessian
+    over mu; kernel(eigs, vecs, cut), Z's eigenvectors below cut as the
+    columns of an (n, rank) P.  Damped Newton
+    steps on Tr Y - mu log det(Y (x) 1_K - R) follow the central path from
+    the warm start Tr_K[R chi], shifted by a multiple of 1 to be strictly
+    feasible, mu falling STAGE_CUT-fold per stage, with a predictor step along
+    the path's tangent between stages.  Complementary slackness then gives
+    chi = P X P†, P spanning the kernel of the slack, with X solving
+    Tr_K[P X P†] = 1; pinched to R's blocks and stepped once, it is checked
+    by _require_valid.  Any feasible Y bounds every channel's fidelity by
+    Tr Y, so the gap Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
     """
     d, k = r.dim_in, r.dim_out
     n, eye = d * k, np.eye(d)
     mu_end = BARRIER_GAP / n
-    lift = np.eye(k)[None, :, None, :]
+    y, one, slack, derivatives, kernel = (_dense_dual if r.blocks is None else _diagonal_dual)(r, chi)
 
-    def slack(y):  # Y (x) 1_K - R
-        return (y[:, None, :, None] * lift).reshape(n, n) - r.matrix
+    def trace(y):  # Tr Y, or the sum of a diagonal y
+        return float(np.vdot(one, y).real)
 
-    y = linalg.hermitian_part(linalg.partial_trace(r.matrix @ chi.matrix, d, k))
     try:
-        z_eigs, z_vecs = np.linalg.eigh(slack(y))
-        excess = max(0.0, -z_eigs[0])
-        mu = max(mu_end, (np.trace(y).real + d * excess - fidelity(chi, r)) / n)
-        y, z_eigs = y + (excess + mu) * eye, z_eigs + (excess + mu)
+        z_eigs, z_vecs = slack(y)  # one eigh of the start's slack: the shift moves no eigenvector
+        excess = max(0.0, -z_eigs.min())
+        mu = max(mu_end, (trace(y) + d * excess - fidelity(chi, r)) / n)
+        y, z_eigs = y + (excess + mu) * one, z_eigs + (excess + mu)
         while True:
             last = np.inf
             for _ in range(MAX_NEWTON):
-                if z_eigs[0] <= 0.0:  # rounding left the feasible set
+                if z_eigs.min() <= 0.0:  # rounding left the feasible set
                     return None
-                w = ((z_vecs / z_eigs) @ z_vecs.conj().T).reshape(d, k, d, k)  # Z^-1
-                w_trace = np.einsum("akbk->ab", w)  # Tr_K[Z^-1]
-                grad = eye - mu * w_trace
-                hess = mu * np.einsum("akbl,dlck->acbd", w, w).reshape(d * d, d * d)
+                w_trace, hess = derivatives(z_eigs, z_vecs)
+                grad = one - mu * w_trace
                 # One solve gives the Newton step and the tangent dY/dmu = H^-1 Tr_K[Z^-1].
-                rhs = np.stack((-grad, w_trace), axis=-1).reshape(d * d, 2)
-                step, tangent = linalg.hermitian_part(_psd_solve(hess, rhs).T.reshape(2, d, d))
-                dec2 = -np.vdot(grad, step).real / mu  # squared Newton decrement
+                rhs = np.concatenate((-grad[..., None], w_trace[..., None]), axis=-1).reshape(y.size, 2)
+                both = _psd_solve(mu * hess, rhs).T.reshape(2, *y.shape)
+                step, tangent = linalg.hermitian_part(both) if y.ndim == 2 else both  # Y stays Hermitian
+                dec2 = -float(np.vdot(grad, step).real) / mu  # squared Newton decrement
                 if dec2 < NEWTON_TOL or last <= dec2 < 1 / 16:  # centred, or at the rounding floor
                     break
                 last = dec2
                 # Both steps stay inside the Dikin ellipsoid, so Y stays strictly
                 # feasible; full steps converge quadratically once dec2 < 1/16.
-                y = y + step / (1.0 + np.sqrt(dec2)) if dec2 > 1 / 16 else y + step
-                z_eigs, z_vecs = np.linalg.eigh(slack(y))
+                y = y + step / (1.0 + math.sqrt(dec2)) if dec2 > 1 / 16 else y + step
+                z_eigs, z_vecs = slack(y)
             else:
                 return None
             if mu == mu_end:
@@ -363,11 +403,11 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
             # Predictor: along the tangent to the next mu; the next stage corrects it.
             mu_next = max(mu_end, mu / STAGE_CUT)
             trial = y + tangent * (mu_next - mu)
-            t_eigs, t_vecs = np.linalg.eigh(slack(trial))
-            if t_eigs[0] > 0.0:  # else the predictor is dropped
+            t_eigs, t_vecs = slack(trial)
+            if t_eigs.min() > 0.0:  # else the predictor is dropped
                 y, z_eigs, z_vecs = trial, t_eigs, t_vecs
             mu = mu_next
-        p = z_vecs[:, z_eigs < np.sqrt(mu)]  # central path: Z ~ mu / chi on the kernel
+        p = kernel(z_eigs, z_vecs, np.sqrt(mu))  # central path: Z ~ mu / chi on the kernel
         rank = p.shape[1]
         if rank == 0:
             return None
@@ -382,7 +422,7 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
         _require_valid(chi, r)
     except (np.linalg.LinAlgError, ChoiOptError):
         return None
-    return chi, float(np.trace(y).real + d * max(0.0, -z_eigs[0]) - fidelity(chi, r))
+    return chi, trace(y) + d * max(0.0, -z_eigs.min()) - fidelity(chi, r)
 
 
 def _slow_tail(fids: list[float], fid_tol: float) -> bool:
@@ -428,7 +468,8 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
             chi = iterate_once(chi, r)
         fids.append(fidelity(chi, r))
         converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
-    _require_valid(chi, r)
+    if np.isnan(gap):  # a certified endgame answer was checked by _dual_endgame
+        _require_valid(chi, r)
     lambda_gap = float(np.diff(np.sort(_step(chi, r)[0])).min(initial=np.inf))
     chi.__dict__["matrix"] = chi.matrix  # scattered now, if it was not read: the result drops its stack,
     chi.__dict__.pop("_stack", None)  # so that results a caller keeps hold less

@@ -91,20 +91,27 @@ class BlockPlan:
     labels[i] is the smallest index in i's component.  flat[b, p, q] is the
     flat index, into an n x n matrix, of the entry that pairs positions p and
     q of block b; it is n^2 where either position is padding (pad).
-    sandwich[b] = R_b (x) R_b^T, the (s^2, s^2) superoperator of X -> R_b X R_b
-    on row-major vec(X), zero on the padding; inputs[b, p] is the input index
-    of position p (0 on padding), and flat_inputs is inputs.ravel().  overlap
-    holds the row-major vec(R_b^T) of every block, one after the other: R is
-    zero off its blocks, so Tr[X R] = gather(X).ravel() @ overlap for any X.
-    labels, flat, pad, inputs and flat_inputs depend only on R's zero pattern
-    and are shared, read-only, by the plans of every R with that pattern."""
+    inputs[b, p] is the input index of position p (0 on padding), and
+    flat_inputs is inputs.ravel().  input_labels is inputs with the dummy
+    label dim_in on padding, and pair_labels[b, p, q], raveled, is
+    (dim_in + 1) input_labels[b, p] + input_labels[b, q]: bincounts over
+    them, cut to their first dim_in labels, sum a stack per input or per
+    pair of inputs without the padding.  sandwich[b] = R_b (x) R_b^T, the
+    (s^2, s^2) superoperator of X -> R_b X R_b on row-major vec(X), zero on
+    the padding.  overlap holds the row-major vec(R_b^T) of every block, one
+    after the other: R is zero off its blocks, so
+    Tr[X R] = gather(X).ravel() @ overlap for any X.  All fields but sandwich
+    and overlap depend only on R's zero pattern and are shared, read-only,
+    by the plans of every R with that pattern."""
 
     labels: np.ndarray
     flat: np.ndarray
     pad: np.ndarray
-    sandwich: np.ndarray
     inputs: np.ndarray
     flat_inputs: np.ndarray
+    input_labels: np.ndarray
+    pair_labels: np.ndarray
+    sandwich: np.ndarray
     overlap: np.ndarray
 
     def gather(self, m: np.ndarray) -> np.ndarray:
@@ -127,16 +134,15 @@ def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
     structure = _block_structure(dim_in, dim_out, np.packbits(m != 0).tobytes())
     if structure is None:
         return None
-    labels, flat, pad, inputs, flat_inputs = structure
-    r = _gather(m, flat, pad)
+    r = _gather(m, structure[1], structure[2])
     size = r.shape[1]
     sandwich = np.einsum("bik,blj->bijkl", r, r).reshape(len(r), size * size, size * size)
-    return BlockPlan(labels, flat, pad, sandwich, inputs, flat_inputs, r.transpose(0, 2, 1).ravel())
+    return BlockPlan(*structure, sandwich, r.transpose(0, 2, 1).ravel())
 
 
 @lru_cache(maxsize=STRUCTURES)
 def _block_structure(dim_in: int, dim_out: int, nonzero: bytes) -> tuple | None:
-    """(labels, flat, pad, inputs, flat_inputs) of BlockPlan, read-only, for the
+    """BlockPlan's fields from labels to pair_labels, read-only, for the
     zero pattern whose packed bits (np.packbits of m != 0) are nonzero; None
     when a component holds two indices (a, k) and (b, k) with a != b
     (pinching to the blocks would then change Tr_K), or when B s^4 >= n^3:
@@ -172,7 +178,9 @@ def _block_structure(dim_in: int, dim_out: int, nonzero: bytes) -> tuple | None:
     pad = flat >= n * n
     np.minimum(flat, n * n, out=flat)
     inputs = index % n // dim_out
-    structure = labels, flat, pad, inputs, inputs.ravel()
+    input_labels = np.where(index < n * n, inputs, dim_in)
+    pair_labels = (input_labels[:, :, None] * (dim_in + 1) + input_labels[:, None, :]).ravel()
+    structure = labels, flat, pad, inputs, inputs.ravel(), input_labels, pair_labels
     for a in structure:
         a.setflags(write=False)
     return structure

@@ -25,18 +25,24 @@ def test_every_reference_solve_converges_and_every_endgame_certifies(proc):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     solves, endgame, verdict = proc.stdout.splitlines()
     assert solves.startswith("solves = 381  ")
-    calls, certified = (int(part.split(" = ")[1]) for part in endgame.split("  "))
+    certified, calls = map(int, endgame.split(" endgame calls certified  ")[0].split(" of "))
     assert calls == certified >= 1
     assert verdict.startswith("raised = 0  unconverged = 0  ")
     assert verdict.endswith("endgame rows off by more than 1e-12 = 0")
 
 
-def test_first_line_reports_the_endgame_time(proc):
-    solves = proc.stdout.splitlines()[0]
+def test_endgame_line_reports_its_time_and_newton_steps(proc):
+    # "N of N endgame calls certified  endgame time = T s  Newton steps (median, max) = maxmix M, X / ..."
+    solves, endgame = proc.stdout.splitlines()[:2]
     total = float(solves.split("  time = ")[1].split(" s")[0])
-    endgame = solves.split("  ")[-1]
-    assert endgame.startswith("endgame time = ") and endgame.endswith(" s")
-    assert 0.0 < float(endgame.removeprefix("endgame time = ").removesuffix(" s")) <= total
+    _, time_part, steps_part = endgame.split("  ")
+    assert time_part.startswith("endgame time = ") and time_part.endswith(" s")
+    assert 0.0 < float(time_part.removeprefix("endgame time = ").removesuffix(" s")) <= total
+    by_start = [entry.split(" ", 1) for entry in steps_part.removeprefix("Newton steps (median, max) = ").split(" / ")]
+    assert [init for init, _ in by_start] == ["maxmix", "random:1", "random:2"]
+    for _, counts in by_start:
+        median, largest = (float(count) for count in counts.split(", "))
+        assert 1 <= median <= largest <= 45  # TestPredictorCorrector.BUDGET
 
 
 def test_first_line_splits_the_iterations_by_start(proc):
@@ -50,12 +56,13 @@ def test_first_line_splits_the_iterations_by_start(proc):
 
 
 def test_rows_file_holds_one_line_per_solve(tmp_path, monkeypatch, capsys):
-    # In process, on two specs: the script wraps solver._dual_endgame, which
-    # monkeypatch puts back afterwards.
+    # In process, on two specs: the script wraps solver._dual_endgame and
+    # solver._psd_solve, which monkeypatch puts back afterwards.
     module_spec = importlib.util.spec_from_file_location("reference_set", ROOT / "scripts" / "reference_set.py")
     reference_set = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(reference_set)
     monkeypatch.setattr(solver, "_dual_endgame", solver._dual_endgame)
+    monkeypatch.setattr(solver, "_psd_solve", solver._psd_solve)
     specs = [ModelSpec("shifter", alpha=0.71), ModelSpec("unot", copies=2)]
     monkeypatch.setattr(reference_set, "specs", lambda: iter(specs))
     rows = tmp_path / "rows.txt"

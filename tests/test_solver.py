@@ -731,10 +731,11 @@ class TestEndgameRejects:
 
 def _tangent_off_the_feasible_set(m, v):
     # The Newton step as it is, and a tangent so long that every predictor
-    # fraction moves Y below R's spectrum: each predictor step is dropped.
+    # fraction moves y below R's spectrum: each predictor step is dropped.
+    # The shifter's R has a block plan, so the tangent is 1e30 times the 1 of the diagonal y.
     out = _psd_solve(m, v)
     if out.ndim == 2:
-        out[:, 1] = 1e30 * np.eye(round(np.sqrt(len(out)))).ravel()
+        out[:, 1] = 1e30
     return out
 
 
@@ -763,10 +764,12 @@ class TestPredictorCorrector:
     # 100x and no predictor, 38-49 and 104.
     BUDGET = 45
 
+    # alpha0 + 1e-4 takes 43, 38 and 41 steps from maxmix, random:1 and random:2.
+    @pytest.mark.parametrize("init", ["maxmix", "random:1", "random:2"])
     @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.71, 3.13], ids=str)
-    def test_newton_budget_at_the_firing_iterate(self, alpha, endgame_calls, newton_steps):
+    def test_newton_budget_at_the_firing_iterate(self, alpha, init, endgame_calls, newton_steps):
         r = analytic_r(ModelSpec("shifter", alpha=alpha))
-        solve(r)
+        solve(r, SolverOptions(init=init))
         steps, done = newton_steps(r, endgame_calls.chis[0])
         assert steps <= self.BUDGET
         assert done is not None and done[1] <= SolverOptions().fid_tol
@@ -1079,6 +1082,98 @@ class TestEndgameOnTheBlocks:
         self.check(r, iterate_once(maxmix_choi(r.dim_in, r.dim_out), r), monkeypatch)
 
 
+def without_plan(r: TargetOperator) -> TargetOperator:
+    """R with its block plan hidden: the endgame then takes the dense layout."""
+    hidden = TargetOperator(r.dim_in, r.dim_out, r.matrix)
+    hidden.__dict__["blocks"] = None
+    return hidden
+
+
+def firing_iterate(alpha: float, init: str) -> ChoiOperator:
+    """The iterate the shifter row's endgame gets from init."""
+    chis = []
+    r = analytic_r(ModelSpec("shifter", alpha=alpha))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_dual_endgame", lambda r, chi: chis.append(chi))
+        solve(r, SolverOptions(init=init))
+    return chis[0]
+
+
+def cloner_10_iterate() -> ChoiOperator:
+    r = analytic_r(ModelSpec("cloner", copies=10))
+    return iterate_once(maxmix_choi(r.dim_in, r.dim_out), r)
+
+
+# (spec, the iterate its endgame gets): the budget rows' firing iterates, then the forced cloner N = 10 call.
+STARTS = ("maxmix", "random:1", "random:2")
+ENDGAME_ROWS = [
+    *(
+        (ModelSpec("shifter", alpha=a), lambda a=a, init=init: firing_iterate(a, init))
+        for a in (ALPHA_THRESHOLD + 1e-4, 0.71, 3.13)
+        for init in STARTS
+    ),
+    (ModelSpec("cloner", copies=10), cloner_10_iterate),
+]
+ENDGAME_IDS = [f"{a}-{init}" for a in ("a0+1e-4", "0.71", "3.13") for init in STARTS] + ["cloner-10"]
+
+
+class TestDiagonalDual:
+    # With a block plan the endgame's unknowns are a diagonal y and its slack a
+    # (B, s, s) stack; the dense Y, taken when the plan is hidden, is the reference.
+    @pytest.mark.parametrize("spec, chi", ENDGAME_ROWS, ids=ENDGAME_IDS)
+    def test_both_layouts_certify_the_same_value(self, spec, chi):
+        r, chi = analytic_r(spec), chi()
+        optimum = known_optimum(spec).fidelity
+        answers = [_dual_endgame(target, chi) for target in (r, without_plan(r))]
+        for done in answers:
+            assert done is not None and done[1] <= SolverOptions().fid_tol
+            assert done[1] >= abs(fidelity(done[0], r) - optimum)
+        assert abs(fidelity(answers[0][0], r) - fidelity(answers[1][0], r)) <= 1e-12
+
+    @pytest.mark.parametrize("spec, chi", [ENDGAME_ROWS[3], ENDGAME_ROWS[-1]], ids=["0.71-maxmix", "cloner-10"])
+    def test_empty_kernel_rejects_on_the_blocks(self, spec, chi, monkeypatch):
+        # mu stays large, so every slack eigenvalue of R's positions lies above
+        # sqrt(mu), while the padding's 1 lies below it: the kernel must be empty.
+        r, chi = analytic_r(spec), chi()
+        assert r.blocks.pad.any()
+        ranks, real = [], solver_module._diagonal_dual
+
+        def recorded(r, chi):
+            *layout, kernel = real(r, chi)
+            return (*layout, lambda *args: ranks.append(kernel(*args).shape[1]) or kernel(*args))
+
+        monkeypatch.setattr(solver_module, "_diagonal_dual", recorded)
+        monkeypatch.setattr(solver_module, "BARRIER_GAP", 1e6)
+        assert _dual_endgame(r, chi) is None
+        assert ranks == [0]
+
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_padding_is_never_a_kernel_direction(self, spec):
+        # Below an infinite cut the kernel is every eigenvector of R's n positions, none of the padding's.
+        r = analytic_r(spec)
+        chi = initial_choi(r, "maxmix")
+        y, _, slack, _, kernel = solver_module._diagonal_dual(r, chi)
+        p = kernel(*slack(y + 1.0), np.inf)
+        n = r.dim_in * r.dim_out
+        assert p.shape == (n, n)
+        assert np.allclose(p.conj().T @ p, np.eye(n), atol=1e-12)
+
+    @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
+    def test_warm_start_is_the_diagonal_of_the_dense_one(self, spec, monkeypatch):
+        r = analytic_r(spec)
+        chi = initial_choi(r, "random:1")  # carries its stack, and no matrix until one is read
+        with monkeypatch.context() as mp:
+            mp.setattr(targets_module.BlockPlan, "scatter", refuse_scatter)
+            y = solver_module._diagonal_dual(r, chi)[0]
+        dense = solver_module._dense_dual(without_plan(r), chi)[0]
+        assert np.allclose(y, dense.diagonal().real, atol=1e-15)
+        assert np.abs(dense - np.diag(dense.diagonal())).max() <= 1e-15
+
+
+def refuse_scatter(self, blocks):
+    raise AssertionError("the stack was scattered")
+
+
 def full_block(r: TargetOperator) -> int:
     """The first of R's blocks that has no padding."""
     return int(np.flatnonzero(~r.blocks.pad.any(axis=(1, 2)))[0])
@@ -1147,6 +1242,15 @@ class TestClosingCheckOnTheBlocks:
         monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
         got = solve(r, SolverOptions(init=init))
         assert same_bytes(got.chi.matrix, want.chi.matrix) and got.iterations == want.iterations
+
+    def test_a_certified_answer_is_checked_once(self, monkeypatch, endgame_results):
+        # _dual_endgame checks its answer; solve does not check it again.
+        checked = []
+        real = solver_module._require_valid
+        monkeypatch.setattr(solver_module, "_require_valid", lambda chi, r: checked.append(chi) or real(chi, r))
+        result = solve(analytic_r(ModelSpec("shifter", alpha=0.71)))
+        assert result.gap <= SolverOptions().fid_tol
+        assert len(checked) == 1 and checked[0] is result.chi is endgame_results[0][0]
 
     def test_endgame_answer_is_checked_on_the_blocks(self, monkeypatch):
         r = analytic_r(ModelSpec("cloner", copies=10))
@@ -1437,10 +1541,10 @@ class TestInverseRoots:
 
 
 class TestPlanStructurePerZeroPattern:
-    # labels, flat, pad, inputs and flat_inputs come from R's zero pattern, once
-    # per pattern; sandwich and overlap from R's entries, once per target.
-    FIELDS = ("labels", "flat", "pad", "sandwich", "inputs", "flat_inputs", "overlap")
-    SHARED = ("labels", "flat", "pad", "inputs", "flat_inputs")
+    # labels, flat, pad, inputs, flat_inputs, input_labels and pair_labels come from
+    # R's zero pattern, once per pattern; sandwich and overlap from R's entries, once per target.
+    SHARED = ("labels", "flat", "pad", "inputs", "flat_inputs", "input_labels", "pair_labels")
+    FIELDS = (*SHARED, "sandwich", "overlap")
 
     @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
     def test_cached_plan_equals_a_fresh_one(self, spec):
