@@ -61,6 +61,7 @@ bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --ref $(REF) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 
 # each src/choiopt module's lines (wc -l) and code lines (tokenize, without docstrings, comments and blank lines), with totals;
-# make lines REF=<commit> also prints each module's counts at that commit and the change
+# make lines REF=<commit> also prints each module's counts at that commit, the change, and same_code:
+# yes when the module's AST without docstrings equals the commit's
 lines:
 	$(PYTHON) scripts/line_count.py $(if $(REF),--ref $(REF))

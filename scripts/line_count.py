@@ -12,12 +12,16 @@ via `make lines` or directly, optionally on other files:
 
 With --ref (`make lines REF=<commit>`), each module's row gives its lines
 and code lines at that commit (read with `git show`), then in the working
-tree, then the change; a module missing on one side counts 0 there:
+tree, then the change; a module missing on one side counts 0 there.  Its
+same_code cell reads yes when the module's ast.dump, without its docstrings,
+equals the commit's, and no otherwise (a module missing on one side too);
+the total's reads yes when every module's does:
 
     python3 scripts/line_count.py --ref REF
 """
 
 import argparse
+import ast
 import io
 import subprocess
 import sys
@@ -42,6 +46,18 @@ def count_lines(source: str) -> tuple[int, int]:
     return source.count("\n"), len(code)
 
 
+class _DropDocstrings(ast.NodeTransformer):
+    def visit_Expr(self, node: ast.Expr) -> ast.Expr | None:
+        """None for a string-only statement (a docstring), which drops it from its body."""
+        return None if isinstance(node.value, ast.Constant) and isinstance(node.value.value, (str, bytes)) else node
+
+
+def code_dump(source: str) -> str:
+    """ast.dump of Python source without its docstrings: equal for two sources
+    that differ only in docstrings, comments and layout."""
+    return ast.dump(_DropDocstrings().visit(ast.parse(source)))
+
+
 def git(root: Path, *args: str) -> str:
     proc = subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True)
     if proc.returncode != 0:
@@ -49,10 +65,10 @@ def git(root: Path, *args: str) -> str:
     return proc.stdout
 
 
-def ref_counts(ref: str, root: Path) -> dict[str, tuple[int, int]]:
-    """{module name: (lines, code lines)} of the src/choiopt modules at commit ref."""
+def ref_sources(ref: str, root: Path) -> dict[str, str]:
+    """{module name: source} of the src/choiopt modules at commit ref."""
     paths = git(root, "ls-tree", "--name-only", ref, "src/choiopt/").splitlines()
-    return {Path(p).name: count_lines(git(root, "show", f"{ref}:{p}")) for p in paths if p.endswith(".py")}
+    return {Path(p).name: git(root, "show", f"{ref}:{p}") for p in paths if p.endswith(".py")}
 
 
 def print_rows(header: tuple, rows: list) -> None:
@@ -72,16 +88,20 @@ def main(argv: list[str], root: Path = ROOT) -> None:
     if args.ref and args.files:
         parser.error("--ref counts src/choiopt and takes no FILE")
     paths = args.files or sorted((root / "src" / "choiopt").glob("*.py"))
-    counts = [(path.name, *count_lines(path.read_text())) for path in paths]
     if not args.ref:
+        counts = [(path.name, *count_lines(path.read_text())) for path in paths]
         counts.append(("total", sum(c[1] for c in counts), sum(c[2] for c in counts)))
         print_rows(("module", "lines", "code"), counts)
         return
-    old, new = ref_counts(args.ref, root), {name: (lines, code) for name, lines, code in counts}
-    rows = [(name, *old.get(name, (0, 0)), *new.get(name, (0, 0))) for name in sorted(old.keys() | new.keys())]
-    rows.append(("total", *(sum(r[i] for r in rows) for i in range(1, 5))))
-    header = ("module", "ref_lines", "ref_code", "lines", "code", "d_lines", "d_code")
-    print_rows(header, [(*r, f"{r[3] - r[1]:+d}", f"{r[4] - r[2]:+d}") for r in rows])
+    old, new = ref_sources(args.ref, root), {path.name: path.read_text() for path in paths}
+    rows = []
+    for name in sorted(old.keys() | new.keys()):
+        a, b = old.get(name, ""), new.get(name, "")  # "" counts (0, 0)
+        same = name in old and name in new and code_dump(a) == code_dump(b)
+        rows.append((name, *count_lines(a), *count_lines(b), same))
+    rows.append(("total", *(sum(r[i] for r in rows) for i in range(1, 5)), all(r[5] for r in rows)))
+    header = ("module", "ref_lines", "ref_code", "lines", "code", "d_lines", "d_code", "same_code")
+    print_rows(header, [(*r[:5], f"{r[3] - r[1]:+d}", f"{r[4] - r[2]:+d}", "yes" if r[5] else "no") for r in rows])
 
 
 if __name__ == "__main__":

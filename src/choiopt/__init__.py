@@ -1,10 +1,6 @@
-"""Optimal trace-preserving CP maps for prescribed pure-state transformations.
-
-The channel that best approximates a target transformation, in mean fidelity
-over the input-state family, is found by iterating a fixed-point update on
-its process (Choi) matrix.  Built-in models cover the inverting gate on N
-copies, symmetric 1->N cloning, two entangling tasks, and the polar-angle
-shifter.
+"""Optimal trace-preserving CP maps for prescribed pure-state transformations:
+the channel of best mean fidelity over a state family, by fixed-point iteration
+on its process matrix.  README describes the models, the library and the CLI.
 """
 
 from .analysis import (

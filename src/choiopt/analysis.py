@@ -1,5 +1,5 @@
-"""Validation and post-processing: sampled fidelities, fidelity curves,
-separability checks, and shift-angle scans."""
+"""Post-processing of channels: sampled fidelities, fidelity curves, the
+partial-transpose check and shift-angle scans (README's "Library")."""
 
 from __future__ import annotations
 
@@ -28,6 +28,8 @@ def _pointwise_fidelities(chi: ChoiOperator, family: StateFamily, thetas, phis) 
 
 @dataclass(frozen=True)
 class McEstimate:
+    """A sampled mean fidelity and its standard error (mc_fidelity)."""
+
     mean: float
     std_error: float
 
@@ -40,13 +42,9 @@ def require_samples(samples: int) -> None:
 
 
 def mc_fidelity(chi: ChoiOperator, family: StateFamily, samples: int, seed: int) -> McEstimate:
-    """Mean fidelity estimated by uniform sphere sampling instead of the trace
-    formula; deterministic per seed.
-
-    Samples are scored in blocks of targets.SAMPLE_BLOCK, so memory beyond
-    the angle and fidelity arrays is O(SAMPLE_BLOCK * n) for n = dim_in *
-    dim_out; mean and standard error equal the one-shot formulas to rounding.
-    """
+    """Mean fidelity of a valid channel with the family's dims, estimated from
+    seeded uniform sphere samples instead of the trace formula; ValueError for
+    fewer than 2 samples or a seed that fails the seed rule."""
     require_samples(samples)
     f = _pointwise_fidelities(chi, family, *sphere_samples(samples, seed))
     return McEstimate(float(f.mean()), float(f.std(ddof=1) / np.sqrt(samples)))

@@ -1,13 +1,8 @@
-"""Process matrices for trace-preserving CP maps and their Kraus/isometry forms.
-
-A channel E from a dim_in space H to a dim_out space K is carried by its
-process (Choi) matrix chi on H (x) K, input factor first:
-
-    chi = sum_{j,k} |j><k|  (x)  E(|j><k|),
-
-built from the unnormalized maximally entangled vector sum_j |j>|j>.  With
-this convention E(rho) = Tr_H[chi (rho^T (x) 1_K)] and trace preservation
-reads Tr_K[chi] = 1_H.
+"""Process matrices of channels, their admissibility rule, and their Kraus and
+isometry forms.  A channel E from H = C^dim_in to K = C^dim_out is its process
+matrix chi = sum_{j,k} |j><k| (x) E(|j><k|), input factor first, so that
+E(rho) = Tr_H[chi (rho^T (x) 1_K)] and trace preservation reads Tr_K[chi] = 1_H.
+README's "Numerical conventions" give the rules and the block layout.
 """
 
 from __future__ import annotations
@@ -31,7 +26,9 @@ KRAUS_CUTOFF = 1e-10  # kraus_from_choi's default support cutoff (linalg.support
 
 @dataclass(frozen=True)
 class ChoiOperator:
-    """Process matrix of a channel, with its input/output dimensions."""
+    """Process matrix of a channel with its input and output dims, held as a
+    read-only complex128 copy; DimensionMismatchError unless the dims are
+    counts that fit the matrix."""
 
     dim_in: int
     dim_out: int
@@ -44,15 +41,11 @@ class ChoiOperator:
 
     @classmethod
     def _frozen(cls, dim_in: int, dim_out: int, matrix: np.ndarray | None, stack=None) -> ChoiOperator:
-        """The operator of a complex128 (dim_in dim_out)^2 array that nothing else
-        holds, made read-only in place: no checks and no copy, for an array
-        the package has just computed from checked operands.  stack is None or
-        (plan, blocks), the (B, s, s) blocks on a target's block plan
-        (targets.BlockPlan) of a matrix exactly plan.scatter(blocks); it is
-        carried, read-only too, so that the next step and fidelity need not
-        gather.  With a stack, matrix may be None: it is then scattered on
-        its first read (_ScatteredOnFirstRead), frozen and kept, so an
-        iterate that nothing reads as a matrix never writes one."""
+        """The operator of a fresh complex128 (dim_in dim_out)^2 array that nothing
+        else holds, made read-only in place, with no check and no copy.  stack
+        is None or (plan, blocks), carried read-only, with the matrix exactly
+        plan.scatter(blocks); with a stack, matrix may be None, and is then
+        scattered on its first read."""
         chi = object.__new__(cls)
         chi.__dict__.update(dim_in=dim_in, dim_out=dim_out)
         if matrix is not None:
@@ -65,11 +58,9 @@ class ChoiOperator:
 
 
 class _ScatteredOnFirstRead:
-    """ChoiOperator.matrix where an operator holds none, one _frozen from a stack
-    only: the stack scattered, frozen and kept in the operator, so that later
-    reads find the array itself.  A class attribute without __set__, so an
-    operator that holds its matrix never calls it, and no other attribute
-    lookup goes through it; read on the class it raises AttributeError."""
+    """ChoiOperator.matrix of an operator made from a stack only: the stack
+    scattered, frozen and kept in the operator.  It has no __set__, so an
+    operator that holds its matrix never calls it."""
 
     def __get__(self, chi, owner=None):
         plan, blocks = chi._stack
@@ -236,15 +227,10 @@ def apply(chi: ChoiOperator, rho: DensityMatrix) -> DensityMatrix:
 
 
 def fidelity(chi: ChoiOperator, target) -> float:
-    """Mean fidelity Tr[chi R] of the channel against a target operator.
-
-    A target with dims (a TargetOperator) must have chi's, else
-    DimensionMismatchError; a raw array must have chi's shape.  Where the
-    target has a block plan, R is exactly zero off its blocks, so the trace
-    is the sum over them, chi's (B, s, s) blocks against the plan's vec(R_b^T):
-    the stack chi carries from the block step on that plan, else the blocks
-    gathered from chi's matrix, the same bits either way.  Any other target
-    takes the trace of the full n x n product."""
+    """Mean fidelity, the real part of Tr[chi R], against a target with chi's
+    dims or a raw array of chi's shape (else DimensionMismatchError), summed
+    over the target's blocks where it has a plan.  InvalidChoiError for an
+    imaginary part above PSD_TOL when chi or R fails the Hermiticity rule."""
     r = target.matrix if hasattr(target, "matrix") else linalg.as_matrix(target)
     if hasattr(target, "dim_in"):
         require_same_dims(chi, target, "channel", "target")

@@ -1,9 +1,6 @@
-"""Command-line front end.
-
-Subcommands: solve, bound, rmatrix, kraus, dilate, apply, scan, curve,
-validate.  Exit codes: 0 success, 2 usage error, 3 numerical failure,
-4 non-convergence under --strict.  Errors go to stderr as a single
-"error: ..." line.
+"""Command-line front end (README's "Command line"): main returns the exit code,
+0 success, 2 usage error, 3 numerical failure, 4 non-convergence under
+--strict, and reports an error as one "error: ..." line on stderr.
 """
 
 from __future__ import annotations

@@ -1,15 +1,7 @@
-"""Dense complex linear algebra on small tensor-product spaces.
-
-All operators live on composite spaces indexed as i_first * dim_second +
-i_second; every routine in the package assumes this one convention.
-Matrices are plain complex128 ndarrays.  Hermiticity is judged here once
-for the package: require_hermitian holds hermiticity_deviation, the largest
-entrywise |m - m†|, to PSD_TOL.  Which eigenvalues count as zero is decided
-here once too, for a spectrum in any order, by the clip rule clip_roots (for
-psd_sqrt and, through solver._inverse_roots, both paths of the extremal step)
-and the support rule support (for kraus_from_choi and inverse_on_support, the
-one pseudo-inverse, which reg_inverse, solver._inverse_roots and
-solver._psd_solve call).
+"""Dense complex128 linear algebra on composite spaces indexed
+i_first * dim_second + i_second, and the package's value rules, each written
+once here: Hermiticity, the clip and support rules for zero eigenvalues, and
+the count, real, seed and cutoff rules (README's "Numerical conventions").
 herm_eig, psd_sqrt, reg_inverse and EigenDecomposition are public utilities
 no other module calls.
 """
@@ -120,9 +112,8 @@ def clip_roots(w: np.ndarray) -> np.ndarray:
 
 def support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
     """The support rule: mask of the eigenvalues w, in any order, that are > 0
-    and >= rel_cutoff * max(w); only these are kept or inverted.  It runs on
-    every solver step, so one comparison does both: no double lies strictly
-    between 0 and the smallest subnormal."""
+    and >= rel_cutoff * max(w).  It runs every solver step, so one comparison
+    does both: no double lies strictly between 0 and the smallest subnormal."""
     return w >= max(rel_cutoff * w.max(), _SMALLEST_POSITIVE)
 
 
@@ -158,12 +149,9 @@ class EigenDecomposition:
 
 
 def herm_eig(m) -> EigenDecomposition:
-    """Full spectral decomposition of the Hermitian part of m.
-
-    Raises NonSquareError for a non-square m and NotHermitianError when
-    hermiticity_deviation(m) exceeds PSD_TOL, the bound admissibility uses.
-    LAPACK convergence failures propagate as numpy.linalg.LinAlgError.
-    """
+    """Spectral decomposition of the Hermitian part of m: NonSquareError for a
+    non-square m, NotHermitianError past the Hermiticity rule, and LAPACK
+    failures as numpy.linalg.LinAlgError."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise NonSquareError(f"matrix is {m.shape[0]}x{m.shape[1]}")

@@ -1,19 +1,7 @@
-"""Built-in transformation models with closed-form targets and known optima.
-
-Five qubit tasks are provided, each as a state family (for quadrature or
-Monte-Carlo construction), a closed-form target operator, and the best known
-fidelity with its channel where one is available:
-
-  unot(N)       N symmetric copies of a qubit -> the orthogonal qubit
-  cloner(N)     one qubit -> N symmetric approximate copies
-  entangler_a   |psi> -> normalized (|psi>|0> + |0>|psi>)
-  entangler_b   |psi> -> (|psi>|psi_perp> + |psi_perp>|psi>)/sqrt(2)
-  shifter(a)    |psi(theta, phi)> -> |psi(theta + a, phi)>
-  identity      |psi> -> |psi>  (the shifter at a = 0)
-
-Each kind's facts (dims, state family, closed-form target and known optimum)
-live in one branch of _model; ModelSpec.dims, model_family, analytic_r and
-known_optimum only read its record.
+"""Built-in transformation models (README's "Built-in models"): each kind's
+dims, state family, closed-form target and best known optimum come from one
+branch of _model, which ModelSpec.dims, model_family, analytic_r and
+known_optimum only read.
 """
 
 from __future__ import annotations
@@ -93,14 +81,10 @@ def orthogonal_state(theta, phi) -> np.ndarray:
 
 
 def symmetric_state(n_qubits: int, theta, phi) -> np.ndarray:
-    """N identical qubits in the totally symmetric basis.
-
-    Basis index j holds the symmetric state with N-j qubits in |0>; the
-    amplitude there is sqrt(C(N, j)) e^{i j phi} cos^{N-j}(theta/2)
-    sin^j(theta/2), built from the qubit's amplitudes by running products
-    (_symmetric_power).  Unit norm for every (theta, phi) by the binomial
-    theorem.  n_qubits must pass linalg.is_natural, else ValueError.
-    """
+    """N identical qubits in the symmetric basis, whose index j holds N-j qubits
+    in |0>: amplitude sqrt(C(N, j)) e^{i j phi} cos^{N-j}(theta/2) sin^j(theta/2),
+    unit norm by the binomial theorem.  ValueError unless n_qubits is an
+    integer >= 0."""
     if not linalg.is_natural(n_qubits):
         raise ValueError(f"n_qubits must be an integer >= 0, got {n_qubits!r}")
     return _symmetric_power(bloch_state(theta, phi), n_qubits)
@@ -390,4 +374,5 @@ def analytic_r(spec: ModelSpec) -> TargetOperator:
 
 
 def known_optimum(spec: ModelSpec) -> KnownOptimum:
+    """The best known fidelity for a model, with the optimal channel where it is known in closed form."""
     return _model(spec).optimum()

@@ -1,10 +1,6 @@
-"""JSON and CSV wire formats.
-
-Matrix JSON: {"rows": r, "cols": c, "data": [[re, im], ...]} with data in
-row-major order.  Process matrices extend that object with dim_in, dim_out
-and ordering: "in_tensor_out"; target operators additionally carry
-kind: "target".  Numbers are written with Python's shortest round-trip float
-representation, so loading reproduces the doubles bit-for-bit.
+"""JSON and CSV wire formats, loaded strictly (README's "File formats").  Floats
+are written in Python's shortest round-trip form, so loading reproduces the
+doubles bit for bit.
 """
 
 from __future__ import annotations

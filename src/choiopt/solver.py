@@ -1,32 +1,11 @@
 """Fixed-point iteration for the fidelity-optimal trace-preserving channel.
 
-Maximizing Tr[chi R] over process matrices with Tr_K[chi] = 1_H leads to the
-stationarity condition
-
-    chi = Lambda^{-1} R chi R Lambda^{-1},
-    Lambda = lambda (x) 1_K,   lambda = (Tr_K[R chi R])^{1/2},
-
-with lambda the positive Hermitian root, inverted on its support (so the
-update stays defined when lambda is singular).  Each update keeps chi
-positive and trace-preserving.  Where R has a block plan
-(TargetOperator.blocks) and chi is exactly zero off its blocks, the update
-works on the (B, s, s) stack of blocks, and its result carries that stack
-with R's plan (its matrix is scattered on first read); any other chi or R
-takes the dense update.  _step is the one place that chooses.
-
-Where the fidelity increments predict a long tail (_slow_tail), a solve with
-dim_in <= dim_out makes one attempt to finish through the dual SDP
-min Tr Y s.t. Y (x) 1_K >= R (_dual_endgame).  Its unknowns are taken from
-R's block plan: a real dim_in vector y with a (B, s, s) slack where R has
-one, else a Hermitian dim_in x dim_in Y with an n x n slack.  Its answer is
-kept only with a certified duality gap of at most fid_tol; otherwise the
-iteration goes on as if the attempt had not been made.
-
-A solve validates at its boundaries, not on every step: initial_choi checks
-a given start, iterate_once only that the dims agree, and the result is
-checked once, by the rule of channels.require_valid_choi (on R's blocks when
-it is on them): by _dual_endgame when it is the endgame's answer, else by
-solve.  README's "Numerical conventions" describe the layouts.
+solve iterates chi -> Lambda^{-1} R chi R Lambda^{-1}, Lambda = lambda (x) 1_K,
+lambda = (Tr_K[R chi R])^{1/2} inverted on its support, which keeps chi positive
+and trace-preserving, and may finish through the dual SDP min Tr Y s.t.
+Y (x) 1_K >= R with a certified gap.  It validates at its boundaries: the start
+and the result, not each step.  README's "Numerical conventions" describe the
+block step, the carried stack, the dual on the blocks and the stopping rules.
 """
 
 from __future__ import annotations
@@ -43,8 +22,7 @@ from .errors import ChoiOptError, InvalidChoiError, InvalidSpecError, SingularLa
 from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import BlockPlan, TargetOperator, fidelity_bound
 
-# The endgame trigger, _slow_tail, reads the rate from step RATE_FROM on and fires on a
-# predicted tail above STEPS_LEFT steps, about one attempt's cost (20-95 steps at n = 4).
+# The rate rule's constants (_slow_tail); README's "Rate rule" gives their reasons.
 RATE_FROM = 8
 STEPS_LEFT = 60
 BARRIER_GAP = 1e-14  # (dim_in * dim_out) * mu at the last barrier stage
@@ -59,23 +37,10 @@ def _named_init(init) -> bool:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration controls.
-
-    The loop stops after the first step whose fidelity differs from the
-    previous one by less than fid_tol, or after max_iters steps without one,
-    or one step after the rate rule fires (see solve) when max_iters
-    allows that step, dim_in <= dim_out and the dual endgame certifies a gap
-    of at most fid_tol.  converged means that the fidelity rule fired or the
-    endgame certified its gap.
-    init is "maxmix", "random:SEED" with an integer SEED >= 0, or a ChoiOperator.
-    A random start is random_choi(dim_in, dim_out, SEED)'s Wishart sample
-    pinched to the blocks of R's zero pattern where those blocks keep the
-    trace condition, then made trace-preserving on them (see initial_choi);
-    where R has no such blocks it is random_choi(dim_in, dim_out, SEED).  The
-    solve then reaches an optimum on the same blocks, which may differ from
-    the one the unpinched start would reach (same fidelity; lambda_gap may
-    differ).
-    """
+    """A solve's controls, judged when built (InvalidSpecError): max_iters a
+    count, fid_tol a finite real > 0 (the tolerance of the fidelity rule and
+    of the endgame's certified gap), and init "maxmix", "random:SEED" (SEED an
+    integer >= 0) or a ChoiOperator start, which initial_choi checks."""
 
     max_iters: int = 10000
     fid_tol: float = 1e-12
@@ -92,25 +57,27 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolverResult:
+    """A solve's channel chi, its fidelity, the bound dim_in lambda_max(R), the
+    steps taken, converged, and the fidelity after each step.  lambda_gap is
+    the smallest gap between adjacent roots of the final multiplier (near zero:
+    a degenerate optimum, whose chi may depend on the start); gap is the
+    certified distance to the optimal fidelity when the dual endgame gave the
+    result, else NaN."""
+
     chi: ChoiOperator
     fidelity: float
     bound: float
     iterations: int
     converged: bool
     fidelity_trace: tuple = field(repr=False)
-    # Smallest gap between adjacent eigenvalues of the final multiplier; a
-    # near-zero gap signals a degenerate optimum (the solution manifold may
-    # then depend on the initialization even though the fidelity does not).
     lambda_gap: float = float("nan")
-    # Certified bound on the distance from the optimal fidelity, set when the
-    # dual endgame produced the result; NaN for a fixed-point stop.
     gap: float = float("nan")
 
 
 def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of lambda from the eigenvalues w of lambda^2, in w's order (the
-    clip rule), and their inverses on the support rule's support (0 elsewhere);
-    SingularLambdaError when that support is empty."""
+    """The roots of lambda from the eigenvalues w of lambda^2, in w's order, and
+    their inverses on the support (0 elsewhere); NegativeEigenvalueError by the
+    clip rule, SingularLambdaError when the support is empty."""
     roots = linalg.clip_roots(w)
     inv = linalg.inverse_on_support(roots, PINV_CUTOFF)
     if not np.count_nonzero(inv):
@@ -119,9 +86,8 @@ def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda^{-1} m Lambda^{-1}, re-Hermitized, and the ascending eigenvalues of
-    lambda = (Tr_K m)^{1/2}, from one eigh of Tr_K m: Lambda^{-1} = lambda^{-1} (x) 1_K
-    left-multiplies the (dim_in, -1) view of m, then of the half-product's adjoint."""
+    """The dense step on an n x n m: the ascending roots of lambda = (Tr_K m)^{1/2}
+    and Lambda^{-1} m Lambda^{-1}, re-Hermitized; raises as _inverse_roots."""
     w, v = np.linalg.eigh(linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out)))
     roots, inv = _inverse_roots(w)
     lam_inv = (v * inv) @ v.conj().T
@@ -131,20 +97,16 @@ def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray
 
 
 def _block_stack(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """_extremal_step for a chi whose (B, s, s) blocks on R's blocks are all of
-    it, as the roots of lambda and the result's (B, s, s) stack: m = R chi R is
-    the stack R_b chi_b R_b, one stacked mat-vec of the plan's R_b (x) R_b^T
-    against the blocks' row-major vecs, then _normalized."""
+    """_extremal_step of a chi given as its (B, s, s) blocks on the plan, zero off
+    them: the roots of lambda, in input order, and the result's fresh stack."""
     return _normalized(plan, (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape), dim_in)
 
 
 def _normalized(plan: BlockPlan, m: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lambda^{-1} m Lambda^{-1}, re-Hermitized, for the fresh (B, s, s) blocks m
-    of a PSD operator on R's blocks, in place, and the roots of
-    lambda = (Tr_K m)^{1/2}: Tr_K m is diagonal and read off the blocks'
-    diagonals (so lambda's roots come in input order, unsorted), and
-    Lambda^{-1} scales each block entrywise."""
-    roots, inv = _inverse_roots(np.bincount(plan.flat_inputs, m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in))
+    """The roots of lambda = (Tr_K m)^{1/2}, in input order, and Lambda^{-1} m
+    Lambda^{-1}, re-Hermitized, written over m: the fresh (B, s, s) blocks on
+    the plan of a PSD operator that is zero off them."""
+    roots, inv = _inverse_roots(np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in))
     s = inv[plan.inputs]
     m *= s[:, :, None] * s[:, None, :]
     m += m.conj().swapaxes(1, 2)
@@ -153,13 +115,11 @@ def _normalized(plan: BlockPlan, m: np.ndarray, dim_in: int) -> tuple[np.ndarray
 
 
 def _blocks_of(chi: ChoiOperator, r: TargetOperator) -> np.ndarray | None:
-    """The (B, s, s) blocks of chi on R's blocks when chi is exactly zero off
-    them; None when it is not, or when R has no block plan.  The stack chi
-    carries when the block step made it on R's own plan is read without a
-    test (the same array as the gather: the step's stack is zero on the
-    padding).  Otherwise the test counts nonzero words of the int64 views (a
-    -0.0 counts, and only sends chi to the dense path): chi is on the blocks
-    when its gathered blocks hold all of them."""
+    """chi's (B, s, s) blocks on R's blocks when chi is exactly zero off them,
+    else None (always None when R has no plan).  A stack carried on R's own
+    plan is returned untested.  Otherwise chi is on the blocks when its
+    gathered blocks hold all its nonzero int64 words: a -0.0 off the blocks
+    counts as nonzero, which only sends chi to the dense step."""
     plan, stack = chi._stack
     if plan is r.blocks:
         return stack
@@ -171,11 +131,9 @@ def _blocks_of(chi: ChoiOperator, r: TargetOperator) -> np.ndarray | None:
 
 
 def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperator]:
-    """The extremal step from chi with R's dims: the roots of lambda and the
-    result, frozen in place (ChoiOperator._frozen).  On R's blocks when chi is
-    on them (_blocks_of), where the result carries the step's (B, s, s) stack
-    with R's plan, and its matrix is that stack scattered on first read; else
-    the dense _extremal_step."""
+    """The roots of lambda and the extremal step from chi (with R's dims), frozen
+    in place: the block step, whose result carries its stack on R's plan, when
+    _blocks_of finds chi on R's blocks, else _extremal_step."""
     d, k = r.dim_in, r.dim_out
     blocks = _blocks_of(chi, r)
     if blocks is None:
@@ -187,28 +145,22 @@ def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperato
 
 def _require_valid(chi: ChoiOperator, r: TargetOperator) -> None:
     """require_valid_choi of a chi with R's dims, measured on R's blocks when chi
-    is on them (_blocks_of): the hermiticity deviation over the (B, s, s)
-    stack, the smallest eigenvalue of one stacked eigvalsh (the padding adds
-    zeros, which the rule never refuses), and Tr_K's diagonal as the block
-    diagonals summed per input (its off-diagonal is exactly zero, since no
-    block holds (a, k) and (b, k) with a != b).  One rule judges both
-    measurements (channels._require_report)."""
+    is on them: the same InvalidChoiError with the same message for the same
+    fault.  The padding's zero eigenvalues never fail the rule."""
     blocks = _blocks_of(chi, r)
     if blocks is None:
         return require_valid_choi(chi)
     dev, w = linalg.hermitian_spectrum(blocks)
     diag = blocks.diagonal(axis1=1, axis2=2).ravel()
-    re, im = (np.bincount(r.blocks.flat_inputs, part, r.dim_in) for part in (diag.real, diag.imag))
+    re, im = (np.bincount(r.blocks.inputs.ravel(), part, r.dim_in) for part in (diag.real, diag.imag))
     report = channels.ChoiReport(float(w.min()), float(np.hypot(re - 1.0, im).max()), dev)
     channels._require_report(report, InvalidChoiError)
 
 
 def _pinch(r: TargetOperator, m: np.ndarray) -> ChoiOperator:
-    """The operator of m zeroed off R's blocks, carrying its blocks gathered as
-    its stack (its matrix is scattered on first read), or of m itself where R
-    has no block plan.  The pinch is a Schur product with a 0/1 mask of
-    all-ones blocks, so it keeps a PSD m PSD, and under the plan's rule it
-    leaves Tr_K m's diagonal as it is and zeroes the rest, so a
+    """The operator of m zeroed off R's blocks, carrying its gathered blocks, or
+    ChoiOperator(m) where R has no plan.  A PSD m stays PSD (a Schur product
+    with all-ones blocks), and Tr_K of the pinch is Tr_K m's diagonal, so a
     trace-preserving m stays so."""
     plan = r.blocks
     if plan is None:
@@ -225,9 +177,9 @@ def _gaussian(n: int, seed: int) -> np.ndarray:
 
 
 def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
-    """Random admissible process matrix: a Wishart sample W W^dagger rescaled to
-    satisfy the trace constraint exactly; dims must pass require_dims, seed
-    require_seed."""
+    """Random admissible process matrix: the Wishart sample W W^dagger made
+    trace-preserving.  DimensionMismatchError for bad dims, ValueError for a
+    seed that fails the seed rule."""
     require_dims(dim_in, dim_out)
     linalg.require_seed(seed)
     w = _gaussian(dim_in * dim_out, seed)
@@ -235,14 +187,11 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
 
 
 def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
-    """The start a solve iterates from.  Where R has a block plan, a named start
-    is built on R's blocks and carries its (B, s, s) stack, so every iterate
-    stays on them and every step takes the block step: "maxmix" as the stack
-    of 1/dim_out on the diagonal, and "random:SEED" as random_choi's Wishart
-    sample W W^dagger pinched to the blocks (only the Gram blocks W_b W_b^dagger
-    of W's rows on each block are formed), then made trace-preserving on the
-    blocks (_normalized).  Where R has no block plan (a sampled R, or
-    round-off off the sectors) they are maxmix_choi and random_choi."""
+    """The start a solve iterates from: a given ChoiOperator, after the dims and
+    the constraint checks, or a named one ("maxmix" or "random:SEED", else
+    InvalidSpecError).  Where R has a plan, a named start is built on R's
+    blocks and carries its stack (README's random-start convention); else it
+    is maxmix_choi or random_choi."""
     if isinstance(init, ChoiOperator):
         require_same_dims(init, r, "init", "target")
         require_valid_choi(init)
@@ -264,26 +213,23 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
-    """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized:
-    _step's result, after a check that chi's dims agree with R's.  The fresh
-    result is frozen in place, not checked again or copied; on R's blocks it
-    carries the step's stack, so the next step and fidelity read it directly."""
+    """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized, frozen
+    and unchecked.  DimensionMismatchError unless chi has R's dims; lambda's
+    roots raise as _inverse_roots."""
     require_same_dims(chi, r, "process", "target")
     return _step(chi, r)[1]
 
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m^+ v for a Hermitian positive-semidefinite m and a vector or a matrix
-    of columns v, from one eigh (the routine the extremal step already uses),
-    inverted on the support rule's support at PINV_CUTOFF."""
+    """m^+ v for a Hermitian PSD m and a vector or columns v, by one eigh and the
+    support rule at PINV_CUTOFF."""
     w, u = np.linalg.eigh(m)
     return (u * linalg.inverse_on_support(w, PINV_CUTOFF)) @ (u.conj().T @ v)
 
 
 def _dense_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
-    """_dual_endgame's layout where R has no block plan: a Hermitian
-    dim_in x dim_in Y, the n x n slack Y (x) 1_K - R, and the warm start
-    Tr_K[R chi]."""
+    """_dual_endgame's layout where R has no plan: a Hermitian Y, warm-started at
+    Tr_K[R chi], and the n x n slack."""
     d, k = r.dim_in, r.dim_out
     n = d * k
     lift = np.eye(k)[None, :, None, :]
@@ -303,13 +249,9 @@ def _dense_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
 
 
 def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
-    """_dual_endgame's layout on R's block plan: a real dim_in vector y, the
-    (B, s, s) slack stack Z_b = diag(y[inputs_b]) - R_b, with 1 on the
-    padding's diagonal.  Padding never counts: the derivatives bincount over
-    the plan's input and pair labels, whose dummy label dim_in is cut off, and
-    the kernel keeps no eigenvector that lives on the padding.  The warm start
-    is the diagonal of Tr_K[R chi], summed per input from the diagonals of
-    R_b chi_b, chi's carried stack or its gathered blocks."""
+    """_dual_endgame's layout on R's plan (README's "The dual on the blocks"): a
+    real dim_in vector y, warm-started at Tr_K[R chi]'s diagonal, and the
+    (B, s, s) slack; the padding counts in no derivative and no kernel vector."""
     plan, d = r.blocks, r.dim_in
     n = d * r.dim_out
     r_b = plan.gather(r.matrix)
@@ -340,29 +282,21 @@ def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
 
     carried, stack = chi._stack
     blocks = stack if carried is plan else plan.gather(chi.matrix)
-    y = np.bincount(plan.flat_inputs, np.einsum("bpq,bqp->bp", r_b, blocks).real.ravel(), d)
+    y = np.bincount(plan.inputs.ravel(), np.einsum("bpq,bqp->bp", r_b, blocks).real.ravel(), d)
     return y, np.ones(d), slack, derivatives, kernel
 
 
 def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, float] | None:
-    """Optimal chi and its certified gap from the dual SDP
-    min Tr Y s.t. Y (x) 1_K >= R, warm-started from chi; None on failure.
+    """The checked optimal chi and its certified gap from the dual SDP
+    min Tr Y s.t. Y (x) 1_K >= R, warm-started from chi; None on any failure.
 
-    The unknowns are a diagonal y where R has a block plan (_diagonal_dual:
-    pinching onto the blocks maps Y (x) 1_K - R to diag(y) (x) 1_K - R, so the
-    dual keeps its value), else a Hermitian Y (_dense_dual).  A layout gives
-    the warm start, the 1 of its unknowns, and three functions: slack(y), the
-    eigh of the slack Z; derivatives(eigs, vecs), Tr_K[Z^-1] and the Hessian
-    over mu; kernel(eigs, vecs, cut), Z's eigenvectors below cut as the
-    columns of an (n, rank) P.  Damped Newton
-    steps on Tr Y - mu log det(Y (x) 1_K - R) follow the central path from
-    the warm start Tr_K[R chi], shifted by a multiple of 1 to be strictly
-    feasible, mu falling STAGE_CUT-fold per stage, with a predictor step along
-    the path's tangent between stages.  Complementary slackness then gives
-    chi = P X P†, P spanning the kernel of the slack, with X solving
-    Tr_K[P X P†] = 1; pinched to R's blocks and stepped once, it is checked
-    by _require_valid.  Any feasible Y bounds every channel's fidelity by
-    Tr Y, so the gap Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.
+    A layout gives the warm start, the unit of its unknowns and three
+    functions: slack(y), the eigh of the slack Z; derivatives(eigs, vecs),
+    Tr_K[Z^-1] and the Hessian over mu; kernel(eigs, vecs, cut), Z's
+    eigenvectors below cut as the columns of an (n, rank) P.  Any feasible Y
+    bounds every channel's fidelity by Tr Y, so the gap
+    Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.  README's "Dual
+    endgame" gives the barrier schedule and the recovery.
     """
     d, k = r.dim_in, r.dim_out
     n, eye = d * k, np.eye(d)
@@ -400,7 +334,6 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
                 return None
             if mu == mu_end:
                 break
-            # Predictor: along the tangent to the next mu; the next stage corrects it.
             mu_next = max(mu_end, mu / STAGE_CUT)
             trial = y + tangent * (mu_next - mu)
             t_eigs, t_vecs = slack(trial)
@@ -426,10 +359,8 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
 
 
 def _slow_tail(fids: list[float], fid_tol: float) -> bool:
-    """The rate rule: whether the fidelities F_0 .. F_k predict a long tail.
-    From step k = RATE_FROM on, with dF_k and dF_{k-1} both positive and
-    rho = dF_k / dF_{k-1}: rho >= 1 or log(fid_tol / dF_k) / log(rho) > STEPS_LEFT.
-    Python floats, not numpy scalars: it runs at every step."""
+    """The rate rule (README's "Rate rule"): whether the fidelities F_0 .. F_k
+    predict a long tail.  Python floats, not numpy scalars: it runs every step."""
     if len(fids) <= RATE_FROM:
         return False
     step, prev = fids[-1] - fids[-2], fids[-2] - fids[-3]
@@ -440,18 +371,10 @@ def _slow_tail(fids: list[float], fid_tol: float) -> bool:
 
 
 def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
-    """Iterate the extremal update from the chosen start until successive
-    fidelities differ by less than fid_tol or max_iters is reached.
-
-    At the first step k where the rate rule (_slow_tail) holds, a solve with
-    dim_in <= dim_out and k < max_iters tries the dual endgame, once; its
-    answer is taken, as step k + 1 with the gap in SolverResult.gap, when it
-    certifies a gap of at most fid_tol.  Otherwise the iteration goes on from
-    the same iterate, and the rule is not read again.
-
-    Non-convergence is not an error: the result carries converged=False and
-    the full fidelity trace.
-    """
+    """The fidelity-optimal channel for r by the extremal iteration from opts'
+    start, with at most one dual-endgame attempt (README's "Stopping" and "Dual
+    endgame").  Non-convergence is not an error: the result has converged=False
+    and the full fidelity trace.  The result's chi carries no stack."""
     opts = opts or SolverOptions()
     chi = initial_choi(r, opts.init)
     fids = [fidelity(chi, r)]  # F_0 of the start; the reported trace begins at F_1
@@ -471,10 +394,8 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
     if np.isnan(gap):  # a certified endgame answer was checked by _dual_endgame
         _require_valid(chi, r)
     lambda_gap = float(np.diff(np.sort(_step(chi, r)[0])).min(initial=np.inf))
-    chi.__dict__["matrix"] = chi.matrix  # scattered now, if it was not read: the result drops its stack,
-    chi.__dict__.pop("_stack", None)  # so that results a caller keeps hold less
     return SolverResult(
-        chi=chi,
+        chi=ChoiOperator._frozen(r.dim_in, r.dim_out, chi.matrix),  # so a kept result holds no stack
         fidelity=fids[-1],
         bound=fidelity_bound(r),
         iterations=len(fids) - 1,

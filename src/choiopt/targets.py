@@ -1,13 +1,8 @@
-"""Target operators for prescribed pure-state transformations.
-
-The figure of merit for a channel is its mean fidelity over a family of
-input/output state pairs indexed by Bloch angles (theta, phi) with the
-uniform sphere measure sin(theta) dtheta dphi / 4pi.  That average is the
-trace against a fixed positive operator
-
-    R = integral  (psi_in psi_in†)^T  (x)  psi_out psi_out†,
-
-so building R once reduces every fidelity evaluation to Tr[chi R].
+"""Target operators R = integral (psi_in psi_in†)^T (x) psi_out psi_out† over
+the uniform sphere measure, so that a channel's mean fidelity over a state
+family is Tr[chi R]; R's block plan; and the sphere averages that build R.
+README's "Library" and "Numerical conventions" give the sampling, the
+state-family contract and the block step.
 """
 
 from __future__ import annotations
@@ -39,16 +34,12 @@ STRUCTURES = 32
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Parametrized pure-state transformation over the Bloch sphere.
-
-    evaluator maps angles (theta in [0, pi], phi in [0, 2pi)) to a pair of
-    unit-norm vectors (input of length dim_in, output of length dim_out); see
-    evaluate_family for how it is called and how its output is judged.
-    trig_degree declares the maximum total trigonometric degree of the
-    integrand entries and sizes the quadrature.  The dims must pass
-    channels.require_dims (DimensionMismatchError) and trig_degree must be
-    an integer >= 0, not a bool (ValueError), when the family is built.
-    """
+    """Pure-state transformation over the Bloch sphere: evaluator maps angles
+    (theta in [0, pi], phi in [0, 2pi)) to unit input and output vectors of
+    lengths dim_in and dim_out (evaluate_family), and trig_degree, the
+    integrand's total trigonometric degree, sizes the quadrature.  Bad dims
+    raise DimensionMismatchError when built, and a trig_degree that is a bool
+    or not an integer >= 0 ValueError."""
 
     dim_in: int
     dim_out: int
@@ -85,30 +76,26 @@ class TargetOperator:
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """The connected components of the graph R != 0 (R's blocks), padded to a
-    stack of B blocks of s indices, s the largest component's size.
+    """R's blocks, the connected components of R != 0, padded to a stack of B
+    blocks of s indices, s the largest component's size.
 
     labels[i] is the smallest index in i's component.  flat[b, p, q] is the
-    flat index, into an n x n matrix, of the entry that pairs positions p and
-    q of block b; it is n^2 where either position is padding (pad).
-    inputs[b, p] is the input index of position p (0 on padding), and
-    flat_inputs is inputs.ravel().  input_labels is inputs with the dummy
-    label dim_in on padding, and pair_labels[b, p, q], raveled, is
-    (dim_in + 1) input_labels[b, p] + input_labels[b, q]: bincounts over
-    them, cut to their first dim_in labels, sum a stack per input or per
-    pair of inputs without the padding.  sandwich[b] = R_b (x) R_b^T, the
-    (s^2, s^2) superoperator of X -> R_b X R_b on row-major vec(X), zero on
-    the padding.  overlap holds the row-major vec(R_b^T) of every block, one
-    after the other: R is zero off its blocks, so
-    Tr[X R] = gather(X).ravel() @ overlap for any X.  All fields but sandwich
-    and overlap depend only on R's zero pattern and are shared, read-only,
-    by the plans of every R with that pattern."""
+    flat index into an n x n matrix of the entry pairing positions p and q of
+    block b, n^2 where either is padding (pad).  inputs[b, p] is position p's
+    input index (0 on padding); input_labels is inputs with the dummy label
+    dim_in on padding, and pair_labels, raveled, is (dim_in + 1)
+    input_labels[b, p] + input_labels[b, q], so that bincounts cut to the
+    first dim_in labels sum a stack per input or per pair of inputs without
+    the padding.  sandwich[b] = R_b (x) R_b^T, the map X -> R_b X R_b on row-major
+    vec(X).  overlap holds every block's row-major vec(R_b^T), so
+    Tr[X R] = gather(X).ravel() @ overlap for any X.  The fields before
+    sandwich depend only on R's zero pattern and are shared, read-only, by
+    every R with that pattern."""
 
     labels: np.ndarray
     flat: np.ndarray
     pad: np.ndarray
     inputs: np.ndarray
-    flat_inputs: np.ndarray
     input_labels: np.ndarray
     pair_labels: np.ndarray
     sandwich: np.ndarray
@@ -127,10 +114,8 @@ class BlockPlan:
 
 
 def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
-    """The block plan of an operator m on C^dim_in (x) C^dim_out, or None when
-    its zero pattern has none (_block_structure).  Only sandwich and overlap
-    are built from m's entries; the rest comes from the pattern, computed
-    once per pattern."""
+    """The block plan of an operator m on C^dim_in (x) C^dim_out, or None when its
+    zero pattern has none; only sandwich and overlap are built per m."""
     structure = _block_structure(dim_in, dim_out, np.packbits(m != 0).tobytes())
     if structure is None:
         return None
@@ -142,19 +127,11 @@ def block_plan(m: np.ndarray, dim_in: int, dim_out: int) -> BlockPlan | None:
 
 @lru_cache(maxsize=STRUCTURES)
 def _block_structure(dim_in: int, dim_out: int, nonzero: bytes) -> tuple | None:
-    """BlockPlan's fields from labels to pair_labels, read-only, for the
-    zero pattern whose packed bits (np.packbits of m != 0) are nonzero; None
-    when a component holds two indices (a, k) and (b, k) with a != b
-    (pinching to the blocks would then change Tr_K), or when B s^4 >= n^3:
-    the B sandwich superoperators would then hold, and their product cost,
-    at least the n^3 of one dense n x n product.  (B s^4 < n^3 also keeps the
-    padded stack, B s^2 entries, below m's n^2: B <= n, so B s^2 >= n^2 needs
-    s^2 >= n.)
-
-    The labels come from sweeps over the edges of m != 0 (made symmetric, and
-    with every index its own neighbour): each index starts at its smallest
-    neighbour and jumps to its label's label, then takes the smallest label
-    among its neighbours, until no edge joins two labels."""
+    """BlockPlan's pattern fields, read-only, for the zero pattern packed in
+    nonzero (np.packbits of m != 0); None when a component holds (a, k) and
+    (b, k) with a != b, since pinching would then change Tr_K, or when
+    B s^4 >= n^3 (README's "The block step").  Labels are propagated over
+    the symmetric edges of m != 0 until no edge joins two labels."""
     n = dim_in * dim_out
     edge = np.unpackbits(np.frombuffer(nonzero, dtype=np.uint8), count=n * n).reshape(n, n).view(bool)
     edge |= edge.T
@@ -180,7 +157,7 @@ def _block_structure(dim_in: int, dim_out: int, nonzero: bytes) -> tuple | None:
     inputs = index % n // dim_out
     input_labels = np.where(index < n * n, inputs, dim_in)
     pair_labels = (input_labels[:, :, None] * (dim_in + 1) + input_labels[:, None, :]).ravel()
-    structure = labels, flat, pad, inputs, inputs.ravel(), input_labels, pair_labels
+    structure = labels, flat, pad, inputs, input_labels, pair_labels
     for a in structure:
         a.setflags(write=False)
     return structure
@@ -212,18 +189,10 @@ def _angle_arrays(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate_family(family: StateFamily, thetas, phis) -> tuple[np.ndarray, np.ndarray]:
     """The family's (input, output) states at 1-D angle arrays of equal length,
-    as complex arrays of shape (samples, dim_in) and (samples, dim_out).
-
-    The evaluator is called once on the angle arrays and must return exactly
-    two results, else DimensionMismatchError.  Only if that call raises is
-    the evaluator taken to be scalar-only: it is then called once per
-    sample, each call must return exactly two results, and each state is
-    raveled.
-    Either way the results must have exactly those shapes, else
-    DimensionMismatchError (ragged states too; a result of another shape is
-    never re-run per sample or reshaped), and every state must have unit
-    norm within NORM_TOL, else NormViolationError.
-    """
+    as complex (samples, dim_in) and (samples, dim_out) arrays.  A wrong count
+    or shape of results raises DimensionMismatchError, a state off unit norm
+    by more than NORM_TOL NormViolationError.  README's state-family contract
+    says when the evaluator is called per sample."""
     thetas, phis = _angle_arrays(thetas, phis)
     try:
         states, per_sample = family.evaluator(thetas, phis), False
@@ -273,12 +242,8 @@ def sphere_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrand_rows(family: StateFamily, thetas, phis) -> np.ndarray:
-    """Rows v_s = conj(psi_in) (x) psi_out, one per sample: the integrand of R
-    is v_s v_s†, and v_s† chi v_s is the channel's fidelity on sample s.
-
-    Holds all samples at once; the sphere averages below call it on slices
-    of SAMPLE_BLOCK samples, so their memory stays O(SAMPLE_BLOCK * n).
-    """
+    """Rows v_s = conj(psi_in) (x) psi_out, one per sample, all at once: the
+    integrand of R is v_s v_s†, and v_s† chi v_s is chi's fidelity on sample s."""
     pin, pout = evaluate_family(family, thetas, phis)
     v = np.einsum("si,sk->sik", pin.conj(), pout)
     return v.reshape(len(pin), family.dim_in * family.dim_out)
@@ -328,14 +293,8 @@ def build_r_quadrature(
     nodes_theta: int | None = None,
     nodes_phi: int | None = None,
 ) -> TargetOperator:
-    """Target operator by product quadrature over the sphere.
-
-    Gauss-Legendre nodes in theta carry the sin(theta) measure weight; the
-    periodic phi average uses a uniform trapezoid, which is exact for
-    harmonics below the point count.  Default node counts sit far above the
-    declared degree so the result is converged to rounding; raising them
-    further should not change the matrix (a useful plateau check).
-    """
+    """Target operator by product quadrature over the sphere: Gauss-Legendre in
+    theta, a uniform periodic rule in phi, node counts by quadrature_nodes."""
     nt, np_ = quadrature_nodes(family.trig_degree, nodes_theta, nodes_phi)
     x, w = _gauss_legendre(int(nt))  # one cache entry per count, a numpy integer's too
     thetas = (x + 1.0) * (np.pi / 2.0)
@@ -347,12 +306,7 @@ def build_r_quadrature(
 
 
 def build_r_montecarlo(family: StateFamily, samples: int, seed: int) -> TargetOperator:
-    """Target operator as a seeded Monte-Carlo mean over sphere_samples.
-
-    The samples are drawn at once but evaluated in blocks of SAMPLE_BLOCK,
-    so memory beyond the angle arrays is O(SAMPLE_BLOCK * n) for n =
-    dim_in * dim_out.  The blocked sum equals the one-shot mean to rounding,
-    not bit for bit.
-    """
+    """Target operator as the seeded Monte-Carlo mean over sphere_samples; equal
+    to the one-shot mean to rounding, not bit for bit."""
     thetas, phis = sphere_samples(samples, seed)
     return _weighted_gram(family, thetas, phis, np.broadcast_to(1.0 / samples, (samples,)))

@@ -1250,7 +1250,8 @@ class TestClosingCheckOnTheBlocks:
         monkeypatch.setattr(solver_module, "_require_valid", lambda chi, r: checked.append(chi) or real(chi, r))
         result = solve(analytic_r(ModelSpec("shifter", alpha=0.71)))
         assert result.gap <= SolverOptions().fid_tol
-        assert len(checked) == 1 and checked[0] is result.chi is endgame_results[0][0]
+        assert len(checked) == 1 and checked[0] is endgame_results[0][0]
+        assert result.chi.matrix is checked[0].matrix  # the result wraps the checked answer's matrix
 
     def test_endgame_answer_is_checked_on_the_blocks(self, monkeypatch):
         r = analytic_r(ModelSpec("cloner", copies=10))
@@ -1266,7 +1267,7 @@ class TestClosingCheckOnTheBlocks:
         monkeypatch.setattr(solver_module, "require_valid_choi", lambda chi: checked.append(chi) or real(chi))
         result = solve(r, SolverOptions(init=init))
         assert solver_module._blocks_of(result.chi, r) is None
-        assert checked[0] is init and checked[-1] is result.chi and len(checked) == 2
+        assert checked[0] is init and checked[-1].matrix is result.chi.matrix and len(checked) == 2
 
     @pytest.mark.parametrize("spec", SAMPLED_SPECS[:2], ids=str)
     def test_a_target_without_a_plan_takes_the_dense_check(self, spec, monkeypatch):
@@ -1275,7 +1276,7 @@ class TestClosingCheckOnTheBlocks:
         real = solver_module.require_valid_choi
         monkeypatch.setattr(solver_module, "require_valid_choi", lambda chi: checked.append(chi) or real(chi))
         result = solve(r)
-        assert r.blocks is None and checked[-1] is result.chi  # the endgame's answer may come first
+        assert r.blocks is None and checked[-1].matrix is result.chi.matrix  # the endgame's answer may come first
 
 
 class TestIterateOnceTrustsItsStep:
@@ -1541,9 +1542,9 @@ class TestInverseRoots:
 
 
 class TestPlanStructurePerZeroPattern:
-    # labels, flat, pad, inputs, flat_inputs, input_labels and pair_labels come from
-    # R's zero pattern, once per pattern; sandwich and overlap from R's entries, once per target.
-    SHARED = ("labels", "flat", "pad", "inputs", "flat_inputs", "input_labels", "pair_labels")
+    # labels, flat, pad, inputs, input_labels and pair_labels come from R's zero
+    # pattern, once per pattern; sandwich and overlap from R's entries, once per target.
+    SHARED = ("labels", "flat", "pad", "inputs", "input_labels", "pair_labels")
     FIELDS = (*SHARED, "sandwich", "overlap")
 
     @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
