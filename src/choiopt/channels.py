@@ -24,11 +24,11 @@ TP_TOL = 1e-9
 KRAUS_CUTOFF = 1e-10  # kraus_from_choi's default support cutoff (linalg.support)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiOperator:
     """Process matrix of a channel with its input and output dims, held as a
     read-only complex128 copy; DimensionMismatchError unless the dims are
-    counts that fit the matrix."""
+    counts that fit the matrix.  Compares and hashes by identity."""
 
     dim_in: int
     dim_out: int
@@ -96,9 +96,9 @@ def require_same_dims(a, b, what_a: str, what_b: str) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian PSD matrix with unit trace."""
+    """Hermitian PSD matrix with unit trace; compares and hashes by identity."""
 
     matrix: np.ndarray
 
@@ -120,11 +120,11 @@ def density_from_state(psi) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausSet:
     """Kraus operators A_l (dim_out x dim_in) with their process-matrix eigenvalues,
     one finite real weight per operator (else ValueError).  The operators may
-    be non-finite; dilation rejects such a set."""
+    be non-finite; dilation rejects such a set.  Compares and hashes by identity."""
 
     dim_in: int
     dim_out: int

@@ -1,6 +1,8 @@
 """Command-line front end (README's "Command line"): main returns the exit code,
 0 success, 2 usage error, 3 numerical failure, 4 non-convergence under
---strict, and reports an error as one "error: ..." line on stderr.
+--strict, and reports an error as one "error: ..." line on stderr.  Each
+_cmd_* handler returns its exit code and the JSON object for --out (None for
+a command without --out); main writes that file after the handler's output.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ def _resolve_target(args):
     """The operator from the one source the parser admits: --model or --r FILE."""
     if args.model is not None:
         return models.analytic_r(_model_spec(args))
+    if (args.copies, args.alpha) != (models.ModelSpec.copies, models.ModelSpec.alpha):
+        raise InvalidSpecError("--copies and --alpha need --model")
     return serialize.target_from_obj(serialize.load_json(args.r))
 
 
@@ -64,7 +68,7 @@ def _parse_init(value: str):
     return _load_choi(value)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[int, dict | None]:
     r = _resolve_target(args)
     opts = solver.SolverOptions(
         max_iters=args.max_iters,
@@ -77,21 +81,19 @@ def _cmd_solve(args) -> int:
         f"F = {_fmt(result.fidelity)}  bound = {_fmt(result.bound)}  "
         f"iters = {result.iterations}  converged = {str(result.converged).lower()}{certified}"
     )
-    if args.out:
-        serialize.dump_json(serialize.result_to_obj(result), args.out)
-    if args.strict and not result.converged:
+    code = 4 if args.strict and not result.converged else 0
+    if code:
         print("error: iteration did not converge", file=sys.stderr)
-        return 4
-    return 0
+    return code, serialize.result_to_obj(result)
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple[int, dict | None]:
     r = _resolve_target(args)
     print(f"bound = {_fmt(fidelity_bound(r))}")
-    return 0
+    return 0, None
 
 
-def _cmd_rmatrix(args) -> int:
+def _cmd_rmatrix(args) -> tuple[int, dict | None]:
     spec = _model_spec(args)
     if not args.quadrature and (args.nodes_theta, args.nodes_phi) != (None, None):
         raise InvalidSpecError("--nodes-theta and --nodes-phi need --quadrature")
@@ -106,29 +108,23 @@ def _cmd_rmatrix(args) -> int:
         f"dims = {r.dim_in}x{r.dim_out}  lambda_max = {_fmt(r.lambda_max)}  "
         f"bound = {_fmt(fidelity_bound(r))}"
     )
-    if args.out:
-        serialize.dump_json(serialize.target_to_obj(r), args.out)
-    return 0
+    return 0, serialize.target_to_obj(r)
 
 
-def _cmd_kraus(args) -> int:
+def _cmd_kraus(args) -> tuple[int, dict | None]:
     chi = _load_choi(args.chi)
     ks = kraus_from_choi(chi, cutoff=args.cutoff)
     print(f"operators = {len(ks.operators)}  trace_condition_deviation = {kraus_trace_deviation(ks):.3e}")
-    if args.out:
-        serialize.dump_json(serialize.kraus_to_obj(ks), args.out)
-    return 0
+    return 0, serialize.kraus_to_obj(ks)
 
 
-def _cmd_dilate(args) -> int:
+def _cmd_dilate(args) -> tuple[int, dict | None]:
     chi = _load_choi(args.chi)
     ks = kraus_from_choi(chi)
     d = dilation(ks)
     ortho_dev = np.abs(d.conj().T @ d - np.eye(ks.dim_in)).max()
     print(f"isometry = {d.shape[0]}x{d.shape[1]}  column_orthonormality_deviation = {ortho_dev:.3e}")
-    if args.out:
-        serialize.dump_json(serialize.matrix_to_obj(d), args.out)
-    return 0
+    return 0, serialize.matrix_to_obj(d)
 
 
 def _bloch_angles(value: str) -> tuple[float, float]:
@@ -142,7 +138,7 @@ def _bloch_angles(value: str) -> tuple[float, float]:
     raise argparse.ArgumentTypeError(f"expected THETA,PHI, two finite numbers, got {value!r}")
 
 
-def _cmd_apply(args) -> int:
+def _cmd_apply(args) -> tuple[int, dict | None]:
     chi = _load_choi(args.chi)
     if args.state is not None:
         rho = density_from_state(models.bloch_state(*args.state))
@@ -151,12 +147,10 @@ def _cmd_apply(args) -> int:
     out = apply(chi, rho)
     for row in out.matrix:
         print("  ".join(f"{z.real:+.10g}{z.imag:+.10g}j" for z in row))
-    if args.out:
-        serialize.dump_json(serialize.matrix_to_obj(out.matrix), args.out)
-    return 0
+    return 0, serialize.matrix_to_obj(out.matrix)
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple[int, dict | None]:
     if not linalg.is_count(args.steps):
         raise ValueError(f"--steps must be an integer >= 1, got {args.steps}")
     alphas = np.linspace(args.start, args.stop, args.steps)
@@ -164,10 +158,10 @@ def _cmd_scan(args) -> int:
     serialize.write_scan_csv(rows, args.csv)
     failed = [row for row in rows if row.error is not None]
     print(f"wrote {args.csv}  rows = {len(rows)}  failed = {len(failed)}")
-    return 0
+    return 0, None
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> tuple[int, dict | None]:
     spec = _model_spec(args)
     chi = _load_choi(args.chi)
     family = models.model_family(spec)
@@ -178,10 +172,10 @@ def _cmd_curve(args) -> int:
         f"wrote {args.csv}  rows = {len(curve)}  "
         f"min F = {_fmt(curve[imin, 1])} at theta = {_fmt(curve[imin, 0])}"
     )
-    return 0
+    return 0, None
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, dict | None]:
     chi = _load_choi(args.chi)
     spec = _model_spec(args)
     family = models.model_family(spec)
@@ -201,7 +195,7 @@ def _cmd_validate(args) -> int:
         f"mc_fidelity = {_fmt(est.mean)} +/- {est.std_error:.3e}  "
         f"trace_fidelity = {_fmt(trace_f)}"
     )
-    return 0
+    return 0, None
 
 
 @functools.cache  # built once per process: building costs ~20x a parse_args
@@ -290,7 +284,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        code, obj = args.handler(args)
+        if obj is not None and args.out:  # only the handlers of commands with --out return an object
+            serialize.dump_json(obj, args.out)
+        return code
     except (ChoiOptError, OSError, KeyError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Spec errors are ChoiOptErrors and LinAlgError is a ValueError, so

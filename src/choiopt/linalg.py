@@ -131,12 +131,13 @@ def require_cutoff(rel_cutoff: float) -> None:
         raise ValueError(f"cutoff must be in [0, 1], got {_shown(rel_cutoff)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Spectral decomposition of a Hermitian matrix.
 
     eigenvalues are real and sorted non-increasing; eigenvectors holds the
-    matching orthonormal eigenvectors as columns.
+    matching orthonormal eigenvectors as columns.  Compares and hashes by
+    identity.
     """
 
     eigenvalues: np.ndarray

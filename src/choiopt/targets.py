@@ -52,10 +52,11 @@ class StateFamily:
             raise ValueError(f"trig_degree must be an integer >= 0, got {self.trig_degree!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TargetOperator:
     """Positive unit-trace operator on input (x) output whose overlap with a
-    process matrix is the mean fidelity; lambda_max is its largest eigenvalue."""
+    process matrix is the mean fidelity; lambda_max is its largest eigenvalue.
+    Compares and hashes by identity."""
 
     dim_in: int
     dim_out: int
@@ -74,7 +75,7 @@ class TargetOperator:
         return block_plan(self.matrix, self.dim_in, self.dim_out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockPlan:
     """R's blocks, the connected components of R != 0, padded to a stack of B
     blocks of s indices, s the largest component's size.
@@ -90,7 +91,7 @@ class BlockPlan:
     vec(X).  overlap holds every block's row-major vec(R_b^T), so
     Tr[X R] = gather(X).ravel() @ overlap for any X.  The fields before
     sandwich depend only on R's zero pattern and are shared, read-only, by
-    every R with that pattern."""
+    every R with that pattern.  Compares and hashes by identity."""
 
     labels: np.ndarray
     flat: np.ndarray

@@ -829,3 +829,28 @@ class TestOneCutoffRule:
         for call in self._callers(1e-3):
             with pytest.raises(ValueError, match="cutoff check called"):
                 call()
+
+
+class TestValueTypesCompareByIdentity:
+    # Each factory builds a fresh instance from the same values, so two calls give
+    # distinct instances with equal arrays.
+    FACTORIES = {
+        "ChoiOperator": lambda: channels.maxmix_choi(2, 2),
+        "DensityMatrix": lambda: channels.density_from_state(models.bloch_state(0.7, 1.2)),
+        "KrausSet": lambda: channels.kraus_from_choi(channels.identity_choi(2)),
+        "TargetOperator": lambda: models.analytic_r(models.ModelSpec("identity")),
+        "BlockPlan": lambda: targets.TargetOperator(2, 2, unot_r_matrix()).blocks,
+        "EigenDecomposition": lambda: linalg.herm_eig(np.diag([1.0, 0.5])),
+    }
+
+    @pytest.mark.parametrize("name", FACTORIES)
+    def test_equality_and_hash_are_identity(self, name):
+        a, b = self.FACTORIES[name](), self.FACTORIES[name]()
+        assert type(a).__name__ == name and a is not b
+        assert a == a and a != b
+        assert a in [b, a] and b not in [a]
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+    def test_options_holding_a_start_operator_hash(self):
+        chi = channels.maxmix_choi(2, 2)
+        assert hash(solver.SolverOptions(init=chi)) == hash(solver.SolverOptions(init=chi))

@@ -66,13 +66,27 @@ class TestSolve:
         got = serialize.matrix_from_obj(serialize.load_json(rho_file))
         assert np.abs(got - expected).max() <= 1e-12
 
-    def test_strict_non_convergence(self, capsys):
+    @pytest.mark.parametrize("with_out", [False, True], ids=["no-out", "out"])
+    def test_strict_non_convergence(self, capsys, tmp_path, with_out):
+        out_file = tmp_path / "res.json"
         code, _, err = run(
             capsys,
             "solve", "--model", "shifter", "--alpha", "0.9", "--max-iters", "1", "--strict",
+            *(("--out", str(out_file)) if with_out else ()),
         )
         assert code == 4
-        assert err.startswith("error:")
+        assert err == "error: iteration did not converge\n"
+        assert out_file.exists() == with_out
+        if with_out:
+            assert serialize.load_json(out_file)["converged"] is False
+
+    def test_out_in_a_missing_directory(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "res.json"
+        code, out, err = run(capsys, "solve", "--model", "unot", "--copies", "1", "--out", str(out_file))
+        assert code == 2
+        assert out.startswith("F = 0.6666666667") and out.count("\n") == 1
+        assert err.startswith("error:") and err.count("\n") == 1 and str(out_file) in err
+        assert not out_file.exists()
 
     def test_random_init(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", "unot", "--init", "random:5")
@@ -89,6 +103,20 @@ class TestSolve:
     def test_missing_source(self, capsys):
         code, _, err = run(capsys, "solve")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "options",
+        [("--alpha", "2.0", "--copies", "7"), ("--copies", "3"), ("--alpha", "0.5")],
+        ids=["both", "copies", "alpha"],
+    )
+    @pytest.mark.parametrize("command", ["solve", "bound"])
+    def test_r_refuses_model_options(self, capsys, tmp_path, command, options):
+        r_file = tmp_path / "r.json"
+        run(capsys, "rmatrix", "--model", "identity", "--out", str(r_file))
+        code, out, err = run(capsys, command, "--r", str(r_file), *options)
+        assert (code, out, err) == (2, "", "error: --copies and --alpha need --model\n")
+        # The defaults, written out, are what --r reads anyway.
+        assert run(capsys, command, "--r", str(r_file), "--copies", "1", "--alpha", "0")[0] == 0
 
 
 class TestBound:
