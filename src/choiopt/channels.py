@@ -166,8 +166,8 @@ def measure_admissibility(m, dim_in: int, dim_out: int) -> tuple[ChoiReport, np.
 def _require_report(report: ChoiReport, error: type) -> None:
     """The admissibility rule: raise error unless the report's operator is
     Hermitian and positive within PSD_TOL and meets its trace condition
-    within TP_TOL.  require_admissible and the solver's block measurement
-    both raise through it."""
+    within TP_TOL.  require_admissible and require_valid_choi's block
+    measurement both raise through it."""
     linalg.require_hermitian(report.hermiticity_deviation, error)  # a non-finite m reports inf
     if report.min_eigenvalue < -PSD_TOL:
         raise error(f"minimum eigenvalue {report.min_eigenvalue:.3e} below -{PSD_TOL:.1e}")
@@ -190,8 +190,18 @@ def validate_choi(chi: ChoiOperator) -> ChoiReport:
 
 
 def require_valid_choi(chi: ChoiOperator) -> None:
-    """Raise InvalidChoiError when chi is not finite or violates the channel constraints."""
-    require_admissible(chi.matrix, chi.dim_in, chi.dim_out, InvalidChoiError)
+    """Raise InvalidChoiError when chi is not finite or violates the channel
+    constraints.  A chi that carries its (B, s, s) stack is measured on its
+    blocks, without its matrix: the same error with the same message for the
+    same fault, and the padding's zero eigenvalues never fail the rule."""
+    plan, blocks = chi._stack
+    if plan is None:
+        require_admissible(chi.matrix, chi.dim_in, chi.dim_out, InvalidChoiError)
+        return
+    dev, w = linalg.hermitian_spectrum(blocks)
+    diag = blocks.diagonal(axis1=1, axis2=2).ravel()
+    re, im = (np.bincount(plan.inputs.ravel(), part, chi.dim_in) for part in (diag.real, diag.imag))
+    _require_report(ChoiReport(float(w.min()), float(np.hypot(re - 1.0, im).max()), dev), InvalidChoiError)
 
 
 def identity_choi(dim: int) -> ChoiOperator:

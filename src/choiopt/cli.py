@@ -285,7 +285,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         code, obj = args.handler(args)
-        if obj is not None and args.out:  # only the handlers of commands with --out return an object
+        if obj is not None and args.out is not None:  # only the handlers of commands with --out return an object
             serialize.dump_json(obj, args.out)
         return code
     except (ChoiOptError, OSError, KeyError, ValueError, OverflowError) as exc:

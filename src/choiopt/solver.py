@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import channels, linalg
+from . import linalg
 from .channels import ChoiOperator, fidelity, maxmix_choi, require_dims, require_same_dims, require_valid_choi
-from .errors import ChoiOptError, InvalidChoiError, InvalidSpecError, SingularLambdaError
+from .errors import ChoiOptError, InvalidSpecError, SingularLambdaError
 from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import BlockPlan, TargetOperator, fidelity_bound
 
@@ -141,20 +141,6 @@ def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperato
         return roots, ChoiOperator._frozen(d, k, m)
     roots, stack = _block_stack(r.blocks, blocks, d)
     return roots, ChoiOperator._frozen(d, k, None, (r.blocks, stack))
-
-
-def _require_valid(chi: ChoiOperator, r: TargetOperator) -> None:
-    """require_valid_choi of a chi with R's dims, measured on R's blocks when chi
-    is on them: the same InvalidChoiError with the same message for the same
-    fault.  The padding's zero eigenvalues never fail the rule."""
-    blocks = _blocks_of(chi, r)
-    if blocks is None:
-        return require_valid_choi(chi)
-    dev, w = linalg.hermitian_spectrum(blocks)
-    diag = blocks.diagonal(axis1=1, axis2=2).ravel()
-    re, im = (np.bincount(r.blocks.inputs.ravel(), part, r.dim_in) for part in (diag.real, diag.imag))
-    report = channels.ChoiReport(float(w.min()), float(np.hypot(re - 1.0, im).max()), dev)
-    channels._require_report(report, InvalidChoiError)
 
 
 def _pinch(r: TargetOperator, m: np.ndarray) -> ChoiOperator:
@@ -352,7 +338,7 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
         if np.linalg.eigvalsh(x)[0] < -PSD_TOL:
             return None
         chi = iterate_once(_pinch(r, linalg.hermitian_part(p @ x @ p.conj().T)), r)
-        _require_valid(chi, r)
+        require_valid_choi(chi)
     except (np.linalg.LinAlgError, ChoiOptError):
         return None
     return chi, trace(y) + d * max(0.0, -z_eigs.min()) - fidelity(chi, r)
@@ -392,7 +378,7 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
         fids.append(fidelity(chi, r))
         converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
     if np.isnan(gap):  # a certified endgame answer was checked by _dual_endgame
-        _require_valid(chi, r)
+        require_valid_choi(chi)
     lambda_gap = float(np.diff(np.sort(_step(chi, r)[0])).min(initial=np.inf))
     return SolverResult(
         chi=ChoiOperator._frozen(r.dim_in, r.dim_out, chi.matrix),  # so a kept result holds no stack

@@ -222,7 +222,7 @@ def test_criterion_8_randomized_structural_invariants():
 def test_criterion_9_reference_value_table():
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "verify_reference_values.py")],
+        [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", root / "scripts" / "verify_reference_values.py"],
         capture_output=True,
         text=True,
         cwd=root,

@@ -88,6 +88,28 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1 and str(out_file) in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--model", "unot"),
+            ("rmatrix", "--model", "identity"),
+            ("kraus", "--chi", "chi.json"),
+            ("dilate", "--chi", "chi.json"),
+            ("apply", "--chi", "chi.json", "--state", "0.7,1.2"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_an_empty_out_is_refused(self, capsys, tmp_path, monkeypatch, argv):
+        # --out "" names the working directory, so its write fails as any unwritable --out does.
+        monkeypatch.chdir(tmp_path)
+        assert run(capsys, "solve", "--model", "unot", "--out", "chi.json")[0] == 0
+        code, want, _ = run(capsys, *argv)
+        assert code == 0
+        code, out, err = run(capsys, *argv, "--out", "")
+        assert code == 2 and out == want
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chi.json"]
+
     def test_random_init(self, capsys):
         code, out, _ = run(capsys, "solve", "--model", "unot", "--init", "random:5")
         assert code == 0

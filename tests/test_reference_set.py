@@ -15,8 +15,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.fixture(scope="module")
 def proc():
-    """One run of the reference-set script, shared by every test here."""
-    cmd = [sys.executable, str(ROOT / "scripts" / "reference_set.py")]
+    """One run of the reference-set script, under make refset's warning policy, shared by every test here."""
+    cmd = [sys.executable, "-X", "dev", "-W", "error::RuntimeWarning", str(ROOT / "scripts" / "reference_set.py")]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
 

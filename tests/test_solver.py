@@ -30,6 +30,7 @@ from choiopt.models import (
 )
 from choiopt.solver import PINV_CUTOFF, SolverOptions, initial_choi, iterate_once, random_choi, solve
 from choiopt.targets import TargetOperator, block_plan
+from choiopt import channels as channels_module
 from choiopt import solver as solver_module
 from choiopt import targets as targets_module
 from choiopt.models import ALPHA_THRESHOLD, model_family, shifter_closed_forms
@@ -968,6 +969,25 @@ class TestBlockStep:
             else:
                 assert np.abs(iterate_once(chi, r).matrix - reference_step(chi, r)).max() <= 1e-13
 
+    # R = |psi><psi| / 2 + the other two basis projectors / 4.  psi = (|00> + |10>) / sqrt 2
+    # puts (0, 0) and (1, 0) in one block, whose pinch would change Tr_K, so only the
+    # same-output rule refuses the plan (B s^4 = 48 < n^3 = 64); (|00> + |11>) / sqrt 2 keeps it.
+    @pytest.mark.parametrize("joined, has_plan", [((0, 2), False), ((0, 3), True)], ids=["same-output", "entangled"])
+    def test_a_block_on_one_output_twice_has_no_plan(self, joined, has_plan, monkeypatch):
+        m = np.diag([0.25] * 4)
+        m[np.ix_(joined, joined)] = 0.25
+        r = TargetOperator(2, 2, m)
+        assert (r.blocks is not None) == has_plan
+        if has_plan:
+            return
+        steps, checked = [], []
+        real_step, real_check = solver_module._extremal_step, channels_module.require_admissible
+        monkeypatch.setattr(solver_module, "_extremal_step", lambda *a: steps.append(1) or real_step(*a))
+        monkeypatch.setattr(channels_module, "require_admissible", lambda m, *a: checked.append(m) or real_check(m, *a))
+        result = solve(r)
+        assert result.converged and result.iterations > 1 and len(steps) > result.iterations
+        assert checked[-1] is result.chi.matrix
+
     @pytest.mark.parametrize("seed", range(20))
     def test_labels_of_shuffled_paths(self, seed):
         # Components that are paths in a shuffled order need more than one sweep;
@@ -1199,14 +1219,14 @@ def nan_entry(r: TargetOperator, m: np.ndarray) -> None:
     m.ravel()[r.blocks.flat[full_block(r), 1, 0]] = np.nan
 
 
-def refuse_dense_check(chi):
+def refuse_dense_check(*args):
     raise AssertionError("dense admissibility check called")
 
 
 class TestClosingCheckOnTheBlocks:
-    # solve's closing check, and the endgame's check of its answer, measure a
-    # chi on R's blocks off the (B, s, s) stack; channels' one rule judges both
-    # measurements, so they refuse alike.
+    # require_valid_choi measures a chi that carries its (B, s, s) stack on its
+    # blocks; solve's closing check and the endgame's check of its answer run
+    # through it, and channels' one rule judges both measurements alike.
     SPECS = [
         ModelSpec("unot", copies=2),
         ModelSpec("cloner", copies=10),
@@ -1229,9 +1249,10 @@ class TestClosingCheckOnTheBlocks:
         assert solver_module._blocks_of(chi, r) is not None
         with pytest.raises(InvalidChoiError) as dense:
             require_valid_choi(chi)
-        monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
+        carried = ChoiOperator._frozen(r.dim_in, r.dim_out, None, (r.blocks, r.blocks.gather(m)))
+        monkeypatch.setattr(channels_module, "require_admissible", refuse_dense_check)
         with pytest.raises(InvalidChoiError) as blocked:
-            solver_module._require_valid(chi, r)
+            require_valid_choi(carried)
         assert type(blocked.value) is type(dense.value) and str(blocked.value) == str(dense.value)
 
     @pytest.mark.parametrize("init", ["maxmix", "random:2"])
@@ -1239,15 +1260,15 @@ class TestClosingCheckOnTheBlocks:
     def test_solves_on_the_blocks_skip_the_dense_check(self, spec, init, monkeypatch):
         r = analytic_r(spec)
         want = solve(r, SolverOptions(init=init))
-        monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
+        monkeypatch.setattr(channels_module, "require_admissible", refuse_dense_check)
         got = solve(r, SolverOptions(init=init))
         assert same_bytes(got.chi.matrix, want.chi.matrix) and got.iterations == want.iterations
 
     def test_a_certified_answer_is_checked_once(self, monkeypatch, endgame_results):
         # _dual_endgame checks its answer; solve does not check it again.
         checked = []
-        real = solver_module._require_valid
-        monkeypatch.setattr(solver_module, "_require_valid", lambda chi, r: checked.append(chi) or real(chi, r))
+        real = solver_module.require_valid_choi
+        monkeypatch.setattr(solver_module, "require_valid_choi", lambda chi: checked.append(chi) or real(chi))
         result = solve(analytic_r(ModelSpec("shifter", alpha=0.71)))
         assert result.gap <= SolverOptions().fid_tol
         assert len(checked) == 1 and checked[0] is endgame_results[0][0]
@@ -1255,8 +1276,16 @@ class TestClosingCheckOnTheBlocks:
 
     def test_endgame_answer_is_checked_on_the_blocks(self, monkeypatch):
         r = analytic_r(ModelSpec("cloner", copies=10))
-        monkeypatch.setattr(solver_module, "require_valid_choi", refuse_dense_check)
+        monkeypatch.setattr(channels_module, "require_admissible", refuse_dense_check)
         assert _dual_endgame(r, iterate_once(maxmix_choi(r.dim_in, r.dim_out), r)) is not None
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_a_carried_stack_is_checked_without_its_matrix(self, spec, monkeypatch):
+        r = analytic_r(spec)
+        chi = iterate_once(initial_choi(r, "random:2"), r)
+        monkeypatch.setattr(targets_module.BlockPlan, "scatter", refuse_scatter)
+        require_valid_choi(chi)
+        assert "matrix" not in chi.__dict__
 
     def test_an_init_off_the_blocks_takes_the_dense_check(self, monkeypatch):
         r = analytic_r(ModelSpec("unot", copies=2))
@@ -1359,6 +1388,15 @@ class TestCarriedStack:
         assert fidelity(wrong, r) == 0.0 != fidelity(plain, r)
         assert same_bytes(iterate_once(wrong, other).matrix, iterate_once(plain, other).matrix)
         assert fidelity(wrong, other) == fidelity(plain, other)
+
+    def test_a_stack_on_a_target_without_a_plan_is_ignored(self):
+        spec = ModelSpec("unot", copies=2)
+        chi = iterate_once(initial_choi(analytic_r(spec), "random:4"), analytic_r(spec))
+        sampled = build_r_montecarlo(model_family(spec), 500, 1)
+        plain = ChoiOperator(chi.dim_in, chi.dim_out, chi.matrix)
+        assert sampled.blocks is None and chi._stack[0] is not None
+        assert solver_module._blocks_of(chi, sampled) is None
+        assert same_bytes(iterate_once(chi, sampled).matrix, iterate_once(plain, sampled).matrix)
 
     def test_a_solve_returns_no_stack(self):
         r = analytic_r(ModelSpec("unot", copies=2))
