@@ -56,7 +56,8 @@ bench-smoke:
 bench-record:
 	$(PYTHON) scripts/bench_record.py --pr $(PR)
 
-# make bench-pairs REF=<commit> W=<workload> [PAIRS=N] [SEED=S]: alternating runs of REF and the working tree
+# make bench-pairs REF=<commit> W=<workload> [PAIRS=N] [SEED=S]: alternating runs of REF and the working tree;
+# W="<workload> <workload>" runs several and W=all every workload of BENCHMARK.json, one report each
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --ref $(REF) --workload $(W) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED))
 

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Compare a commit with the working tree by alternating benchmark runs.
 
-Exports REF with `git archive` into a temporary directory, then runs
-`perfbench/run.py --workload W --trace 0` there and in this checkout, one
-pair per seed S .. S+N-1; the first pair runs REF first and each later pair
-flips the order.  Prints, per end-to-end metric, each side's median
-[quartiles], the change of the medians relative to REF's, the pairs the
-working tree won (ties count for neither side) and the failed item counts,
-then one verdict line per metric (verdict):
+Exports REF with `git archive` into a temporary directory, then, for each
+workload W in turn, runs `perfbench/run.py --workload W --trace 0` there and
+in this checkout, one pair per seed S .. S+N-1; the first pair runs REF first
+and each later pair flips the order.  Prints, per workload, a header line,
+then per end-to-end metric each side's median [quartiles], the change of the
+medians relative to REF's, the pairs the working tree won (ties count for
+neither side) and the failed item counts, then one verdict line per metric
+(verdict).  --workload takes one or more workload names, or all for every
+workload BENCHMARK.json lists:
 
-    python3 scripts/bench_pairs.py --ref REF --workload W --pairs N --seed S [--seconds T] [--size full|smoke]
+    python3 scripts/bench_pairs.py --ref REF --workload W [W ...] --pairs N --seed S [--seconds T] [--size full|smoke]
 """
 
 import argparse
@@ -23,9 +25,10 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-BETTER = {m["name"]: m["better"] for m in END_TO_END}
-BOUND = {m["name"]: m["bound"] for m in END_TO_END}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def export(ref: str, dest: Path) -> None:
@@ -111,32 +114,53 @@ def verdicts(pairs: list, better: dict = BETTER, bound: dict = BOUND) -> list:
     return [f"{name:<14}{verdict(*_values(pairs, name), direction, bound[name])}" for name, direction in better.items()]
 
 
+def workloads(names: list) -> list:
+    """The workloads named, in the order given, with all standing for every
+    BENCHMARK.json workload; SystemExit for a name BENCHMARK.json does not list."""
+    chosen = []
+    for name in names:
+        for w in WORKLOADS if name == "all" else [name]:
+            if w not in WORKLOADS:
+                raise SystemExit(f"error: unknown workload {w!r}; BENCHMARK.json lists {', '.join(WORKLOADS)}")
+            if w not in chosen:
+                chosen.append(w)
+    return chosen
+
+
+def run_pairs(ref_tree: Path, workload: str, args) -> list:
+    """args.pairs alternating pairs of (REF result, working-tree result) on one workload."""
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = [(0, ref_tree), (1, ROOT)]
+        if i % 2:
+            order.reverse()
+        got = {side: run(tree, workload, seed, args.seconds, args.size) for side, tree in order}
+        pairs.append((got[0], got[1]))
+        wall = [got[s]["metrics"]["wall_s"]["value"] for s in (0, 1)]
+        print(f"{workload} pair {i + 1}/{args.pairs} seed {seed}: wall_s ref {wall[0]:.4g}  change {wall[1]:.4g}",
+              file=sys.stderr, flush=True)
+    return pairs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--ref", required=True, help="commit to compare against, e.g. HEAD")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, nargs="+", help="workload names, or all")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0, help="seed of the first pair; pair i uses seed + i")
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--size", choices=("full", "smoke"), default="full")
     args = ap.parse_args(argv)
+    names = workloads(args.workload)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         ref_tree = Path(tmp)
         export(args.ref, ref_tree)
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.seed + i
-            order = [(0, ref_tree), (1, ROOT)]
-            if i % 2:
-                order.reverse()
-            got = {side: run(tree, args.workload, seed, args.seconds, args.size) for side, tree in order}
-            pairs.append((got[0], got[1]))
-            wall = [got[s]["metrics"]["wall_s"]["value"] for s in (0, 1)]
-            print(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s ref {wall[0]:.4g}  change {wall[1]:.4g}",
-                  file=sys.stderr, flush=True)
-    print(f"{args.workload}: {args.pairs} alternating pairs, ref {args.ref} against the working tree, "
-          f"seeds {args.seed}..{args.seed + args.pairs - 1}, {args.seconds:g} s, size {args.size}")
-    print("\n".join(summarize(pairs) + verdicts(pairs)))
+        for n, workload in enumerate(names):
+            pairs = run_pairs(ref_tree, workload, args)
+            print(("\n" if n else "") + f"{workload}: {args.pairs} alternating pairs, ref {args.ref} against the "
+                  f"working tree, seeds {args.seed}..{args.seed + args.pairs - 1}, {args.seconds:g} s, size {args.size}")
+            print("\n".join(summarize(pairs) + verdicts(pairs)), flush=True)
     return 0
 
 

@@ -19,10 +19,15 @@ from .targets import StateFamily, _row_blocks, fidelity_bound, quadrature_nodes,
 def _pointwise_fidelities(chi: ChoiOperator, family: StateFamily, thetas, phis) -> np.ndarray:
     require_same_dims(chi, family, "channel", "family")
     require_valid_choi(chi)
-    # <psi_out| E(|psi_in><psi_in|) |psi_out> = v† chi v with v = conj(psi_in) (x) psi_out
+    # <psi_out| E(|psi_in><psi_in|) |psi_out> = v† chi v = sum_l w_l |<e_l, v>|^2 with
+    # v = conj(psi_in) (x) psi_out, over chi's eigenpairs (w_l, e_l) on the support of |w|
+    w, e = np.linalg.eigh(linalg.hermitian_part(chi.matrix))
+    keep = linalg.support(np.abs(w), linalg.PINV_CUTOFF)
+    e, w = e[:, keep].conj(), np.repeat(w[keep], 2)  # one weight per real and imaginary part
     f = np.empty(len(thetas))
     for block, v in _row_blocks(family, thetas, phis):
-        f[block] = np.einsum("sb,sb->s", v.conj() @ chi.matrix, v).real
+        overlaps = (v @ e).view(np.float64)
+        f[block] = np.square(overlaps, out=overlaps) @ w
     return f
 
 

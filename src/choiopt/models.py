@@ -70,8 +70,11 @@ def bloch_state(theta, phi) -> np.ndarray:
 def _bloch(theta, phase) -> np.ndarray:
     """bloch_state(theta, phi) from phi's phase e^{i phi}, so that states at
     one phi share one evaluation of the phase."""
-    theta = np.asarray(theta, dtype=float)
-    return np.stack([np.cos(theta / 2) * np.ones_like(phase.real), phase * np.sin(theta / 2)], axis=-1)
+    half = np.asarray(theta, dtype=float) / 2
+    out = np.empty(np.broadcast_shapes(half.shape, np.shape(phase)) + (2,), dtype=np.complex128)
+    out[..., 0] = np.cos(half)
+    np.multiply(phase, np.sin(half), out=out[..., 1])
+    return out
 
 
 def orthogonal_state(theta, phi) -> np.ndarray:
@@ -108,10 +111,13 @@ def _symmetric_power(a: np.ndarray, n: int) -> np.ndarray:
 
 def _entangler_a_output(a: np.ndarray) -> np.ndarray:
     """(sqrt(2) a0|00> + a1|Psi+>) / sqrt(1 + |a0|^2) for qubit amplitudes
-    a = (a0, a1) (last axis)."""
-    a0, a1 = a[..., 0], a[..., 1]
-    num = np.sqrt(2.0) * a0[..., None] * KET_00 + a1[..., None] * PSI_PLUS
-    return num / np.sqrt(1.0 + np.abs(a0) ** 2)[..., None]
+    a = (a0, a1) (last axis), written entry by entry into one array."""
+    a0 = a[..., 0]
+    scale = 1.0 / np.sqrt(1.0 + (a0.real**2 + a0.imag**2))
+    out = np.zeros(a.shape[:-1] + (4,), dtype=np.complex128)  # |00>, |01>, |10>, |11>
+    np.multiply(a0, np.sqrt(2.0) * scale, out=out[..., 0])
+    out[..., 1] = out[..., 2] = a[..., 1] * (PSI_PLUS[1].real * scale)
+    return out
 
 
 def _from_qubit(output: Callable) -> Callable:

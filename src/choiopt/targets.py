@@ -244,10 +244,13 @@ def sphere_samples(samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 def integrand_rows(family: StateFamily, thetas, phis) -> np.ndarray:
     """Rows v_s = conj(psi_in) (x) psi_out, one per sample, all at once: the
-    integrand of R is v_s v_s†, and v_s† chi v_s is chi's fidelity on sample s."""
+    integrand of R is v_s v_s†, and v_s† chi v_s is chi's fidelity on sample s.
+    The (samples, n) rows are the transpose of an (n, samples) array, built in
+    one broadcast multiply that runs along the samples."""
     pin, pout = evaluate_family(family, thetas, phis)
-    v = np.einsum("si,sk->sik", pin.conj(), pout)
-    return v.reshape(len(pin), family.dim_in * family.dim_out)
+    v = np.empty((family.dim_in, family.dim_out, len(pin)), dtype=np.complex128)
+    np.multiply(pin.T.conj()[:, None], pout.T, out=v)
+    return v.reshape(family.dim_in * family.dim_out, len(pin)).T
 
 
 def _row_blocks(family: StateFamily, thetas, phis):
@@ -259,13 +262,15 @@ def _row_blocks(family: StateFamily, thetas, phis):
         yield block, integrand_rows(family, thetas[block], phis[block])
 
 
-def _weighted_gram(family: StateFamily, thetas, phis, weights) -> TargetOperator:
-    """TargetOperator of sum_s w_s v_s v_s†, accumulated one block of rows
-    at a time by matrix products."""
+def _weighted_gram(family: StateFamily, thetas, phis, weights=None) -> TargetOperator:
+    """TargetOperator of sum_s w_s v_s v_s†, or without weights of the mean of
+    v_s v_s†, accumulated one block of rows at a time by matrix products."""
     dim = family.dim_in * family.dim_out
     m = np.zeros((dim, dim), dtype=np.complex128)
     for block, v in _row_blocks(family, thetas, phis):
-        m += (weights[block, None] * v).T @ v.conj()
+        m += (v.T if weights is None else v.T * weights[block]) @ v.conj()
+    if weights is None:
+        m /= len(thetas)
     return TargetOperator(family.dim_in, family.dim_out, linalg.hermitian_part(m))
 
 
@@ -310,4 +315,4 @@ def build_r_montecarlo(family: StateFamily, samples: int, seed: int) -> TargetOp
     """Target operator as the seeded Monte-Carlo mean over sphere_samples; equal
     to the one-shot mean to rounding, not bit for bit."""
     thetas, phis = sphere_samples(samples, seed)
-    return _weighted_gram(family, thetas, phis, np.broadcast_to(1.0 / samples, (samples,)))
+    return _weighted_gram(family, thetas, phis)

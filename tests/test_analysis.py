@@ -5,7 +5,7 @@ import pytest
 
 import choiopt.analysis
 from choiopt.analysis import alpha_scan, mc_fidelity, ppt_check, state_fidelity_curve
-from choiopt.channels import DensityMatrix, fidelity
+from choiopt.channels import ChoiOperator, DensityMatrix, fidelity
 from choiopt.errors import DimensionMismatchError
 from choiopt.models import (
     ALPHA_THRESHOLD,
@@ -17,8 +17,8 @@ from choiopt.models import (
     model_family,
     shifter_closed_forms,
 )
-from choiopt.solver import SolverOptions
-from choiopt.targets import SAMPLE_BLOCK, fidelity_bound, integrand_rows, sphere_samples
+from choiopt.solver import SolverOptions, random_choi
+from choiopt.targets import SAMPLE_BLOCK, StateFamily, fidelity_bound, integrand_rows, sphere_samples
 from helpers import entangler_b_mixed_state
 
 
@@ -52,6 +52,22 @@ class TestMcFidelity:
         samples, n = 200_000, 8
         spec = ModelSpec("entangler_a")
         chi, family = known_optimum(spec).chi, model_family(spec)
+        mc_fidelity(chi, family, 1000, seed=0)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            mc_fidelity(chi, family, samples, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * samples * 8 + 8 * SAMPLE_BLOCK * n * 16
+
+    def test_full_rank_contraction_memory_is_per_block(self):
+        # A full-rank chi keeps all n eigenvectors, and the contraction still holds
+        # one block's (SAMPLE_BLOCK, n) overlaps: never a block's SAMPLE_BLOCK n^2
+        # entries (~17 MB here) nor every sample's rows (~51 MB).
+        samples, spec = 200_000, ModelSpec("cloner", copies=7)
+        family, n = model_family(spec), 16
+        chi = random_choi(*spec.dims, seed=3)
         mc_fidelity(chi, family, 1000, seed=0)  # first-call allocations out of the way
         tracemalloc.start()
         try:
@@ -104,6 +120,74 @@ class TestMcFidelity:
                 samples=10,
                 seed=0,
             )
+
+
+def quadratic_form_fidelities(chi: ChoiOperator, family: StateFamily, thetas, phis) -> np.ndarray:
+    """v_s† chi v_s per sample through chi's n x n matrix: the oracle of the
+    eigenvector contraction in _pointwise_fidelities."""
+    v = integrand_rows(family, thetas, phis)
+    return np.einsum("sb,sb->s", v.conj() @ chi.matrix, v).real
+
+
+def chi_with_eigenvalue(w: float) -> ChoiOperator:
+    """The qubit channel |0><0| -> |1><1|, |1><1| fixed, with its |00><00| entry
+    set to w: eigenvalues w, 0, 1, 1, trace-preserving within |w|."""
+    m = np.diag([w, 1.0, 0.0, 1.0]).astype(np.complex128)
+    return ChoiOperator(2, 2, m)
+
+
+def scalar_only(evaluator):
+    """evaluator as one that raises on arrays, so evaluate_family calls it per sample."""
+
+    def ev(theta, phi):
+        if not np.isscalar(theta):
+            raise TypeError("scalars only")
+        return evaluator(theta, phi)
+
+    return ev
+
+
+class TestPointwiseFidelitiesFromEigenvectors:
+    # Each sampled fidelity is sum_l w_l |<e_l, v>|^2 over chi's eigenpairs on
+    # the support of |w|; it must equal v† chi v to rounding, whatever chi's rank
+    # and whatever the sign of its small eigenvalues.
+    ANGLES = sphere_samples(2 * SAMPLE_BLOCK + 7, 31)
+
+    @pytest.mark.parametrize(
+        "name, chi, spec",
+        [
+            ("full-rank", random_choi(2, 4, seed=8), ModelSpec("entangler_a")),
+            ("rank-1 isometry", known_optimum(ModelSpec("entangler_a")).chi, ModelSpec("entangler_a")),
+            ("eigenvalue -1e-17", chi_with_eigenvalue(-1e-17), ModelSpec("shifter", alpha=1.2)),
+            ("eigenvalue -5e-11", chi_with_eigenvalue(-5e-11), ModelSpec("shifter", alpha=1.2)),
+            ("full-rank cloner", random_choi(2, 4, seed=9), ModelSpec("cloner", copies=3)),
+        ],
+        ids=lambda x: x if isinstance(x, str) else "",
+    )
+    def test_equal_to_the_quadratic_form(self, name, chi, spec):
+        family = model_family(spec)
+        got = choiopt.analysis._pointwise_fidelities(chi, family, *self.ANGLES)
+        assert np.abs(got - quadratic_form_fidelities(chi, family, *self.ANGLES)).max() <= 1e-14
+
+    def test_a_kept_negative_eigenvalue_counts(self):
+        # -5e-11 passes the support rule on |w| (relative cutoff 1e-12), so the
+        # |00> component of each sample lowers its fidelity by 5e-11 |v_0|^2.
+        family = model_family(ModelSpec("shifter", alpha=1.2))
+        base = choiopt.analysis._pointwise_fidelities(chi_with_eigenvalue(0.0), family, *self.ANGLES)
+        got = choiopt.analysis._pointwise_fidelities(chi_with_eigenvalue(-5e-11), family, *self.ANGLES)
+        v0 = integrand_rows(family, *self.ANGLES)[:, 0]
+        assert np.abs(got - (base - 5e-11 * np.abs(v0) ** 2)).max() <= 1e-15
+
+    def test_a_scalar_only_family_gives_the_same_fidelities(self):
+        spec = ModelSpec("entangler_a")
+        family = model_family(spec)
+        per_sample = StateFamily(2, 4, scalar_only(family.evaluator), family.trig_degree)
+        chi = random_choi(2, 4, seed=8)
+        thetas, phis = sphere_samples(300, 4)
+        got = choiopt.analysis._pointwise_fidelities(chi, per_sample, thetas, phis)
+        assert np.array_equal(got, choiopt.analysis._pointwise_fidelities(chi, family, thetas, phis))
+        assert np.abs(got - quadratic_form_fidelities(chi, family, thetas, phis)).max() <= 1e-14
+        assert mc_fidelity(chi, per_sample, 300, 4) == mc_fidelity(chi, family, 300, 4)
 
 
 class TestStateFidelityCurve:

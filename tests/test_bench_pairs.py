@@ -70,3 +70,40 @@ def test_one_verdict_line_per_metric():
     assert bench_pairs.verdicts(slower, BETTER, {"wall_s": 0.25, "items_per_s": 0.25})[0].split()[1:] == [
         "worse", "than", "bound"
     ]
+
+
+def test_all_names_every_benchmark_workload_once():
+    assert bench_pairs.workloads(["all"]) == bench_pairs.WORKLOADS
+    first = bench_pairs.WORKLOADS[-1]
+    assert bench_pairs.workloads([first, "all"]) == [first] + bench_pairs.WORKLOADS[:-1]
+    try:
+        bench_pairs.workloads(["no-such-workload"])
+    except SystemExit as exc:
+        assert "unknown workload 'no-such-workload'" in str(exc)
+    else:
+        raise AssertionError("an unknown workload was accepted")
+
+
+def test_one_report_per_workload(monkeypatch, capsys):
+    # Each run's wall time tells its tree and workload apart: the working tree
+    # (ROOT) is 20% faster, so every workload's report reads -20.0% and 3/3 won.
+    walls = {name: 1.0 + i for i, name in enumerate(bench_pairs.WORKLOADS)}
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, size):
+        calls.append((workload, seed, tree == bench_pairs.ROOT))
+        wall = walls[workload] * (0.8 if tree == bench_pairs.ROOT else 1.0)
+        metrics = {name: {"value": wall, "unit": "s"} for name in bench_pairs.BETTER}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda ref, dest: None)
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    assert bench_pairs.main(["--ref", "HEAD", "--workload", "all", "--pairs", "3", "--seed", "5"]) == 0
+    assert [w for w, _, _ in calls] == [w for w in bench_pairs.WORKLOADS for _ in range(6)]
+    assert [(s, new) for _, s, new in calls[:6]] == [(5, False), (5, True), (6, True), (6, False), (7, False), (7, True)]
+    blocks = capsys.readouterr().out.strip().split("\n\n")
+    assert [block.split(":")[0] for block in blocks] == bench_pairs.WORKLOADS
+    for block in blocks:
+        lines = block.splitlines()
+        assert len(lines) == 2 + 2 * len(bench_pairs.BETTER) + 2
+        assert lines[2].split()[-2:] == ["-20.0%", "3/3"]

@@ -132,6 +132,42 @@ class TestOnePhasePerShifterSample:
         assert same_bytes(pin, explicit_bloch_state(THETAS, PHIS)) and same_bytes(pout, pin)
 
 
+def stacked_bloch(theta, phase):
+    """_bloch as one np.stack of its two broadcast columns: the oracle of the in-place build."""
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.cos(theta / 2) * np.ones_like(phase.real), phase * np.sin(theta / 2)], axis=-1)
+
+
+def summed_entangler_a_output(a):
+    """(sqrt(2) a0|00> + a1|Psi+>) / sqrt(1 + |a0|^2) as a sum of scaled kets."""
+    a0, a1 = a[..., 0], a[..., 1]
+    num = np.sqrt(2.0) * a0[..., None] * KET_00 + a1[..., None] * PSI_PLUS
+    return num / np.sqrt(1.0 + np.abs(a0) ** 2)[..., None]
+
+
+class TestStatesBuiltInPlace:
+    # bloch_state and the entangler-A output write into one preallocated array;
+    # the Bloch states keep the stacked formula's shapes and bytes.
+    @pytest.mark.parametrize(
+        "theta, phi",
+        [(0.7, PHIS), (THETAS, 2.3), (0.7, 2.3), (THETAS, PHIS), (THETAS[:6].reshape(2, 3), PHIS[:3])],
+        ids=["scalar-array", "array-scalar", "scalar-scalar", "array-array", "broadcast-2d"],
+    )
+    def test_bloch_state_keeps_the_stacked_bytes(self, theta, phi):
+        want = stacked_bloch(theta, np.exp(1j * np.asarray(phi, dtype=float)))
+        assert same_bytes(bloch_state(theta, phi), want)
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_entangler_a_output_is_its_definition(self, shape):
+        rng = np.random.default_rng(5)
+        a = bloch_state(rng.uniform(0.0, np.pi, shape), rng.uniform(0.0, 2.0 * np.pi, shape))
+        got = models._entangler_a_output(a)
+        want = summed_entangler_a_output(a)
+        assert got.shape == want.shape == shape + (4,) and got.dtype == np.complex128
+        assert np.abs(got - want).max() <= 1e-15
+        assert np.array_equal(got[..., 3], np.zeros(shape)) and np.array_equal(got[..., 1], got[..., 2])
+
+
 class TestOrthogonalState:
     def test_matches_the_explicit_formula(self):
         want = np.stack([np.sin(THETAS / 2), -np.exp(1j * PHIS) * np.cos(THETAS / 2)], axis=-1)

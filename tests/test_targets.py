@@ -430,6 +430,22 @@ def on_path(evaluator, path: str):
 PATHS = ["broadcast", "per-sample"]
 
 
+class TestIntegrandRowsAreKroneckerProducts:
+    # integrand_rows forms every row in one broadcast multiply, samples last;
+    # each row must be the Kronecker product it stands for, on both evaluator paths.
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_each_row_is_kron_of_conj_input_and_output(self, spec, path):
+        family = model_family(spec)
+        family = StateFamily(family.dim_in, family.dim_out, on_path(family.evaluator, path), family.trig_degree)
+        thetas, phis = sphere_samples(40, 6)
+        pin, pout = evaluate_family(family, thetas, phis)
+        want = np.array([np.kron(a.conj(), b) for a, b in zip(pin, pout)])
+        got = integrand_rows(family, thetas, phis)
+        assert got.shape == want.shape and got.dtype == np.complex128
+        assert np.abs(got - want).max() <= 1e-16
+
+
 class TestEmptyAngleArrays:
     # Zero samples used to fail as an untyped ValueError deep in the norm
     # check (broadcast) or the unpacking of the results (per sample).
