@@ -6,8 +6,10 @@ checkout's scripts/reference_set.py --rows twice, under the same warning
 policy as `make refset`: once with PYTHONPATH=<export>/src and once with
 PYTHONPATH=src.  So both runs solve the same specs and write the same
 fields; only the package differs.  Prints the row count, how many rows
-differ, how many of those differ in iterations or converged, then each
-differing pair as a "-" line (REF) and a "+" line (working tree).  Exits 1
+differ and how many of those differ in iterations or converged.  When a
+row differs, it then prints the largest change in F, gap and lambda_gap,
+and each differing pair as a "-" line (REF) and a "+" line (working
+tree).  Exits 1
 when a row differs, 0 otherwise.  Run via `make refset-diff REF=<commit>`
 or directly:
 
@@ -15,6 +17,7 @@ or directly:
 """
 
 import argparse
+import math
 import os
 import re
 import subprocess
@@ -24,13 +27,26 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # A solve's row ends in iterations, converged, fidelity, gap and lambda_gap.
-SOLVE_ROW = re.compile(r".* ([0-9]+) (True|False) \S+ \S+ \S+")
+SOLVE_ROW = re.compile(r".* ([0-9]+) (True|False) (\S+) (\S+) (\S+)")
 
 
 def outcome(row: str):
     """(iterations, converged) of a solve's row; a raising solve's row is its own outcome."""
     match = SOLVE_ROW.fullmatch(row)
-    return match.groups() if match else row
+    return match.groups()[:2] if match else row
+
+
+def values(row: str):
+    """(F, gap, lambda_gap) of a solve's row, None for a raising solve's row."""
+    match = SOLVE_ROW.fullmatch(row)
+    return tuple(map(float, match.groups()[2:])) if match else None
+
+
+def change(a: float, b: float) -> float:
+    """|a - b|: 0 when a == b or both are NaN, inf when only one is NaN."""
+    if a == b or math.isnan(a) and math.isnan(b):
+        return 0.0
+    return abs(a - b) if math.isfinite(a - b) else math.inf
 
 
 def compare(ref_rows: list, new_rows: list) -> list:
@@ -44,6 +60,14 @@ def compare(ref_rows: list, new_rows: list) -> list:
     for a, b in pairs:
         lines += [f"- {a}", f"+ {b}"]
     return lines
+
+
+def largest_change(ref_rows: list, new_rows: list) -> str:
+    """The largest change in F, gap and lambda_gap over the paired rows that are
+    both solves (0 where none is)."""
+    solved = [(x, y) for x, y in zip(map(values, ref_rows), map(values, new_rows)) if x and y]
+    largest = (max((change(x[i], y[i]) for x, y in solved), default=0.0) for i in range(3))
+    return "largest change: F = {:.3g}  gap = {:.3g}  lambda_gap = {:.3g}".format(*largest)
 
 
 def rows(src: Path, out: Path) -> list:
@@ -67,10 +91,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="refset_diff_") as tmp:
         tree = Path(tmp) / "ref"
         export(args.ref, tree)
-        lines = compare(rows(tree / "src", Path(tmp) / "ref.txt"), rows(ROOT / "src", Path(tmp) / "new.txt"))
+        ref_rows, new_rows = rows(tree / "src", Path(tmp) / "ref.txt"), rows(ROOT / "src", Path(tmp) / "new.txt")
+    lines = compare(ref_rows, new_rows)
+    differ = len(lines) > 1
+    if differ:
+        lines.insert(1, largest_change(ref_rows, new_rows))
     print(f"reference set: ref {args.ref} against the working tree")
     print("\n".join(lines))
-    return 1 if len(lines) > 1 else 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

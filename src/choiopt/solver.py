@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .channels import ChoiOperator, fidelity, maxmix_choi, require_dims, require_same_dims, require_valid_choi
-from .errors import ChoiOptError, InvalidSpecError, SingularLambdaError
+from .errors import ChoiOptError, InvalidChoiError, InvalidSpecError, SingularLambdaError
 from .linalg import PINV_CUTOFF, PSD_TOL
 from .targets import BlockPlan, TargetOperator, fidelity_bound
 
@@ -143,17 +143,6 @@ def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperato
     return roots, ChoiOperator._frozen(d, k, None, (r.blocks, stack))
 
 
-def _pinch(r: TargetOperator, m: np.ndarray) -> ChoiOperator:
-    """The operator of m zeroed off R's blocks, carrying its gathered blocks, or
-    ChoiOperator(m) where R has no plan.  A PSD m stays PSD (a Schur product
-    with all-ones blocks), and Tr_K of the pinch is Tr_K m's diagonal, so a
-    trace-preserving m stays so."""
-    plan = r.blocks
-    if plan is None:
-        return ChoiOperator(r.dim_in, r.dim_out, m)
-    return ChoiOperator._frozen(r.dim_in, r.dim_out, None, (plan, plan.gather(m)))
-
-
 def _gaussian(n: int, seed: int) -> np.ndarray:
     """random_choi's n x n complex Gaussian W: two standard normal draws of
     np.random.default_rng(seed), its real then its imaginary part."""
@@ -227,24 +216,35 @@ def _dense_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
         w = ((z_vecs / z_eigs) @ z_vecs.conj().T).reshape(d, k, d, k)  # Z^-1
         return np.einsum("akbk->ab", w), np.einsum("akbl,dlck->acbd", w, w).reshape(d * d, d * d)
 
-    def kernel(z_eigs, z_vecs, cut):  # the eigenvectors below cut, as the columns of an (n, rank) P
-        return z_vecs[:, z_eigs < cut]
+    def recover(z_eigs, z_vecs, cut):  # P X P†, P the (n, rank) eigenvectors below cut
+        p = z_vecs[:, z_eigs < cut]
+        rank = p.shape[1]
+        if rank == 0:
+            raise InvalidChoiError("the slack has no kernel")
+        pk = p.reshape(d, k, rank)
+        trace_map = np.einsum("aki,bkj->abij", pk, pk.conj()).reshape(d * d, rank * rank)
+        adj = trace_map.conj().T
+        x = linalg.hermitian_part(_psd_solve(adj @ trace_map, adj @ np.eye(d).ravel()).reshape(rank, rank))
+        if np.linalg.eigvalsh(x)[0] < -PSD_TOL:
+            raise InvalidChoiError("the recovered X is not PSD")
+        return ChoiOperator(d, k, linalg.hermitian_part(p @ x @ p.conj().T))
 
     y = linalg.hermitian_part(linalg.partial_trace(r.matrix @ chi.matrix, d, k))
-    return y, np.eye(d), slack, derivatives, kernel
+    return y, np.eye(d), slack, derivatives, recover
 
 
 def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
     """_dual_endgame's layout on R's plan (README's "The dual on the blocks"): a
-    real dim_in vector y, warm-started at Tr_K[R chi]'s diagonal, and the
-    (B, s, s) slack; the padding counts in no derivative and no kernel vector."""
+    real dim_in vector y, warm-started at Tr_K[R chi]'s diagonal, the (B, s, s)
+    slack, and a recovery fitted on the blocks whose answer carries its stack
+    on R's plan; the padding counts in no derivative and no kernel vector."""
     plan, d = r.blocks, r.dim_in
-    n = d * r.dim_out
     r_b = plan.gather(r.matrix)
     diagonal = slice(None, None, r_b.shape[1] + 1)  # the diagonal of a raveled s x s block
     labels = plan.input_labels.ravel()
     pairs = np.repeat(plan.pair_labels, 2)  # per float of the stack's float64 view: real, imaginary
     padded = np.ones(d + 1)  # y, then the padding's 1
+    onehot = plan.input_labels[:, :, None] == np.arange(d)  # (B, s, dim_in), all False on the padding
 
     def slack(y):  # the batched eigh of the Z_b
         padded[:d] = y
@@ -259,17 +259,22 @@ def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
         hess = np.bincount(pairs, floats * floats, (d + 1) ** 2)  # |Z_b^-1|^2 summed per pair of inputs
         return w_trace[:d], hess.reshape(d + 1, d + 1)[:d, :d]
 
-    def kernel(z_eigs, z_vecs, cut):  # the eigenvectors below cut, scattered to the columns of P
-        b, j = np.nonzero(z_eigs < cut)
-        p = np.zeros((len(b), n + 1), dtype=np.complex128)
-        p[np.arange(len(b))[:, None], plan.flat[b, :, 0] // n] = z_vecs[b, :, j]  # the padding to column n
-        p = p[:, :n].T
-        return p[:, (p.real**2 + p.imag**2).sum(axis=0) > 0.5]  # a padding eigenvector scatters to 0
+    def recover(z_eigs, z_vecs, cut):  # Q X Q†, Q the (B, s, s) eigenvectors below cut, zero on the padding
+        q = z_vecs * (z_eigs[:, None, :] < cut)
+        q[plan.input_labels == d] = 0.0  # the padding's rows
+        if not q.any():
+            raise InvalidChoiError("the slack has no kernel")
+        a = np.einsum("bpa,bpi,bpj->abij", onehot, q, q.conj()).reshape(d, -1)  # X -> Tr_K[Q X Q†]'s diagonal
+        x = linalg.hermitian_part((_psd_solve(a @ a.conj().T, np.ones(d)) @ a.conj()).reshape(q.shape))
+        if np.linalg.eigvalsh(x)[:, 0].min() < -PSD_TOL:
+            raise InvalidChoiError("the recovered X is not PSD")
+        stack = linalg.hermitian_part(q @ x @ q.conj().swapaxes(1, 2))
+        return ChoiOperator._frozen(d, r.dim_out, None, (plan, stack))
 
     carried, stack = chi._stack
     blocks = stack if carried is plan else plan.gather(chi.matrix)
     y = np.bincount(plan.inputs.ravel(), np.einsum("bpq,bqp->bp", r_b, blocks).real.ravel(), d)
-    return y, np.ones(d), slack, derivatives, kernel
+    return y, np.ones(d), slack, derivatives, recover
 
 
 def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, float] | None:
@@ -278,16 +283,17 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
 
     A layout gives the warm start, the unit of its unknowns and three
     functions: slack(y), the eigh of the slack Z; derivatives(eigs, vecs),
-    Tr_K[Z^-1] and the Hessian over mu; kernel(eigs, vecs, cut), Z's
-    eigenvectors below cut as the columns of an (n, rank) P.  Any feasible Y
-    bounds every channel's fidelity by Tr Y, so the gap
-    Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.  README's "Dual
-    endgame" gives the barrier schedule and the recovery.
+    Tr_K[Z^-1] and the Hessian over mu; recover(eigs, vecs, cut), the
+    operator P X P† on Z's eigenvectors P below cut, X >= 0 fitted to
+    Tr_K = 1 by one _psd_solve, or InvalidChoiError when P is empty or X is
+    indefinite.  Any feasible Y bounds every channel's fidelity by Tr Y, so
+    the gap Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.  README's
+    "Dual endgame" gives the barrier schedule and the recovery.
     """
     d, k = r.dim_in, r.dim_out
-    n, eye = d * k, np.eye(d)
+    n = d * k
     mu_end = BARRIER_GAP / n
-    y, one, slack, derivatives, kernel = (_dense_dual if r.blocks is None else _diagonal_dual)(r, chi)
+    y, one, slack, derivatives, recover = (_dense_dual if r.blocks is None else _diagonal_dual)(r, chi)
 
     def trace(y):  # Tr Y, or the sum of a diagonal y
         return float(np.vdot(one, y).real)
@@ -326,18 +332,7 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
             if t_eigs.min() > 0.0:  # else the predictor is dropped
                 y, z_eigs, z_vecs = trial, t_eigs, t_vecs
             mu = mu_next
-        p = kernel(z_eigs, z_vecs, np.sqrt(mu))  # central path: Z ~ mu / chi on the kernel
-        rank = p.shape[1]
-        if rank == 0:
-            return None
-        pk = p.reshape(d, k, rank)
-        trace_map = np.einsum("aki,bkj->abij", pk, pk.conj()).reshape(d * d, rank * rank)
-        adj = trace_map.conj().T
-        x = _psd_solve(adj @ trace_map, adj @ eye.ravel()).reshape(rank, rank)
-        x = linalg.hermitian_part(x)
-        if np.linalg.eigvalsh(x)[0] < -PSD_TOL:
-            return None
-        chi = iterate_once(_pinch(r, linalg.hermitian_part(p @ x @ p.conj().T)), r)
+        chi = iterate_once(recover(z_eigs, z_vecs, np.sqrt(mu)), r)  # central path: Z ~ mu / chi on the kernel
         require_valid_choi(chi)
     except (np.linalg.LinAlgError, ChoiOptError):
         return None

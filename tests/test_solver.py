@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -743,7 +744,9 @@ def _tangent_off_the_feasible_set(m, v):
 @pytest.fixture
 def newton_steps(monkeypatch):
     """newton_steps(r, chi) -> (Newton steps, result) of one real endgame call.
-    Every Newton step makes one _psd_solve call, and the recovery of X one more."""
+    Every Newton step makes one _psd_solve call, and the recovery of X exactly
+    one more on either layout (TestDiagonalDual::test_recovery_makes_one_psd_solve),
+    so the budget rows' counts do not depend on how X is fitted."""
     count = [0]
 
     def counted(m, v):
@@ -1137,10 +1140,26 @@ ENDGAME_ROWS = [
 ENDGAME_IDS = [f"{a}-{init}" for a in ("a0+1e-4", "0.71", "3.13") for init in STARTS] + ["cloner-10"]
 
 
+def forced_iterate(r: TargetOperator, init: str, steps: int = 3) -> ChoiOperator:
+    """The iterate after a few steps from init: an endgame forced far from the optimum."""
+    chi = initial_choi(r, init)
+    for _ in range(steps):
+        chi = iterate_once(chi, r)
+    return chi
+
+
+# unot N = 10 has 12 blocks of at most 2 indices.
+UNOT10 = ModelSpec("unot", copies=10)
+LAYOUT_ROWS = ENDGAME_ROWS + [
+    (UNOT10, lambda init=init: forced_iterate(analytic_r(UNOT10), init)) for init in ("maxmix", "random:1")
+]
+LAYOUT_IDS = ENDGAME_IDS + ["unot-10-maxmix", "unot-10-random:1"]
+
+
 class TestDiagonalDual:
     # With a block plan the endgame's unknowns are a diagonal y and its slack a
     # (B, s, s) stack; the dense Y, taken when the plan is hidden, is the reference.
-    @pytest.mark.parametrize("spec, chi", ENDGAME_ROWS, ids=ENDGAME_IDS)
+    @pytest.mark.parametrize("spec, chi", LAYOUT_ROWS, ids=LAYOUT_IDS)
     def test_both_layouts_certify_the_same_value(self, spec, chi):
         r, chi = analytic_r(spec), chi()
         optimum = known_optimum(spec).fidelity
@@ -1153,30 +1172,112 @@ class TestDiagonalDual:
     @pytest.mark.parametrize("spec, chi", [ENDGAME_ROWS[3], ENDGAME_ROWS[-1]], ids=["0.71-maxmix", "cloner-10"])
     def test_empty_kernel_rejects_on_the_blocks(self, spec, chi, monkeypatch):
         # mu stays large, so every slack eigenvalue of R's positions lies above
-        # sqrt(mu), while the padding's 1 lies below it: the kernel must be empty.
+        # sqrt(mu), while the padding's 1 lies below it: the kernel must be
+        # empty, and the recovery rejects it.
         r, chi = analytic_r(spec), chi()
-        assert r.blocks.pad.any()
-        ranks, real = [], solver_module._diagonal_dual
+        on_r = (r.blocks.input_labels < r.dim_in)[:, :, None]  # R's positions, not the padding
+        assert not on_r.all()
+        kernels, errors, real = [], [], solver_module._diagonal_dual
 
         def recorded(r, chi):
-            *layout, kernel = real(r, chi)
-            return (*layout, lambda *args: ranks.append(kernel(*args).shape[1]) or kernel(*args))
+            *layout, recover = real(r, chi)
+
+            def spied(z_eigs, z_vecs, cut):
+                below = z_eigs < cut
+                of_r = (np.abs(z_vecs) ** 2 * on_r).sum(axis=1) > 0.5  # each eigenvector lives on R or the padding
+                kernels.append((np.count_nonzero(below & of_r), np.count_nonzero(below & ~of_r)))
+                try:
+                    return recover(z_eigs, z_vecs, cut)
+                except InvalidChoiError as e:
+                    errors.append(str(e))
+                    raise
+
+            return (*layout, spied)
 
         monkeypatch.setattr(solver_module, "_diagonal_dual", recorded)
         monkeypatch.setattr(solver_module, "BARRIER_GAP", 1e6)
         assert _dual_endgame(r, chi) is None
-        assert ranks == [0]
+        assert len(kernels) == 1 and kernels[0][0] == 0 and kernels[0][1] > 0
+        assert errors == ["the slack has no kernel"]
 
     @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
     def test_padding_is_never_a_kernel_direction(self, spec):
-        # Below an infinite cut the kernel is every eigenvector of R's n positions, none of the padding's.
+        # Below an infinite cut the kernel spans each block's positions of R,
+        # so the fit gives 1/dim_out on their diagonal (maxmix's stack), and the
+        # padding's eigenvectors add nothing: the stack is exactly 0 on plan.pad.
         r = analytic_r(spec)
+        maxmix = initial_choi(r, "maxmix")
+        y, _, slack, _, recover = solver_module._diagonal_dual(r, maxmix)
+        plan, stack = recover(*slack(y + 1.0), np.inf)._stack
+        assert plan is r.blocks
+        assert not stack[plan.pad].any()
+        assert np.abs(stack - maxmix._stack[1]).max() <= 1e-12
+
+    @pytest.mark.parametrize("spec", [ModelSpec("entangler_a"), ModelSpec("entangler_b"), UNOT10], ids=str)
+    def test_block_fit_is_the_dense_fit(self, spec, monkeypatch):
+        # A random complex kernel of rank 2 in each block (rank 1 where a block
+        # has one position of R): the block fit and the dense fit of the same
+        # kernel, scattered, give the same operator.  Their X may be indefinite.
+        # entangler-a's 3-position blocks get a kernel that is not the whole
+        # block, where a fit that misplaces a conjugate gives another answer.
+        r = analytic_r(spec)
+        plan, d, n = r.blocks, r.dim_in, r.dim_in * r.dim_out
+        on_r = plan.input_labels < d  # the padding comes last in each block
+        g = np.random.default_rng(3).standard_normal((*plan.pad.shape, 2)) @ np.array([1, 1j])
+        g = np.where(on_r[:, :, None] & on_r[:, None, :], g, np.eye(g.shape[1]))
+        z_vecs = np.linalg.qr(g)[0]  # unitary, the identity on the padding
+        z_eigs = np.where(np.arange(g.shape[1]) < np.minimum(2, on_r.sum(axis=1))[:, None], 0.0, 10.0)
+        monkeypatch.setattr(solver_module, "PSD_TOL", np.inf)
         chi = initial_choi(r, "maxmix")
-        y, _, slack, _, kernel = solver_module._diagonal_dual(r, chi)
-        p = kernel(*slack(y + 1.0), np.inf)
-        n = r.dim_in * r.dim_out
-        assert p.shape == (n, n)
-        assert np.allclose(p.conj().T @ p, np.eye(n), atol=1e-12)
+        stack = solver_module._diagonal_dual(r, chi)[-1](z_eigs, z_vecs, 1.0)._stack[1]
+        b, i = np.nonzero(z_eigs < 1.0)
+        p = np.zeros((n + 1, len(b)), dtype=complex)
+        p[plan.flat[b, :, 0] // n, np.arange(len(b))[:, None]] = z_vecs[b, :, i]  # the padding to row n
+        dense = solver_module._dense_dual(without_plan(r), chi)[-1](np.zeros(len(b)), p[:n], 1.0)
+        assert np.abs(plan.scatter(stack) - dense.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("hidden", [False, True], ids=["blocks", "dense"])
+    def test_recovery_makes_one_psd_solve(self, hidden, monkeypatch):
+        # newton_steps counts every _psd_solve call of an endgame but this one.
+        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        chi = ENDGAME_ROWS[3][1]()
+        name = "_dense_dual" if hidden else "_diagonal_dual"
+        calls, recoveries, real = [], [], getattr(solver_module, name)
+
+        def recorded(r, chi):
+            *layout, recover = real(r, chi)
+
+            def spied(*args):
+                before = len(calls)
+                answer = recover(*args)
+                recoveries.append(len(calls) - before)
+                return answer
+
+            return (*layout, spied)
+
+        monkeypatch.setattr(solver_module, name, recorded)
+        monkeypatch.setattr(solver_module, "_psd_solve", lambda m, v: calls.append(m.shape) or _psd_solve(m, v))
+        done = _dual_endgame(without_plan(r) if hidden else r, chi)
+        assert done is not None and done[1] <= SolverOptions().fid_tol
+        assert recoveries == [1]
+
+    def test_many_blocks_recover_in_little_memory(self, monkeypatch):
+        # unot N = 30 has 32 blocks and a rank-32 kernel: a dense fit's
+        # (rank^2, rank^2) normal matrix alone would take 16 MB.
+        spec = ModelSpec("unot", copies=30)
+        r = analytic_r(spec)
+        chi = forced_iterate(r, "maxmix")
+        monkeypatch.setattr(targets_module.BlockPlan, "scatter", refuse_scatter)
+        tracemalloc.start()
+        try:
+            done = _dual_endgame(r, chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
+        assert done is not None and done[1] <= SolverOptions().fid_tol
+        assert done[0]._stack[0] is r.blocks
+        assert abs(fidelity(done[0], r) - known_optimum(spec).fidelity) <= 1e-12
 
     @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
     def test_warm_start_is_the_diagonal_of_the_dense_one(self, spec, monkeypatch):
