@@ -2,12 +2,16 @@
 i_first * dim_second + i_second, and the package's value rules, each written
 once here: Hermiticity, the clip and support rules for zero eigenvalues, and
 the count, real, seed and cutoff rules (README's "Numerical conventions").
+The clip and support rules loop over a spectrum's Python floats, not numpy
+calls: the solver's spectra have d <= 31 entries, where a numpy call's fixed
+cost of about 1 us outweighs the loop.
 herm_eig, psd_sqrt, reg_inverse and EigenDecomposition are public utilities
 no other module calls.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +27,7 @@ from .errors import (
 PSD_TOL = 1e-10  # entrywise Hermiticity and eigenvalue-negativity bound
 CLIP_TOL = 1e-12  # clip_roots: eigenvalues below this are round-off zeros
 PINV_CUTOFF = 1e-12  # support cutoff, relative to the largest, of every pseudo-inverse
-_SMALLEST_POSITIVE = np.finfo(float).smallest_subnormal
+_SMALLEST_POSITIVE = float(np.finfo(float).smallest_subnormal)
 
 
 def as_matrix(m) -> np.ndarray:
@@ -101,25 +105,74 @@ def hermitian_spectrum(m) -> tuple[float, np.ndarray]:
     return dev, np.full(m.shape[:-1], np.nan) if dev == np.inf else np.linalg.eigvalsh(hermitian_part(m))
 
 
+def _has_nan(ws: list) -> bool:
+    """Whether any of the floats ws is NaN.  numpy's min and max return NaN then,
+    the builtin ones skip a NaN that is not first; the exact test runs only
+    when the sum is NaN, which a NaN forces."""
+    total = sum(ws)
+    return total != total and any(x != x for x in ws)
+
+
+def support_cut(top: float, rel_cutoff: float) -> float:
+    """The support rule's threshold below the largest value top (NaN keeps
+    nothing).  A value passes by one comparison, >= the cut: no double lies
+    strictly between 0 and the smallest subnormal, so it is also > 0."""
+    return max(rel_cutoff * top, _SMALLEST_POSITIVE)
+
+
 def clip_roots(w: np.ndarray) -> np.ndarray:
     """The clip rule: square roots of a PSD operator's eigenvalues w, in w's
     order.  Those below CLIP_TOL count as zeros; an eigenvalue below -CLIP_TOL
-    raises NegativeEigenvalueError."""
-    if w.min() < -CLIP_TOL:
-        raise NegativeEigenvalueError(f"eigenvalue {w.min():.3e} below -{CLIP_TOL:.1e}")
-    return np.sqrt(np.where(w < CLIP_TOL, 0.0, w))
+    raises NegativeEigenvalueError, unless one is NaN."""
+    ws = w.tolist()
+    low = min(ws)
+    if low < -CLIP_TOL and not _has_nan(ws):
+        raise NegativeEigenvalueError(f"eigenvalue {low:.3e} below -{CLIP_TOL:.1e}")
+    return np.array([0.0 if x < CLIP_TOL else math.sqrt(x) for x in ws], dtype=float)
+
+
+def _cut(ws: list, rel_cutoff: float) -> float:
+    """support_cut below the largest of the floats ws, read as numpy reads it: NaN when one is NaN."""
+    return math.nan if _has_nan(ws) else support_cut(max(ws), rel_cutoff)
 
 
 def support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
     """The support rule: mask of the eigenvalues w, in any order, that are > 0
-    and >= rel_cutoff * max(w).  It runs every solver step, so one comparison
-    does both: no double lies strictly between 0 and the smallest subnormal."""
-    return w >= max(rel_cutoff * w.max(), _SMALLEST_POSITIVE)
+    and >= rel_cutoff * max(w); none when one is NaN."""
+    ws = w.tolist()
+    cut = _cut(ws, rel_cutoff)
+    return np.array([x >= cut for x in ws], dtype=bool)
 
 
 def inverse_on_support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
     """The pseudo-inverse rule: 1/w on support(w, rel_cutoff), 0 elsewhere, in w's order."""
-    return np.divide(1.0, w, out=np.zeros(len(w)), where=support(w, rel_cutoff))
+    ws = w.tolist()
+    cut = _cut(ws, rel_cutoff)
+    return np.array([1.0 / x if x >= cut else 0.0 for x in ws], dtype=float)
+
+
+def inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """clip_roots(w) and inverse_on_support of those roots at PINV_CUTOFF, bit
+    for bit, in one pass over w's floats: sqrt is monotone, so the largest
+    root is the root of the largest eigenvalue.  A NaN or an eigenvalue below
+    -CLIP_TOL sends w through the two rules in turn."""
+    ws = w.tolist()
+    n, top = len(ws), max(ws)
+    clip, sqrt = CLIP_TOL, math.sqrt
+    cut = support_cut(sqrt(top) if top >= clip else 0.0, PINV_CUTOFF)
+    both = [0.0] * (2 * n)  # the roots, then their inverses
+    i = n
+    for x in ws:
+        if x >= clip:
+            root = both[i - n] = sqrt(x)
+            if root >= cut:
+                both[i] = 1.0 / root
+        elif not x >= -clip:
+            roots = clip_roots(w)
+            return roots, inverse_on_support(roots, PINV_CUTOFF)
+        i += 1
+    both = np.array(both, dtype=float)
+    return both[:n], both[n:]
 
 
 def require_cutoff(rel_cutoff: float) -> None:

@@ -78,17 +78,31 @@ def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The roots of lambda from the eigenvalues w of lambda^2, in w's order, and
     their inverses on the support (0 elsewhere); NegativeEigenvalueError by the
     clip rule, SingularLambdaError when the support is empty."""
-    roots = linalg.clip_roots(w)
-    inv = linalg.inverse_on_support(roots, PINV_CUTOFF)
+    roots, inv = linalg.inverse_roots(w)
     if not np.count_nonzero(inv):
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
     return roots, inv
 
 
+def _dense_marginal(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigh of Tr_K m for an n x n m: lambda^2's ascending eigenvalues and their vectors."""
+    return np.linalg.eigh(linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out)))
+
+
+def _block_marginal(plan: BlockPlan, m: np.ndarray, dim_in: int) -> np.ndarray:
+    """Tr_K m's diagonal, in input order, for m given as its (B, s, s) blocks on the plan."""
+    return np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
+
+
+def _sandwiched(plan: BlockPlan, blocks: np.ndarray) -> np.ndarray:
+    """The (B, s, s) blocks R_b chi_b R_b, fresh, from chi's blocks on R's plan."""
+    return (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape)
+
+
 def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
     """The dense step on an n x n m: the ascending roots of lambda = (Tr_K m)^{1/2}
     and Lambda^{-1} m Lambda^{-1}, re-Hermitized; raises as _inverse_roots."""
-    w, v = np.linalg.eigh(linalg.hermitian_part(linalg.partial_trace(m, dim_in, dim_out)))
+    w, v = _dense_marginal(m, dim_in, dim_out)
     roots, inv = _inverse_roots(w)
     lam_inv = (v * inv) @ v.conj().T
     half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
@@ -99,14 +113,14 @@ def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray
 def _block_stack(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
     """_extremal_step of a chi given as its (B, s, s) blocks on the plan, zero off
     them: the roots of lambda, in input order, and the result's fresh stack."""
-    return _normalized(plan, (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape), dim_in)
+    return _normalized(plan, _sandwiched(plan, blocks), dim_in)
 
 
 def _normalized(plan: BlockPlan, m: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
     """The roots of lambda = (Tr_K m)^{1/2}, in input order, and Lambda^{-1} m
     Lambda^{-1}, re-Hermitized, written over m: the fresh (B, s, s) blocks on
     the plan of a PSD operator that is zero off them."""
-    roots, inv = _inverse_roots(np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in))
+    roots, inv = _inverse_roots(_block_marginal(plan, m, dim_in))
     s = inv[plan.inputs]
     m *= s[:, :, None] * s[:, None, :]
     m += m.conj().swapaxes(1, 2)
@@ -141,6 +155,17 @@ def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperato
         return roots, ChoiOperator._frozen(d, k, m)
     roots, stack = _block_stack(r.blocks, blocks, d)
     return roots, ChoiOperator._frozen(d, k, None, (r.blocks, stack))
+
+
+def _roots(chi: ChoiOperator, r: TargetOperator) -> np.ndarray:
+    """The roots of lambda that _step(chi, r) returns, bit for bit and raising
+    alike, from Tr_K[R chi R] alone: no scaling and no iterate."""
+    blocks = _blocks_of(chi, r)
+    if blocks is None:
+        w = _dense_marginal(r.matrix @ chi.matrix @ r.matrix, r.dim_in, r.dim_out)[0]
+    else:
+        w = _block_marginal(r.blocks, _sandwiched(r.blocks, blocks), r.dim_in)
+    return _inverse_roots(w)[0]
 
 
 def _gaussian(n: int, seed: int) -> np.ndarray:
@@ -240,6 +265,7 @@ def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
     on R's plan; the padding counts in no derivative and no kernel vector."""
     plan, d = r.blocks, r.dim_in
     r_b = plan.gather(r.matrix)
+    minus_r = -r_b  # the slack's constant part, copied on every call
     diagonal = slice(None, None, r_b.shape[1] + 1)  # the diagonal of a raveled s x s block
     labels = plan.input_labels.ravel()
     pairs = np.repeat(plan.pair_labels, 2)  # per float of the stack's float64 view: real, imaginary
@@ -248,7 +274,7 @@ def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
 
     def slack(y):  # the batched eigh of the Z_b
         padded[:d] = y
-        z = -r_b
+        z = minus_r.copy()
         z.reshape(len(z), -1)[:, diagonal] += padded[plan.input_labels]
         return np.linalg.eigh(z)
 
@@ -311,7 +337,7 @@ def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, f
                 w_trace, hess = derivatives(z_eigs, z_vecs)
                 grad = one - mu * w_trace
                 # One solve gives the Newton step and the tangent dY/dmu = H^-1 Tr_K[Z^-1].
-                rhs = np.concatenate((-grad[..., None], w_trace[..., None]), axis=-1).reshape(y.size, 2)
+                rhs = np.array((-grad, w_trace)).reshape(2, -1).T.copy()  # the columns -grad and Tr_K[Z^-1]
                 both = _psd_solve(mu * hess, rhs).T.reshape(2, *y.shape)
                 step, tangent = linalg.hermitian_part(both) if y.ndim == 2 else both  # Y stays Hermitian
                 dec2 = -float(np.vdot(grad, step).real) / mu  # squared Newton decrement
@@ -374,7 +400,7 @@ def solve(r: TargetOperator, opts: SolverOptions | None = None) -> SolverResult:
         converged = gap <= opts.fid_tol or abs(fids[-1] - fids[-2]) < opts.fid_tol
     if np.isnan(gap):  # a certified endgame answer was checked by _dual_endgame
         require_valid_choi(chi)
-    lambda_gap = float(np.diff(np.sort(_step(chi, r)[0])).min(initial=np.inf))
+    lambda_gap = float(np.diff(np.sort(_roots(chi, r))).min(initial=np.inf))
     return SolverResult(
         chi=ChoiOperator._frozen(r.dim_in, r.dim_out, chi.matrix),  # so a kept result holds no stack
         fidelity=fids[-1],

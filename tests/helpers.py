@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from choiopt.errors import NegativeEigenvalueError, SingularLambdaError
+from choiopt.linalg import CLIP_TOL, PINV_CUTOFF
+
 
 def same_bytes(a, b):
     """a and b have the same dtype, shape and bytes (so -0.0 differs from 0.0)."""
@@ -71,3 +74,36 @@ def entangler_b_mixed_state():
         + np.outer(psi_plus, psi_plus)
         + np.outer(e[:, 3], e[:, 3])
     ) / 3
+
+
+# The value rules as numpy formulas, the references that linalg's rules over
+# Python floats must match byte for byte.  numpy may warn where the floats do
+# not (0 * inf in the cut, a 1/w that overflows to inf), with the same values.
+
+
+def clip_roots_oracle(w):
+    if w.min() < -CLIP_TOL:
+        raise NegativeEigenvalueError(f"eigenvalue {w.min():.3e} below -{CLIP_TOL:.1e}")
+    return np.sqrt(np.where(w < CLIP_TOL, 0.0, w))
+
+
+def support_oracle(w, rel_cutoff):
+    return w >= max(rel_cutoff * w.max(), np.finfo(float).smallest_subnormal)
+
+
+def inverse_on_support_oracle(w, rel_cutoff):
+    return np.divide(1.0, w, out=np.zeros(len(w)), where=support_oracle(w, rel_cutoff))
+
+
+def inverse_roots_oracle(w):
+    """linalg.inverse_roots: the clip rule, then the pseudo-inverse of the roots at PINV_CUTOFF."""
+    roots = clip_roots_oracle(w)
+    return roots, inverse_on_support_oracle(roots, PINV_CUTOFF)
+
+
+def solver_inverse_roots_oracle(w):
+    """solver._inverse_roots: inverse_roots_oracle, singular when no inverse is nonzero."""
+    roots, inv = inverse_roots_oracle(w)
+    if not np.count_nonzero(inv):
+        raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
+    return roots, inv

@@ -542,8 +542,8 @@ def _kept_directions(c: float, factor: float) -> dict:
 
 
 class TestOneSupportRule:
-    # linalg.clip_roots and linalg.support decide, for every caller, which
-    # eigenvalues count as zero.
+    # linalg's clip rule (CLIP_TOL) and support rule (support_cut) decide,
+    # for every caller, which eigenvalues count as zero.
     @pytest.mark.parametrize("factor", [0.9, 1.1])
     def test_sqrt_and_step_clip_alike(self, factor):
         w = -factor * linalg.CLIP_TOL
@@ -574,19 +574,20 @@ class TestOneSupportRule:
         assert list(linalg.support(w, 0.0)) == list(linalg.support(w, -1.0)) == [False, False, True, True]
 
     def test_every_caller_reads_one_support_rule(self, monkeypatch):
-        # With the rule keeping every positive eigenvalue, no caller drops
-        # the direction the cutoff would.
-        monkeypatch.setattr(linalg, "support", lambda w, rel_cutoff: w > 0.0)
+        # With the rule's threshold keeping every positive eigenvalue, no
+        # caller drops the direction the cutoff would.
+        monkeypatch.setattr(linalg, "support_cut", lambda top, rel_cutoff: 5e-324)
         assert set(_kept_directions(linalg.PINV_CUTOFF, 0.9).values()) == {2}
         assert set(_kept_directions(1e-3, 0.9).values()) == {2}
 
     def test_every_caller_reads_one_clip_rule(self, monkeypatch):
-        def fail(w):
-            raise NegativeEigenvalueError("clip rule called")
-
-        monkeypatch.setattr(linalg, "clip_roots", fail)
-        for call in (lambda: linalg.psd_sqrt(np.eye(2)), lambda: _step_marginal([1.0, 1.0])):
-            assert _raised(call) == (NegativeEigenvalueError, "clip rule called")
+        # At a clip tolerance of 0.5 both callers refuse -0.6 alike and take 0.4 as a zero.
+        monkeypatch.setattr(linalg, "CLIP_TOL", 0.5)
+        refused = (NegativeEigenvalueError, "eigenvalue -6.000e-01 below -5.0e-01")
+        assert _raised(lambda: linalg.psd_sqrt(np.diag([1.0, -0.6]))) == refused
+        assert _raised(lambda: _step_marginal([1.0, -0.6])) == refused
+        assert np.array_equal(linalg.psd_sqrt(np.diag([1.0, 0.4])), np.diag([1.0, 0.0]))
+        assert list(_step_marginal([1.0, 0.4])) == [1.0, 0.0]
 
     def test_nan_kraus_cutoff_is_rejected(self):
         with pytest.raises(ValueError, match="cutoff must not be NaN"):

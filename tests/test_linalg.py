@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiopt import linalg
+from choiopt import linalg, solver
 from choiopt.errors import (
     AllZeroError,
     DimensionMismatchError,
@@ -13,7 +14,17 @@ from choiopt.errors import (
     NonSquareError,
     NotHermitianError,
 )
-from helpers import random_hermitian, random_psd, unot_r_matrix
+from helpers import (
+    clip_roots_oracle,
+    inverse_on_support_oracle,
+    inverse_roots_oracle,
+    random_hermitian,
+    random_psd,
+    same_bytes,
+    solver_inverse_roots_oracle,
+    support_oracle,
+    unot_r_matrix,
+)
 
 
 class TestHermEig:
@@ -243,3 +254,99 @@ class TestTypedErrors:
     def test_partial_transpose_rejects_unknown_which(self):
         with pytest.raises(ValueError, match="which"):
             linalg.partial_transpose(np.eye(4), 2, 2, which="both")
+
+
+_TINY = float(np.finfo(float).smallest_subnormal)
+_SPECIALS = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, _TINY, -_TINY, 1e-310, 1.0, 0.25, 2.5, -1.0, 1e-11, 1e14, 1e300,
+    *(math.nextafter(t, side) for t in (linalg.CLIP_TOL, -linalg.CLIP_TOL) for side in (-math.inf, 0.0, math.inf)),
+]
+_CUTOFFS = [0.0, 1.0, -1.0, 1e-12]
+
+
+def _beside(x: float) -> list:
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+@st.composite
+def _spectra(draw):
+    """(w, rel_cutoff): 1 to 64 floats around a largest one, with values at and
+    beside both cuts: rel_cutoff times the largest (support) and the
+    eigenvalues whose roots sit at PINV_CUTOFF times the largest root (the
+    step's inverse roots)."""
+    rel_cutoff = draw(st.sampled_from(_CUTOFFS))
+    top = draw(st.sampled_from([1.0, 0.3, 1e14, 1e20, 1e300, math.inf, 1e-310, _TINY]) | st.floats(0.0, 1e30))
+    root_cut = linalg.PINV_CUTOFF * math.sqrt(top)
+    near = [*_beside(rel_cutoff * top), *_beside(root_cut * root_cut)]
+    near += [x * x for x in _beside(root_cut)]
+    element = st.sampled_from(_SPECIALS + near) | st.floats(-2.0, 2.0) | st.floats(allow_nan=True)
+    values = draw(st.lists(element, max_size=63))
+    values.insert(draw(st.integers(0, len(values))), top)
+    return np.array(values), rel_cutoff
+
+
+def _outcome(rule, *args):
+    """A rule's result, or the type and message of what it raised (a warning
+    too); numpy's floating-point warnings are off, so an oracle's is none."""
+    try:
+        with np.errstate(all="ignore"):
+            return rule(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        return got == want
+    if isinstance(want, tuple):
+        return isinstance(got, tuple) and len(got) == len(want) and all(map(_same, got, want))
+    return isinstance(got, np.ndarray) and same_bytes(got, want)
+
+
+class _CountedFloats(list):
+    passes = 0
+
+    def __iter__(self):
+        _CountedFloats.passes += 1
+        return super().__iter__()
+
+
+class _CountedArray(np.ndarray):
+    def tolist(self):
+        return _CountedFloats(super().tolist())
+
+
+class TestRulesOverFloats:
+    # The clip, support and pseudo-inverse rules read a spectrum's Python
+    # floats; each, the composed one and the step's _inverse_roots give the
+    # numpy formulas' bytes and raise their errors, NaN, +-inf, -0.0 and
+    # subnormals included.  The float rules themselves never warn.
+    @given(_spectra())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_each_rule_is_its_numpy_formula(self, case):
+        w, rel_cutoff = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = [
+                (lambda: linalg.clip_roots(w), lambda: clip_roots_oracle(w)),
+                (lambda: linalg.support(w, rel_cutoff), lambda: support_oracle(w, rel_cutoff)),
+                (lambda: linalg.inverse_on_support(w, rel_cutoff), lambda: inverse_on_support_oracle(w, rel_cutoff)),
+                (lambda: linalg.inverse_roots(w), lambda: inverse_roots_oracle(w)),
+                (lambda: solver._inverse_roots(w), lambda: solver_inverse_roots_oracle(w)),
+            ]
+            for rule, oracle in pairs:
+                got, want = _outcome(rule), _outcome(oracle)
+                assert _same(got, want), (got, want)
+
+    @pytest.mark.parametrize("w", [[1.0], [0.25, 4.0, 0.0, 1e-20] * 8, [1e14, 1e-10, 9.9e-11, 1.0]], ids=len)
+    def test_the_composed_rule_reads_the_floats_in_one_pass(self, w, monkeypatch):
+        # Besides the builtin max, one loop over the floats and no call of either rule.
+        def refused(*args):
+            raise AssertionError("a rule of its own called")
+
+        monkeypatch.setattr(linalg, "clip_roots", refused)
+        monkeypatch.setattr(linalg, "inverse_on_support", refused)
+        _CountedFloats.passes = 0
+        roots, inv = linalg.inverse_roots(np.array(w).view(_CountedArray))
+        assert _CountedFloats.passes == 2
+        assert _same((roots, inv), inverse_roots_oracle(np.array(w)))
