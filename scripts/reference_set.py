@@ -6,9 +6,11 @@ shifter at pi - 1e-3, 3.13 and ALPHA_THRESHOLD + 1e-4, unot and cloner for
 N = 1..10, entangler-a, entangler-b and identity, each from the starts
 maxmix, random:1 and random:2.  Every solve uses the default SolverOptions.
 The summary gives the solve count and their summed time, the iterations
-(in all, then per start); how many dual-endgame calls certified, their
-summed time and, per start, the median and the largest Newton step count
-of a call that returned an answer; the unconverged rows, the rows reported
+(in all, then per start); how many dual-endgame calls certified and how
+many of those by the target's stored dual (analytic_r's shifter and
+identity), their summed time and, per start, the median and the largest
+Newton step count of a barrier call (a target without a stored dual) that
+returned an answer, or "none"; the unconverged rows, the rows reported
 converged but further than fid_tol from the known optimum, and the rows
 that ended through the endgame but further than 1e-12 from it.
 Exits 1 when a solve raises or ends unconverged, 0 otherwise.  With --rows
@@ -45,13 +47,19 @@ def specs():
     yield from (ModelSpec(kind) for kind in ("entangler_a", "entangler_b", "identity"))
 
 
+def stored_dual(r) -> bool:
+    """Whether r carries a stored dual; false under a src/ whose targets have
+    no dual field, which `make refset-diff` may run this script against."""
+    return getattr(r, "dual", None) is not None
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--rows", metavar="FILE", help="write one line per solve to FILE")
     args = ap.parse_args(argv)
     calls = solves_made = 0
     endgame_time = 0.0
-    newton = {init: [] for init in STARTS}  # per start, the Newton steps of each call that returned an answer
+    newton = {init: [] for init in STARTS}  # per start, the Newton steps of each barrier call that returned an answer
     real, real_solve = solver._dual_endgame, solver._psd_solve
 
     def counted_solve(m, v):  # one per Newton step, and one in the recovery of an answer
@@ -59,19 +67,19 @@ def main(argv=None):
         solves_made += 1
         return real_solve(m, v)
 
-    def counted(r, chi):  # counts the endgame calls, sums their time and keeps their Newton steps
+    def counted(r, chi):  # counts the endgame calls, sums their time and keeps the barrier's Newton steps
         nonlocal calls, endgame_time, solves_made
         solves_made = 0
         start = time.perf_counter()
         done = real(r, chi)
         endgame_time += time.perf_counter() - start
         calls += 1
-        if done is not None:
+        if done is not None and not stored_dual(r):
             newton[init].append(solves_made - 1)
         return done
 
     solver._dual_endgame, solver._psd_solve = counted, counted_solve
-    solves = certified = 0
+    solves = certified = by_dual = 0
     iterations = dict.fromkeys(STARTS, 0)  # per start
     raised, unconverged, off, endgame_off = [], [], [], []
     elapsed = 0.0
@@ -96,6 +104,7 @@ def main(argv=None):
                 f"{result.lambda_gap!r}"
             )
             certified += not math.isnan(result.gap)  # solve keeps a gap only when it certified
+            by_dual += not math.isnan(result.gap) and stored_dual(r)
             error = abs(result.fidelity - optimum)
             if not result.converged:
                 unconverged.append(f"{spec} {init}")
@@ -106,11 +115,12 @@ def main(argv=None):
     by_start = " / ".join(f"{init} {count}" for init, count in iterations.items())
     print(f"solves = {solves}  time = {elapsed:.2f} s  iterations = {sum(iterations.values())} ({by_start})")
     steps = " / ".join(
-        f"{init} {statistics.median(counts):g}, {max(counts)}" if counts else f"{init} -"
+        f"{init} {statistics.median(counts):g}, {max(counts)}" if counts else f"{init} none"
         for init, counts in newton.items()
     )
     print(
-        f"{certified} of {calls} endgame calls certified  endgame time = {endgame_time:.2f} s  "
+        f"{certified} of {calls} endgame calls certified ({by_dual} by a stored dual)  "
+        f"endgame time = {endgame_time:.2f} s  "
         f"Newton steps (median, max) = {steps}"
     )
     print(

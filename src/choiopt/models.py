@@ -316,13 +316,16 @@ class KnownOptimum:
 class _Model:
     """One kind's facts: its dims, its family's evaluator and quadrature
     degree, and zero-argument builders of R's closed-form matrix (target) and
-    of the known optimum, so that a family builds neither and R no optimum."""
+    of the known optimum, so that a family builds neither and R no optimum;
+    dual, where known in closed form, builds the optimal diagonal y of the
+    dual SDP from R's matrix."""
 
     dims: tuple[int, int]
     evaluator: Callable
     degree: int
     target: Callable[[], np.ndarray]
     optimum: Callable[[], KnownOptimum]
+    dual: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _model(spec: ModelSpec) -> _Model:
@@ -364,7 +367,17 @@ def _model(spec: ModelSpec) -> _Model:
         opt = shifter_closed_forms(alpha)
         return KnownOptimum(opt.fidelity, damping_channel(opt.beta_opt))
 
-    return _Model((2, 2), ev, 4, lambda: _r_shifter(alpha), optimum)
+    return _Model((2, 2), ev, 4, lambda: _r_shifter(alpha), optimum, _shifter_dual)
+
+
+def _shifter_dual(r: np.ndarray) -> np.ndarray:
+    """The optimal y of min y0 + y1 s.t. diag(y) (x) 1 >= R for the shifter's R:
+    with a = R00, b = R33 and c = |R03|, y0 = max(a + c, R11) and
+    y1 = b + c^2 / (y0 - a).  Below alpha0, y0 = a + c (the identity channel's
+    dual); above it, the bound y0 >= R11 is active."""
+    a, b, c, r11 = r[0, 0].real, r[3, 3].real, abs(r[0, 3]), r[1, 1].real
+    y0 = max(a + c, r11)
+    return np.array([y0, b + c * c / (y0 - a)])
 
 
 def model_family(spec: ModelSpec) -> StateFamily:
@@ -374,9 +387,12 @@ def model_family(spec: ModelSpec) -> StateFamily:
 
 
 def analytic_r(spec: ModelSpec) -> TargetOperator:
-    """Closed-form target operator; matches build_r_quadrature(model_family(...))."""
+    """Closed-form target operator; matches build_r_quadrature(model_family(...)).
+    It carries the optimum's dual where that is known in closed form (the
+    shifter and identity), else none."""
     model = _model(spec)
-    return TargetOperator(*model.dims, model.target())
+    m = model.target()
+    return TargetOperator(*model.dims, m, dual=None if model.dual is None else model.dual(m))
 
 
 def known_optimum(spec: ModelSpec) -> KnownOptimum:

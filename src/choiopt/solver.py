@@ -62,7 +62,8 @@ class SolverResult:
     the smallest gap between adjacent roots of the final multiplier (near zero:
     a degenerate optimum, whose chi may depend on the start); gap is the
     certified distance to the optimal fidelity when the dual endgame gave the
-    result, else NaN."""
+    result, a Python float >= 0 (0 where R's stored dual bounds F to
+    rounding), else NaN."""
 
     chi: ChoiOperator
     fidelity: float
@@ -303,66 +304,82 @@ def _diagonal_dual(r: TargetOperator, chi: ChoiOperator) -> tuple:
     return y, np.ones(d), slack, derivatives, recover
 
 
+def _barrier(chi: ChoiOperator, r: TargetOperator, layout: tuple, mu_end: float) -> tuple | None:
+    """The barrier's y at mu_end and the eigh of its slack, from the layout's
+    warm start; None when rounding leaves the feasible set or a stage does
+    not centre in MAX_NEWTON steps (README's "Dual endgame")."""
+    y, one, slack, derivatives, _ = layout
+    d, n = r.dim_in, r.dim_in * r.dim_out
+    z_eigs, z_vecs = slack(y)  # one eigh of the start's slack: the shift moves no eigenvector
+    excess = max(0.0, -z_eigs.min())
+    mu = max(mu_end, (float(np.vdot(one, y).real) + d * excess - fidelity(chi, r)) / n)
+    y, z_eigs = y + (excess + mu) * one, z_eigs + (excess + mu)
+    while True:
+        last = np.inf
+        for _ in range(MAX_NEWTON):
+            if z_eigs.min() <= 0.0:  # rounding left the feasible set
+                return None
+            w_trace, hess = derivatives(z_eigs, z_vecs)
+            grad = one - mu * w_trace
+            # One solve gives the Newton step and the tangent dY/dmu = H^-1 Tr_K[Z^-1].
+            rhs = np.array((-grad, w_trace)).reshape(2, -1).T.copy()  # the columns -grad and Tr_K[Z^-1]
+            both = _psd_solve(mu * hess, rhs).T.reshape(2, *y.shape)
+            step, tangent = linalg.hermitian_part(both) if y.ndim == 2 else both  # Y stays Hermitian
+            dec2 = -float(np.vdot(grad, step).real) / mu  # squared Newton decrement
+            if dec2 < NEWTON_TOL or last <= dec2 < 1 / 16:  # centred, or at the rounding floor
+                break
+            last = dec2
+            # Both steps stay inside the Dikin ellipsoid, so Y stays strictly
+            # feasible; full steps converge quadratically once dec2 < 1/16.
+            y = y + step / (1.0 + math.sqrt(dec2)) if dec2 > 1 / 16 else y + step
+            z_eigs, z_vecs = slack(y)
+        else:
+            return None
+        if mu == mu_end:
+            return y, z_eigs, z_vecs
+        mu_next = max(mu_end, mu / STAGE_CUT)
+        trial = y + tangent * (mu_next - mu)
+        t_eigs, t_vecs = slack(trial)
+        if t_eigs.min() > 0.0:  # else the predictor is dropped
+            y, z_eigs, z_vecs = trial, t_eigs, t_vecs
+        mu = mu_next
+
+
 def _dual_endgame(r: TargetOperator, chi: ChoiOperator) -> tuple[ChoiOperator, float] | None:
-    """The checked optimal chi and its certified gap from the dual SDP
-    min Tr Y s.t. Y (x) 1_K >= R, warm-started from chi; None on any failure.
+    """The checked optimal chi and its certified gap, a Python float >= 0, from
+    the dual SDP min Tr Y s.t. Y (x) 1_K >= R; None on any failure.
 
     A layout gives the warm start, the unit of its unknowns and three
     functions: slack(y), the eigh of the slack Z; derivatives(eigs, vecs),
     Tr_K[Z^-1] and the Hessian over mu; recover(eigs, vecs, cut), the
     operator P X P† on Z's eigenvectors P below cut, X >= 0 fitted to
     Tr_K = 1 by one _psd_solve, or InvalidChoiError when P is empty or X is
-    indefinite.  Any feasible Y bounds every channel's fidelity by Tr Y, so
-    the gap Tr Y + dim_in max(0, -lambda_min(Z)) - F is rigorous.  README's
-    "Dual endgame" gives the barrier schedule and the recovery.
+    indefinite.  Y is R's stored dual (diag(y) in the dense layout), whose
+    slack takes one eigh, or else _barrier's, warm-started from chi.  Any Y
+    bounds every channel's fidelity by Tr Y + dim_in max(0, -lambda_min(Z)),
+    so the gap, that bound less F and clamped at 0, is rigorous: a wrong
+    stored dual can cost a certificate, not forge one.  README's "Dual
+    endgame" gives the barrier schedule and the recovery.
     """
     d, k = r.dim_in, r.dim_out
-    n = d * k
-    mu_end = BARRIER_GAP / n
-    y, one, slack, derivatives, recover = (_dense_dual if r.blocks is None else _diagonal_dual)(r, chi)
-
-    def trace(y):  # Tr Y, or the sum of a diagonal y
-        return float(np.vdot(one, y).real)
-
+    mu_end = BARRIER_GAP / (d * k)
+    layout = (_dense_dual if r.blocks is None else _diagonal_dual)(r, chi)
+    _, one, slack, _, recover = layout
     try:
-        z_eigs, z_vecs = slack(y)  # one eigh of the start's slack: the shift moves no eigenvector
-        excess = max(0.0, -z_eigs.min())
-        mu = max(mu_end, (trace(y) + d * excess - fidelity(chi, r)) / n)
-        y, z_eigs = y + (excess + mu) * one, z_eigs + (excess + mu)
-        while True:
-            last = np.inf
-            for _ in range(MAX_NEWTON):
-                if z_eigs.min() <= 0.0:  # rounding left the feasible set
-                    return None
-                w_trace, hess = derivatives(z_eigs, z_vecs)
-                grad = one - mu * w_trace
-                # One solve gives the Newton step and the tangent dY/dmu = H^-1 Tr_K[Z^-1].
-                rhs = np.array((-grad, w_trace)).reshape(2, -1).T.copy()  # the columns -grad and Tr_K[Z^-1]
-                both = _psd_solve(mu * hess, rhs).T.reshape(2, *y.shape)
-                step, tangent = linalg.hermitian_part(both) if y.ndim == 2 else both  # Y stays Hermitian
-                dec2 = -float(np.vdot(grad, step).real) / mu  # squared Newton decrement
-                if dec2 < NEWTON_TOL or last <= dec2 < 1 / 16:  # centred, or at the rounding floor
-                    break
-                last = dec2
-                # Both steps stay inside the Dikin ellipsoid, so Y stays strictly
-                # feasible; full steps converge quadratically once dec2 < 1/16.
-                y = y + step / (1.0 + math.sqrt(dec2)) if dec2 > 1 / 16 else y + step
-                z_eigs, z_vecs = slack(y)
-            else:
+        if r.dual is None:
+            found = _barrier(chi, r, layout, mu_end)
+            if found is None:
                 return None
-            if mu == mu_end:
-                break
-            mu_next = max(mu_end, mu / STAGE_CUT)
-            trial = y + tangent * (mu_next - mu)
-            t_eigs, t_vecs = slack(trial)
-            if t_eigs.min() > 0.0:  # else the predictor is dropped
-                y, z_eigs, z_vecs = trial, t_eigs, t_vecs
-            mu = mu_next
-        chi = iterate_once(recover(z_eigs, z_vecs, np.sqrt(mu)), r)  # central path: Z ~ mu / chi on the kernel
+            y, z_eigs, z_vecs = found
+        else:
+            y = r.dual if one.ndim == 1 else np.diag(r.dual)
+            z_eigs, z_vecs = slack(y)
+        chi = iterate_once(recover(z_eigs, z_vecs, math.sqrt(mu_end)), r)  # central path: Z ~ mu / chi on the kernel
         require_valid_choi(chi)
     except (np.linalg.LinAlgError, ChoiOptError):
         return None
-    return chi, trace(y) + d * max(0.0, -z_eigs.min()) - fidelity(chi, r)
+    bound = float(np.vdot(one, y).real) + d * max(0.0, -float(z_eigs.min()))
+    return chi, max(0.0, bound - fidelity(chi, r))
 
 
 def _slow_tail(fids: list[float], fid_tol: float) -> bool:

@@ -56,11 +56,17 @@ class StateFamily:
 class TargetOperator:
     """Positive unit-trace operator on input (x) output whose overlap with a
     process matrix is the mean fidelity; lambda_max is its largest eigenvalue.
+    dual, when given, is a diagonal y of the dual SDP min Tr Y s.t.
+    Y (x) 1_K >= R, stored read-only as dim_in finite floats (else
+    DimensionMismatchError for its shape, InvalidChoiError for its values);
+    the dual endgame takes it in place of its barrier, and no JSON file
+    carries it.
     Compares and hashes by identity."""
 
     dim_in: int
     dim_out: int
     matrix: np.ndarray
+    dual: np.ndarray | None = field(default=None, kw_only=True)
     lambda_max: float = field(init=False)
 
     def __post_init__(self):
@@ -68,6 +74,15 @@ class TargetOperator:
         w = require_admissible(m, 1, len(m), InvalidChoiError)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "lambda_max", float(w.max()))
+        if self.dual is not None:
+            y = np.asarray(self.dual)
+            if y.shape != (self.dim_in,):
+                raise DimensionMismatchError(f"target dual shape {y.shape} does not match dim_in {self.dim_in}")
+            if y.dtype.kind not in "iuf" or not np.isfinite(y).all():
+                raise InvalidChoiError(f"target dual must be real and finite, got {y.tolist()!r}")
+            y = y.astype(np.float64)  # a copy
+            y.setflags(write=False)
+            object.__setattr__(self, "dual", y)
 
     @cached_property
     def blocks(self) -> BlockPlan | None:

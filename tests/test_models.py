@@ -484,3 +484,47 @@ class TestOneDispatch:
     def test_the_target_builds_no_optimum(self, spec, monkeypatch):
         _raise_from(monkeypatch, OPTIMUM_HELPERS)
         assert (analytic_r(spec).dim_in, analytic_r(spec).dim_out) == spec.dims
+
+
+# The stored dual's angles: a grid on [0, pi], alpha0 +- 10^-k, alpha0, and the rows near pi.
+DUAL_ALPHAS = [
+    *np.linspace(0.0, np.pi, 4001).tolist(),
+    *(ALPHA_THRESHOLD + sign * 10.0**-k for k in range(2, 16) for sign in (1, -1)),
+    ALPHA_THRESHOLD,
+    np.pi - 1e-3,
+    3.13,
+]
+
+
+class TestShifterDual:
+    # analytic_r's shifter carries the optimal diagonal y of min Tr Y s.t.
+    # Y (x) 1 >= R: feasible to rounding, with Tr Y the closed-form optimum.
+    def test_feasible_with_the_closed_form_value(self):
+        targets = [analytic_r(ModelSpec("shifter", alpha=a)) for a in DUAL_ALPHAS]
+        y = np.array([r.dual for r in targets])
+        # diag(y) (x) 1_2 - R, whose eigenvalues are those of its blocks on R's plan
+        slack = np.repeat(y, 2, axis=1)[:, :, None] * np.eye(4) - np.array([r.matrix for r in targets])
+        assert np.linalg.eigvalsh(slack).min() >= -1e-15
+        closed = np.array([shifter_closed_forms(a).fidelity for a in DUAL_ALPHAS])
+        assert np.abs(y.sum(axis=1) - closed).max() <= 1e-15
+
+    @pytest.mark.parametrize("alpha", [0.3, ALPHA_THRESHOLD, 0.71, 2.5], ids=str)
+    def test_one_expression_for_both_branches(self, alpha):
+        # Below alpha0, y = (a + c, b + c); above it, y0 = R11 and y1 = b + c^2 / (R11 - a).
+        m = analytic_r(ModelSpec("shifter", alpha=alpha)).matrix.real
+        a, b, c, r11 = m[0, 0], m[3, 3], abs(m[0, 3]), m[1, 1]
+        want = (a + c, b + c) if alpha <= ALPHA_THRESHOLD else (r11, b + c * c / (r11 - a))
+        assert np.abs(analytic_r(ModelSpec("shifter", alpha=alpha)).dual - want).max() <= 1.2e-16
+
+    def test_identity_carries_the_shifters_dual_at_zero(self):
+        ident, shift = analytic_r(ModelSpec("identity")), analytic_r(ModelSpec("shifter", alpha=0.0))
+        assert np.array_equal(ident.dual, shift.dual)
+        assert ident.dual.sum() == 1.0
+
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if s.kind not in ("shifter", "identity")], ids=str)
+    def test_other_kinds_store_none(self, spec):
+        assert analytic_r(spec).dual is None
+
+    def test_read_only_floats(self):
+        y = analytic_r(ModelSpec("shifter", alpha=1.0)).dual
+        assert y.dtype == np.float64 and y.shape == (2,) and not y.flags.writeable

@@ -25,24 +25,30 @@ def test_every_reference_solve_converges_and_every_endgame_certifies(proc):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     solves, endgame, verdict = proc.stdout.splitlines()
     assert solves.startswith("solves = 381  ")
-    certified, calls = map(int, endgame.split(" endgame calls certified  ")[0].split(" of "))
+    certified, calls = map(int, endgame.split(" endgame calls certified ")[0].split(" of "))
     assert calls == certified >= 1
     assert verdict.startswith("raised = 0  unconverged = 0  ")
     assert verdict.endswith("endgame rows off by more than 1e-12 = 0")
 
 
 def test_endgame_line_reports_its_time_and_newton_steps(proc):
-    # "N of N endgame calls certified  endgame time = T s  Newton steps (median, max) = maxmix M, X / ..."
+    # "N of N endgame calls certified (S by a stored dual)  endgame time = T s
+    #  Newton steps (median, max) = maxmix none / random:1 M, X / ...", the steps of barrier calls only
     solves, endgame = proc.stdout.splitlines()[:2]
     total = float(solves.split("  time = ")[1].split(" s")[0])
-    _, time_part, steps_part = endgame.split("  ")
+    calls_part, time_part, steps_part = endgame.split("  ")
+    certified = int(calls_part.split(" of ")[0])
+    by_dual = int(calls_part.removesuffix(" by a stored dual)").split(" (")[1])
+    assert 1 <= by_dual < certified  # the shifter rows by their stored dual, and at least one barrier call
     assert time_part.startswith("endgame time = ") and time_part.endswith(" s")
     assert 0.0 < float(time_part.removeprefix("endgame time = ").removesuffix(" s")) <= total
     by_start = [entry.split(" ", 1) for entry in steps_part.removeprefix("Newton steps (median, max) = ").split(" / ")]
     assert [init for init, _ in by_start] == ["maxmix", "random:1", "random:2"]
+    assert any(counts != "none" for _, counts in by_start)
     for _, counts in by_start:
-        median, largest = (float(count) for count in counts.split(", "))
-        assert 1 <= median <= largest <= 45  # TestPredictorCorrector.BUDGET
+        if counts != "none":
+            median, largest = (float(count) for count in counts.split(", "))
+            assert 1 <= median <= largest <= 45  # TestPredictorCorrector.BUDGET
 
 
 def test_first_line_splits_the_iterations_by_start(proc):

@@ -119,6 +119,13 @@ class TestTargetFormat:
         assert np.array_equal(back.matrix, r.matrix)
         assert back.lambda_max == pytest.approx(r.lambda_max, abs=1e-15)
 
+    def test_the_stored_dual_is_not_written(self):
+        # A loaded target carries no dual, so its endgame runs the barrier.
+        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        obj = serialize.target_to_obj(r)
+        assert r.dual is not None and "dual" not in obj
+        assert serialize.target_from_obj(obj).dual is None
+
 
 class TestKrausFormat:
     def test_round_trip(self, tmp_path):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 import pickle
 import tracemalloc
 
@@ -47,6 +48,15 @@ from helpers import (
 )
 
 UNOT1 = analytic_r(ModelSpec("unot", copies=1))
+
+
+def barrier_r(spec: ModelSpec) -> TargetOperator:
+    """analytic_r(spec) without its stored dual, so that the dual endgame runs the barrier."""
+    return TargetOperator(*spec.dims, analytic_r(spec).matrix)
+
+
+# analytic_r's shifter carries its optimal dual; barrier_r's finishes through the barrier.
+ROUTES = pytest.mark.parametrize("build", [analytic_r, barrier_r], ids=["stored-dual", "barrier"])
 
 
 class TestIterateOnce:
@@ -532,9 +542,10 @@ def endgame_calls(monkeypatch):
 
 
 class TestDualEndgame:
+    @ROUTES
     @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.7, 3.13], ids=str)
-    def test_slow_shifter_rows_finish_certified(self, alpha, endgame_results):
-        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+    def test_slow_shifter_rows_finish_certified(self, alpha, build, endgame_results):
+        r = build(ModelSpec("shifter", alpha=alpha))
         result = solve(r)
         assert len(endgame_results) == 1
         assert result.converged
@@ -560,8 +571,9 @@ class TestDualEndgame:
         assert np.isnan(result.gap)
 
     def test_uncertified_endgame_is_discarded(self):
-        # No gap reaches fid_tol = 1e-300, so the endgame's answer is dropped.
-        r = analytic_r(ModelSpec("shifter", alpha=0.7))
+        # No barrier gap reaches fid_tol = 1e-300, so the endgame's answer is dropped
+        # (a stored dual's gap, clamped at 0, may reach any fid_tol).
+        r = barrier_r(ModelSpec("shifter", alpha=0.7))
         opts = SolverOptions(max_iters=300, fid_tol=1e-300)
         result = solve(r, opts)
         chi, trace = plain_iteration(r, opts)
@@ -696,7 +708,7 @@ class TestEndgameRejects:
         ids=["infeasible-slack", "newton-budget", "empty-kernel", "indefinite-x", "linalg-error"],
     )
     def test_each_reject_leaves_the_iteration_unchanged(self, name, value, monkeypatch, endgame_results):
-        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        r = barrier_r(ModelSpec("shifter", alpha=0.71))
         opts = SolverOptions()
         chi, trace = plain_iteration(r, opts)
         monkeypatch.setattr(solver_module, name, value)
@@ -707,11 +719,12 @@ class TestEndgameRejects:
         assert result.iterations == len(trace) > call_step(endgame_results.chis[0], r, opts)
         assert np.isnan(result.gap)
 
+    @ROUTES
     @pytest.mark.parametrize("routine", ["eigvalsh", "eigh"])
-    def test_lapack_error_leaves_the_iteration_unchanged(self, routine, monkeypatch, endgame_results):
+    def test_lapack_error_leaves_the_iteration_unchanged(self, routine, build, monkeypatch, endgame_results):
         # From maxmix every step of this row is a block step, which calls
         # neither routine, so the first call inside solve is the endgame's.
-        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        r = build(ModelSpec("shifter", alpha=0.71))
         opts = SolverOptions()
         chi, trace = plain_iteration(r, opts)
         real, calls = getattr(np.linalg, routine), []
@@ -772,10 +785,10 @@ class TestPredictorCorrector:
     @pytest.mark.parametrize("init", ["maxmix", "random:1", "random:2"])
     @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.71, 3.13], ids=str)
     def test_newton_budget_at_the_firing_iterate(self, alpha, init, endgame_calls, newton_steps):
-        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+        r = barrier_r(ModelSpec("shifter", alpha=alpha))
         solve(r, SolverOptions(init=init))
         steps, done = newton_steps(r, endgame_calls.chis[0])
-        assert steps <= self.BUDGET
+        assert 1 <= steps <= self.BUDGET
         assert done is not None and done[1] <= SolverOptions().fid_tol
         assert abs(fidelity(done[0], r) - shifter_closed_forms(alpha).fidelity) <= 1e-12
 
@@ -784,14 +797,14 @@ class TestPredictorCorrector:
         spec = ModelSpec("cloner", copies=10)
         r = analytic_r(spec)
         steps, done = newton_steps(r, iterate_once(maxmix_choi(r.dim_in, r.dim_out), r))
-        assert steps <= self.BUDGET
+        assert 1 <= steps <= self.BUDGET
         assert done is not None and done[1] <= SolverOptions().fid_tol
         assert abs(fidelity(done[0], r) - known_optimum(spec).fidelity) <= 1e-12
 
     def test_every_predictor_step_infeasible(self, monkeypatch, endgame_results):
         # Without a usable predictor the Newton steps alone re-centre each stage.
         monkeypatch.setattr(solver_module, "_psd_solve", _tangent_off_the_feasible_set)
-        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        r = barrier_r(ModelSpec("shifter", alpha=0.71))
         result = solve(r)
         assert len(endgame_results) == 1
         assert result.converged and result.gap <= SolverOptions().fid_tol
@@ -1094,9 +1107,10 @@ class TestEndgameOnTheBlocks:
         assert done is not None and done[1] <= SolverOptions().fid_tol
         assert not done[0].matrix[off_blocks(r)].any()
 
+    @ROUTES
     @pytest.mark.parametrize("alpha", [0.71, 3.13], ids=str)
-    def test_at_the_firing_iterate(self, alpha, endgame_calls, monkeypatch):
-        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+    def test_at_the_firing_iterate(self, alpha, build, endgame_calls, monkeypatch):
+        r = build(ModelSpec("shifter", alpha=alpha))
         solve(r)
         self.check(r, endgame_calls.chis[0], monkeypatch)
 
@@ -1106,8 +1120,8 @@ class TestEndgameOnTheBlocks:
 
 
 def without_plan(r: TargetOperator) -> TargetOperator:
-    """R with its block plan hidden: the endgame then takes the dense layout."""
-    hidden = TargetOperator(r.dim_in, r.dim_out, r.matrix)
+    """R with its block plan hidden, and its dual kept: the endgame then takes the dense layout."""
+    hidden = TargetOperator(r.dim_in, r.dim_out, r.matrix, dual=r.dual)
     hidden.__dict__["blocks"] = None
     return hidden
 
@@ -1161,7 +1175,7 @@ class TestDiagonalDual:
     # (B, s, s) stack; the dense Y, taken when the plan is hidden, is the reference.
     @pytest.mark.parametrize("spec, chi", LAYOUT_ROWS, ids=LAYOUT_IDS)
     def test_both_layouts_certify_the_same_value(self, spec, chi):
-        r, chi = analytic_r(spec), chi()
+        r, chi = barrier_r(spec), chi()
         optimum = known_optimum(spec).fidelity
         answers = [_dual_endgame(target, chi) for target in (r, without_plan(r))]
         for done in answers:
@@ -1174,7 +1188,7 @@ class TestDiagonalDual:
         # mu stays large, so every slack eigenvalue of R's positions lies above
         # sqrt(mu), while the padding's 1 lies below it: the kernel must be
         # empty, and the recovery rejects it.
-        r, chi = analytic_r(spec), chi()
+        r, chi = barrier_r(spec), chi()
         on_r = (r.blocks.input_labels < r.dim_in)[:, :, None]  # R's positions, not the padding
         assert not on_r.all()
         kernels, errors, real = [], [], solver_module._diagonal_dual
@@ -1289,6 +1303,82 @@ class TestDiagonalDual:
         dense = solver_module._dense_dual(without_plan(r), chi)[0]
         assert np.allclose(y, dense.diagonal().real, atol=1e-15)
         assert np.abs(dense - np.diag(dense.diagonal())).max() <= 1e-15
+
+
+# Shifter angles for the stored-dual endgame: a grid on [0, pi], alpha0 +- 10^-k, alpha0, and the rows near pi.
+STORED_DUAL_ALPHAS = [
+    *np.linspace(0.0, np.pi, 401).tolist(),
+    *(ALPHA_THRESHOLD + sign * 10.0**-k for k in range(2, 16) for sign in (1, -1)),
+    ALPHA_THRESHOLD,
+    np.pi - 1e-3,
+    3.13,
+]
+
+
+def refuse_barrier(*args):
+    raise AssertionError("the barrier ran")
+
+
+class TestStoredDual:
+    # analytic_r's shifter carries its optimum's dual: the endgame takes its
+    # slack in one eigh, recovers chi on its kernel and never runs the barrier.
+    @pytest.mark.parametrize("hidden", [False, True], ids=["blocks", "dense"])
+    @pytest.mark.parametrize("init", ["maxmix", "random:1"])
+    def test_recovers_the_closed_form(self, init, hidden, monkeypatch):
+        monkeypatch.setattr(solver_module, "_barrier", refuse_barrier)
+        for alpha in STORED_DUAL_ALPHAS:
+            r = analytic_r(ModelSpec("shifter", alpha=alpha))
+            done = _dual_endgame(without_plan(r) if hidden else r, forced_iterate(r, init))
+            assert done is not None, alpha
+            assert abs(fidelity(done[0], r) - shifter_closed_forms(alpha).fidelity) <= 1e-15, alpha
+            assert type(done[1]) is float and 0.0 <= done[1] <= 1e-15, alpha
+
+    @pytest.mark.parametrize("hidden", [False, True], ids=["blocks", "dense"])
+    @pytest.mark.parametrize("alpha", [0.3, ALPHA_THRESHOLD + 1e-4, 0.71, 2.0, 3.13], ids=str)
+    def test_a_moved_dual_forges_no_certificate(self, alpha, hidden):
+        # Tr y + dim_in max(0, -lambda_min(Z)) bounds F* for any y: a wrong dual
+        # fails or certifies a gap no smaller than the true one.
+        r = analytic_r(ModelSpec("shifter", alpha=alpha))
+        optimum = shifter_closed_forms(alpha).fidelity
+        chi = forced_iterate(r, "maxmix")
+        moves = [0.0, 1e-9, -1e-9, 1e-3, -1e-3]
+        for move in ((m0, m1) for m0 in moves for m1 in moves if (m0, m1) != (0.0, 0.0)):
+            moved = TargetOperator(2, 2, r.matrix, dual=r.dual + move)
+            done = _dual_endgame(without_plan(moved) if hidden else moved, chi)
+            assert done is None or done[1] >= optimum - fidelity(done[0], r) - 1e-15, move
+
+    def test_a_failing_dual_leaves_the_iteration_unchanged(self, monkeypatch, endgame_results):
+        # y one above the optimum: the slack has no kernel, and the endgame
+        # returns None without falling back to the barrier.
+        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        opts = SolverOptions()
+        chi, trace = plain_iteration(r, opts)
+        monkeypatch.setattr(solver_module, "_barrier", refuse_barrier)
+        result = solve(TargetOperator(2, 2, r.matrix, dual=r.dual + 1.0), opts)
+        assert endgame_results == [None]
+        assert np.array_equal(result.chi.matrix, chi.matrix)
+        assert result.fidelity_trace == trace
+        assert np.isnan(result.gap)
+
+    @pytest.mark.parametrize("init", STARTS)
+    @pytest.mark.parametrize("alpha", [ALPHA_THRESHOLD + 1e-4, 0.7, 0.71, 3.0, 3.13], ids=str)
+    def test_a_stored_dual_stop_has_python_types(self, alpha, init, monkeypatch, endgame_results):
+        # The gap and converged are a float and a bool, as a barrier stop's are,
+        # also where the slack's least eigenvalue is a rounding-level negative.
+        monkeypatch.setattr(solver_module, "_barrier", refuse_barrier)
+        result = solve(analytic_r(ModelSpec("shifter", alpha=alpha)), SolverOptions(init=init))
+        assert len(endgame_results) == 1 and result.converged
+        assert type(result.gap) is float and type(result.converged) is bool
+        assert 0.0 <= result.gap <= 1e-15
+        json.dumps({"gap": result.gap, "converged": result.converged})
+
+    def test_one_psd_solve_per_call(self, monkeypatch):
+        # No Newton step: the recovery's solve is the call's only one.
+        r = analytic_r(ModelSpec("shifter", alpha=0.71))
+        calls = []
+        monkeypatch.setattr(solver_module, "_psd_solve", lambda m, v: calls.append(m.shape) or _psd_solve(m, v))
+        assert _dual_endgame(r, forced_iterate(r, "maxmix")) is not None
+        assert len(calls) == 1
 
 
 def refuse_scatter(self, blocks):

@@ -333,6 +333,34 @@ class TestTargetOperator:
         with pytest.raises(TypeError):
             TargetOperator(2, 2, np.eye(4) / 4, 0.9)
 
+    @pytest.mark.parametrize(
+        "dual, error",
+        [
+            ([0.5, np.nan], InvalidChoiError),
+            ([np.inf, 0.5], InvalidChoiError),
+            ([0.5, -np.inf], InvalidChoiError),
+            ([0.5, 0.5 + 0j], InvalidChoiError),
+            ([True, False], InvalidChoiError),
+            (["0.5", "0.5"], InvalidChoiError),
+            ([0.5], DimensionMismatchError),
+            ([0.5, 0.5, 0.5], DimensionMismatchError),
+            ([[0.5, 0.5]], DimensionMismatchError),
+            (0.5, DimensionMismatchError),
+        ],
+        ids=["nan", "inf", "-inf", "complex", "bool", "str", "short", "long", "2-d", "scalar"],
+    )
+    def test_dual_checked_when_built(self, dual, error):
+        with pytest.raises(error, match="^target dual "):
+            TargetOperator(2, 2, np.eye(4) / 4, dual=dual)
+
+    def test_dual_stored_as_a_read_only_float_copy(self):
+        given = np.array([1, 2])
+        r = TargetOperator(2, 2, np.eye(4) / 4, dual=given)
+        given[0] = 5
+        assert r.dual.dtype == np.float64 and r.dual.tolist() == [1.0, 2.0]
+        assert not r.dual.flags.writeable
+        assert TargetOperator(2, 2, np.eye(4) / 4).dual is None
+
     @pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, value, entry):
