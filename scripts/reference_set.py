@@ -14,16 +14,20 @@ returned an answer, or "none"; the unconverged rows, the rows reported
 converged but further than fid_tol from the known optimum, and the rows
 that ended through the endgame but further than 1e-12 from it.
 Exits 1 when a solve raises or ends unconverged, 0 otherwise.  With --rows
-FILE it also writes one line per solve to FILE: spec, init, iterations,
-converged, repr(fidelity), repr(gap) and repr(lambda_gap), or spec, init
-and the error of a raising solve; `diff` of two such files shows which rows
-changed (`make refset-diff REF=<commit>` makes that diff against a commit's
-src/).  Run via `make refset [ROWS=FILE]` or directly:
+FILE it also writes one line per solve to FILE: spec, init, chi=H and
+trace=H (the first 12 hex digits of the SHA-256 of chi's matrix bytes and
+of the fidelity trace's float64 bytes), iterations, converged,
+repr(fidelity), repr(gap) and repr(lambda_gap), or spec, init and the error
+of a raising solve; `diff` of two such files shows which rows changed, a
+changed channel too where F, gap and lambda_gap agree (`make refset-diff
+REF=<commit>` makes that diff against a commit's src/).  Run via `make
+refset [ROWS=FILE]` or directly:
 
     PYTHONPATH=src python3 scripts/reference_set.py [--rows FILE]
 """
 
 import argparse
+import hashlib
 import math
 import statistics
 import sys
@@ -51,6 +55,11 @@ def stored_dual(r) -> bool:
     """Whether r carries a stored dual; false under a src/ whose targets have
     no dual field, which `make refset-diff` may run this script against."""
     return getattr(r, "dual", None) is not None
+
+
+def digest(data: bytes) -> str:
+    """A row's short SHA-256: its first 12 hex digits."""
+    return hashlib.sha256(data).hexdigest()[:12]
 
 
 def main(argv=None):
@@ -99,9 +108,10 @@ def main(argv=None):
             finally:
                 elapsed += time.perf_counter() - start
             iterations[init] += result.iterations
+            chi, trace = digest(result.chi.matrix.tobytes()), digest(np.array(result.fidelity_trace).tobytes())
             rows.append(
-                f"{spec} {init} {result.iterations} {result.converged} {result.fidelity!r} {result.gap!r} "
-                f"{result.lambda_gap!r}"
+                f"{spec} {init} chi={chi} trace={trace} {result.iterations} {result.converged} "
+                f"{result.fidelity!r} {result.gap!r} {result.lambda_gap!r}"
             )
             certified += not math.isnan(result.gap)  # solve keeps a gap only when it certified
             by_dual += not math.isnan(result.gap) and stored_dual(r)

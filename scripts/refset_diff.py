@@ -6,11 +6,11 @@ checkout's scripts/reference_set.py --rows twice, under the same warning
 policy as `make refset`: once with PYTHONPATH=<export>/src and once with
 PYTHONPATH=src.  So both runs solve the same specs and write the same
 fields; only the package differs.  Prints the row count, how many rows
-differ and how many of those differ in iterations or converged.  When a
-row differs, it then prints the largest change in F, gap and lambda_gap,
-and each differing pair as a "-" line (REF) and a "+" line (working
-tree).  Exits 1
-when a row differs, 0 otherwise.  Run via `make refset-diff REF=<commit>`
+differ (in any field: chi's hash alone counts) and how many of those
+differ in iterations or converged.  When a row differs, it then prints the
+largest change in F, gap and lambda_gap, and each differing pair as a "-"
+line (REF) and a "+" line (working tree).  Exits 1 when a row differs, 0
+otherwise.  Run via `make refset-diff REF=<commit>`
 or directly:
 
     python3 scripts/refset_diff.py --ref REF
@@ -26,7 +26,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# A solve's row ends in iterations, converged, fidelity, gap and lambda_gap.
+# A solve's row ends in iterations, converged, fidelity, gap and lambda_gap,
+# after the hashes of chi and of the trace, which only the whole-row comparison reads.
 SOLVE_ROW = re.compile(r".* ([0-9]+) (True|False) (\S+) (\S+) (\S+)")
 
 

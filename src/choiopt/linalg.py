@@ -151,28 +151,22 @@ def inverse_on_support(w: np.ndarray, rel_cutoff: float) -> np.ndarray:
     return np.array([1.0 / x if x >= cut else 0.0 for x in ws], dtype=float)
 
 
-def inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """clip_roots(w) and inverse_on_support of those roots at PINV_CUTOFF, bit
-    for bit, in one pass over w's floats: sqrt is monotone, so the largest
-    root is the root of the largest eigenvalue.  A NaN or an eigenvalue below
-    -CLIP_TOL sends w through the two rules in turn."""
+def inverse_roots(w: np.ndarray) -> np.ndarray:
+    """inverse_on_support(clip_roots(w), PINV_CUTOFF), bit for bit, in one pass
+    over w's floats: sqrt is monotone, so the largest root is the root of the
+    largest eigenvalue.  A NaN or an eigenvalue below -CLIP_TOL sends w
+    through the two rules in turn."""
     ws = w.tolist()
-    n, top = len(ws), max(ws)
+    top = max(ws)
     clip, sqrt = CLIP_TOL, math.sqrt
     cut = support_cut(sqrt(top) if top >= clip else 0.0, PINV_CUTOFF)
-    both = [0.0] * (2 * n)  # the roots, then their inverses
-    i = n
+    inv = []
     for x in ws:
-        if x >= clip:
-            root = both[i - n] = sqrt(x)
-            if root >= cut:
-                both[i] = 1.0 / root
-        elif not x >= -clip:
-            roots = clip_roots(w)
-            return roots, inverse_on_support(roots, PINV_CUTOFF)
-        i += 1
-    both = np.array(both, dtype=float)
-    return both[:n], both[n:]
+        if not x >= -clip:  # NaN, or below -CLIP_TOL
+            return inverse_on_support(clip_roots(w), PINV_CUTOFF)
+        root = sqrt(x) if x >= clip else 0.0
+        inv.append(1.0 / root if root >= cut else 0.0)
+    return np.array(inv, dtype=float)
 
 
 def require_cutoff(rel_cutoff: float) -> None:

@@ -140,24 +140,6 @@ def _entangler_b_output(a: np.ndarray) -> np.ndarray:
     return pair.reshape(pair.shape[:-2] + (4,)) / np.sqrt(2.0)
 
 
-def _r_unot(n: int) -> np.ndarray:
-    dim = (n + 1) * 2
-    r = np.zeros((dim, dim), dtype=np.complex128)
-    den = (n + 1) * (n + 2)
-
-    def idx(k, q):  # symmetric index n-k, output-qubit index q
-        return (n - k) * 2 + q
-
-    for k in range(n + 1):
-        r[idx(k, 0), idx(k, 0)] = (n - k + 1) / den
-        r[idx(k, 1), idx(k, 1)] = (k + 1) / den
-    for k in range(1, n + 1):
-        c = math.sqrt(k * (n - k + 1)) / den
-        r[idx(k, 0), idx(k - 1, 1)] = -c
-        r[idx(k - 1, 1), idx(k, 0)] = -c
-    return r
-
-
 def _r_cloner(n: int) -> np.ndarray:
     dk = n + 1
     r = np.zeros((2 * dk, 2 * dk), dtype=np.complex128)
@@ -174,6 +156,16 @@ def _r_cloner(n: int) -> np.ndarray:
         r[idx(0, k), idx(1, k - 1)] = c
         r[idx(1, k - 1), idx(0, k)] = c
     return r
+
+
+def _r_unot(n: int) -> np.ndarray:
+    """The cloner's R mirrored, since psi_perp = eps conj(psi) with eps = [[0, 1], [-1, 0]]:
+    its two factors swapped, the qubit's transposed and conjugated by eps."""
+    t = _r_cloner(n).reshape(2, n + 1, 2, n + 1)[::-1, :, ::-1]  # eps's permutation of the qubit
+    r = t.transpose(1, 2, 3, 0).copy()  # r[s, q, s', q'] = t[q', s, q, s']
+    for q in (0, 1):  # eps's signs; 0.0 - x keeps a zero +0.0
+        r[:, q, :, 1 - q] = 0.0 - r[:, q, :, 1 - q]
+    return r.reshape(2 * (n + 1), 2 * (n + 1))
 
 
 def _r_entangler_a() -> np.ndarray:

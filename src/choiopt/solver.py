@@ -60,7 +60,8 @@ class SolverResult:
     """A solve's channel chi, its fidelity, the bound dim_in lambda_max(R), the
     steps taken, converged, and the fidelity after each step.  lambda_gap is
     the smallest gap between adjacent roots of the final multiplier (near zero:
-    a degenerate optimum, whose chi may depend on the start); gap is the
+    a degenerate optimum, whose chi may depend on the start; inf when dim_in
+    = 1, with one root and no two to compare); gap is the
     certified distance to the optimal fidelity when the dual endgame gave the
     result, a Python float >= 0 (0 where R's stored dual bounds F to
     rounding), else NaN."""
@@ -75,14 +76,14 @@ class SolverResult:
     gap: float = float("nan")
 
 
-def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of lambda from the eigenvalues w of lambda^2, in w's order, and
-    their inverses on the support (0 elsewhere); NegativeEigenvalueError by the
+def _inverse_roots(w: np.ndarray) -> np.ndarray:
+    """The inverses of lambda's roots on their support (0 elsewhere), from the
+    eigenvalues w of lambda^2, in w's order; NegativeEigenvalueError by the
     clip rule, SingularLambdaError when the support is empty."""
-    roots, inv = linalg.inverse_roots(w)
+    inv = linalg.inverse_roots(w)
     if not np.count_nonzero(inv):
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
-    return roots, inv
+    return inv
 
 
 def _dense_marginal(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,38 +96,25 @@ def _block_marginal(plan: BlockPlan, m: np.ndarray, dim_in: int) -> np.ndarray:
     return np.bincount(plan.inputs.ravel(), m.diagonal(axis1=1, axis2=2).real.ravel(), dim_in)
 
 
-def _sandwiched(plan: BlockPlan, blocks: np.ndarray) -> np.ndarray:
-    """The (B, s, s) blocks R_b chi_b R_b, fresh, from chi's blocks on R's plan."""
-    return (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape)
-
-
-def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
-    """The dense step on an n x n m: the ascending roots of lambda = (Tr_K m)^{1/2}
-    and Lambda^{-1} m Lambda^{-1}, re-Hermitized; raises as _inverse_roots."""
+def _extremal_step(m: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """The dense step on an n x n m: Lambda^{-1} m Lambda^{-1}, re-Hermitized,
+    lambda = (Tr_K m)^{1/2}; raises as _inverse_roots."""
     w, v = _dense_marginal(m, dim_in, dim_out)
-    roots, inv = _inverse_roots(w)
-    lam_inv = (v * inv) @ v.conj().T
+    lam_inv = (v * _inverse_roots(w)) @ v.conj().T
     half = (lam_inv @ m.reshape(dim_in, -1)).reshape(m.shape)
     full = (lam_inv @ half.conj().T.reshape(dim_in, -1)).reshape(m.shape)
-    return roots, (full + full.conj().T) / 2
+    return (full + full.conj().T) / 2
 
 
-def _block_stack(plan: BlockPlan, blocks: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """_extremal_step of a chi given as its (B, s, s) blocks on the plan, zero off
-    them: the roots of lambda, in input order, and the result's fresh stack."""
-    return _normalized(plan, _sandwiched(plan, blocks), dim_in)
-
-
-def _normalized(plan: BlockPlan, m: np.ndarray, dim_in: int) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of lambda = (Tr_K m)^{1/2}, in input order, and Lambda^{-1} m
-    Lambda^{-1}, re-Hermitized, written over m: the fresh (B, s, s) blocks on
-    the plan of a PSD operator that is zero off them."""
-    roots, inv = _inverse_roots(_block_marginal(plan, m, dim_in))
-    s = inv[plan.inputs]
+def _normalized(plan: BlockPlan, m: np.ndarray, dim_in: int) -> np.ndarray:
+    """Lambda^{-1} m Lambda^{-1}, lambda = (Tr_K m)^{1/2}, re-Hermitized and
+    written over m: the fresh (B, s, s) blocks on the plan of a PSD operator
+    that is zero off them; raises as _inverse_roots."""
+    s = _inverse_roots(_block_marginal(plan, m, dim_in))[plan.inputs]
     m *= s[:, :, None] * s[:, None, :]
     m += m.conj().swapaxes(1, 2)
     m /= 2  # not *= 0.5, which can flip the sign of a zero imaginary part
-    return roots, m
+    return m
 
 
 def _blocks_of(chi: ChoiOperator, r: TargetOperator) -> np.ndarray | None:
@@ -145,28 +133,24 @@ def _blocks_of(chi: ChoiOperator, r: TargetOperator) -> np.ndarray | None:
     return blocks if np.count_nonzero(blocks.view(np.int64)) == nonzero else None
 
 
-def _step(chi: ChoiOperator, r: TargetOperator) -> tuple[np.ndarray, ChoiOperator]:
-    """The roots of lambda and the extremal step from chi (with R's dims), frozen
-    in place: the block step, whose result carries its stack on R's plan, when
-    _blocks_of finds chi on R's blocks, else _extremal_step."""
-    d, k = r.dim_in, r.dim_out
+def _sandwich(chi: ChoiOperator, r: TargetOperator) -> tuple[BlockPlan | None, np.ndarray]:
+    """R chi R, fresh, for chi with R's dims: (R's plan, the (B, s, s) blocks
+    R_b chi_b R_b) when _blocks_of finds chi on R's blocks, else (None, the
+    n x n product)."""
     blocks = _blocks_of(chi, r)
     if blocks is None:
-        roots, m = _extremal_step(r.matrix @ chi.matrix @ r.matrix, d, k)
-        return roots, ChoiOperator._frozen(d, k, m)
-    roots, stack = _block_stack(r.blocks, blocks, d)
-    return roots, ChoiOperator._frozen(d, k, None, (r.blocks, stack))
+        return None, r.matrix @ chi.matrix @ r.matrix
+    plan = r.blocks
+    return plan, (plan.sandwich @ blocks.reshape(len(blocks), -1, 1)).reshape(blocks.shape)
 
 
 def _roots(chi: ChoiOperator, r: TargetOperator) -> np.ndarray:
-    """The roots of lambda that _step(chi, r) returns, bit for bit and raising
-    alike, from Tr_K[R chi R] alone: no scaling and no iterate."""
-    blocks = _blocks_of(chi, r)
-    if blocks is None:
-        w = _dense_marginal(r.matrix @ chi.matrix @ r.matrix, r.dim_in, r.dim_out)[0]
-    else:
-        w = _block_marginal(r.blocks, _sandwiched(r.blocks, blocks), r.dim_in)
-    return _inverse_roots(w)[0]
+    """The roots of lambda = (Tr_K[R chi R])^{1/2} by the clip rule, in input
+    order on R's blocks and ascending off them; raises as the step from chi would."""
+    plan, m = _sandwich(chi, r)
+    w = _dense_marginal(m, r.dim_in, r.dim_out)[0] if plan is None else _block_marginal(plan, m, r.dim_in)
+    _inverse_roots(w)  # refuses what the step refuses: clip_roots alone passes a NaN
+    return linalg.clip_roots(w)
 
 
 def _gaussian(n: int, seed: int) -> np.ndarray:
@@ -184,7 +168,7 @@ def random_choi(dim_in: int, dim_out: int, seed: int) -> ChoiOperator:
     require_dims(dim_in, dim_out)
     linalg.require_seed(seed)
     w = _gaussian(dim_in * dim_out, seed)
-    return ChoiOperator(dim_in, dim_out, _extremal_step(w @ w.conj().T, dim_in, dim_out)[1])
+    return ChoiOperator(dim_in, dim_out, _extremal_step(w @ w.conj().T, dim_in, dim_out))
 
 
 def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
@@ -209,16 +193,21 @@ def initial_choi(r: TargetOperator, init: str | ChoiOperator) -> ChoiOperator:
         rows = plan.flat[:, :, 0] // (d * k)  # n on the padding, which reads row n - 1, zeroed next
         w = _gaussian(d * k, seed).take(rows, axis=0, mode="clip")
         w[rows == d * k] = 0.0
-        stack = _normalized(plan, w @ w.conj().swapaxes(1, 2), d)[1]
+        stack = _normalized(plan, w @ w.conj().swapaxes(1, 2), d)
     return ChoiOperator._frozen(d, k, None, (plan, stack))
 
 
 def iterate_once(chi: ChoiOperator, r: TargetOperator) -> ChoiOperator:
     """One update chi -> Lambda^{-1} (R chi R) Lambda^{-1}, re-Hermitized, frozen
-    and unchecked.  DimensionMismatchError unless chi has R's dims; lambda's
-    roots raise as _inverse_roots."""
+    in place and unchecked: the block step, whose result carries its stack on
+    R's plan, where _sandwich finds chi on R's blocks, else _extremal_step.
+    DimensionMismatchError unless chi has R's dims; raises as _inverse_roots."""
     require_same_dims(chi, r, "process", "target")
-    return _step(chi, r)[1]
+    d, k = r.dim_in, r.dim_out
+    plan, m = _sandwich(chi, r)
+    if plan is None:
+        return ChoiOperator._frozen(d, k, _extremal_step(m, d, k))
+    return ChoiOperator._frozen(d, k, None, (plan, _normalized(plan, m, d)))
 
 
 def _psd_solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:

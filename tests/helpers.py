@@ -97,13 +97,12 @@ def inverse_on_support_oracle(w, rel_cutoff):
 
 def inverse_roots_oracle(w):
     """linalg.inverse_roots: the clip rule, then the pseudo-inverse of the roots at PINV_CUTOFF."""
-    roots = clip_roots_oracle(w)
-    return roots, inverse_on_support_oracle(roots, PINV_CUTOFF)
+    return inverse_on_support_oracle(clip_roots_oracle(w), PINV_CUTOFF)
 
 
 def solver_inverse_roots_oracle(w):
     """solver._inverse_roots: inverse_roots_oracle, singular when no inverse is nonzero."""
-    roots, inv = inverse_roots_oracle(w)
+    inv = inverse_roots_oracle(w)
     if not np.count_nonzero(inv):
         raise SingularLambdaError("Tr_K[R chi R] vanished; cannot continue iterating")
-    return roots, inv
+    return inv

@@ -296,10 +296,8 @@ def _outcome(rule, *args):
 
 
 def _same(got, want) -> bool:
-    if isinstance(want, tuple) and isinstance(want[0], type):
+    if isinstance(want, tuple):  # what an oracle raised
         return got == want
-    if isinstance(want, tuple):
-        return isinstance(got, tuple) and len(got) == len(want) and all(map(_same, got, want))
     return isinstance(got, np.ndarray) and same_bytes(got, want)
 
 
@@ -347,6 +345,6 @@ class TestRulesOverFloats:
         monkeypatch.setattr(linalg, "clip_roots", refused)
         monkeypatch.setattr(linalg, "inverse_on_support", refused)
         _CountedFloats.passes = 0
-        roots, inv = linalg.inverse_roots(np.array(w).view(_CountedArray))
+        inv = linalg.inverse_roots(np.array(w).view(_CountedArray))
         assert _CountedFloats.passes == 2
-        assert _same((roots, inv), inverse_roots_oracle(np.array(w)))
+        assert _same(inv, inverse_roots_oracle(np.array(w)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choiopt import models
+from choiopt import linalg, models
 from choiopt.channels import apply_matrix, density_from_state, fidelity, validate_choi
 from choiopt.errors import InvalidSpecError, OutOfRangeError
 from choiopt.models import (
@@ -234,6 +234,31 @@ class TestClosedFormTargets:
         w = np.sort(np.linalg.eigvalsh(analytic_r(ModelSpec("entangler_b")).matrix))
         assert np.allclose(w[:2], 0.0, atol=1e-14)
         assert np.allclose(w[2:], 1 / 6, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 30])
+    def test_unot_is_the_cloner_mirrored(self, n):
+        # psi_perp = eps conj(psi): swap the cloner's factors, transpose the
+        # qubit's, conjugate it by eps; every entry is exact (products with 0, +-1).
+        eps = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        swap = np.eye(2 * (n + 1))[[q * (n + 1) + s for s in range(n + 1) for q in (0, 1)]]
+        mirrored = linalg.partial_transpose(swap @ models._r_cloner(n) @ swap.T, n + 1, 2, "second")
+        flip = np.kron(np.eye(n + 1), eps)
+        assert np.array_equal(models._r_unot(n), flip @ mirrored @ flip.T)
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_unot_entries_bit_for_bit(self, n):
+        # R's closed form at symmetric index n - k and output qubit q: diagonal
+        # (n - k + 1) / den at q = 0 and (k + 1) / den at q = 1, and -sqrt(k (n - k + 1)) / den
+        # between (k, 0) and (k - 1, 1); every zero, imaginary parts too, is +0.0.
+        dim, den = 2 * (n + 1), (n + 1) * (n + 2)
+        want = np.zeros((dim, dim), dtype=np.complex128)
+        for k in range(n + 1):
+            want[(n - k) * 2, (n - k) * 2] = (n - k + 1) / den
+            want[(n - k) * 2 + 1, (n - k) * 2 + 1] = (k + 1) / den
+        for k in range(1, n + 1):
+            c = math.sqrt(k * (n - k + 1)) / den
+            want[(n - k) * 2, (n - k + 1) * 2 + 1] = want[(n - k + 1) * 2 + 1, (n - k) * 2] = -c
+        assert same_bytes(models._r_unot(n), want)
 
     def test_unot_block_structure(self):
         # Couplings only pair adjacent symmetric states with opposite outputs.

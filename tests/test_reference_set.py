@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import os
@@ -5,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from choiopt import solver
-from choiopt.models import ModelSpec
+from choiopt.models import ModelSpec, analytic_r
+from choiopt.solver import SolverOptions, solve
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,13 +78,19 @@ def test_rows_file_holds_one_line_per_solve(tmp_path, monkeypatch, capsys):
     assert reference_set.main(["--rows", str(rows)]) == 0
     assert capsys.readouterr().out.splitlines()[0].startswith("solves = 6  ")
     lines = rows.read_text().splitlines()
-    want = [[str(s), init] for s in specs for init in reference_set.STARTS]
-    assert [line.rsplit(" ", 6)[:2] for line in lines] == want
-    gaps = []
-    for line in lines:
-        _, _, iterations, converged, fid, gap, lambda_gap = line.rsplit(" ", 6)
+    solves = [(s, init) for s in specs for init in reference_set.STARTS]
+    assert [line.rsplit(" ", 8)[:2] for line in lines] == [[str(s), init] for s, init in solves]
+    gaps, chis = [], set()
+    for (spec, init), line in zip(solves, lines):
+        _, _, chi, trace, iterations, converged, fid, gap, lambda_gap = line.rsplit(" ", 8)
+        result = solve(analytic_r(spec), SolverOptions(init=init))  # the same solve again, hashed here
+        assert chi == "chi=" + hashlib.sha256(result.chi.matrix.tobytes()).hexdigest()[:12]
+        assert trace == "trace=" + hashlib.sha256(np.array(result.fidelity_trace).tobytes()).hexdigest()[:12]
+        chis.add(chi)
         assert int(iterations) >= 1 and converged == "True" and 0.0 < float(fid) <= 1.0
         assert float(gap) >= 0.0 or gap == "nan"
         assert math.isfinite(float(lambda_gap)) and float(lambda_gap) >= 0.0
         gaps.append(gap)
     assert "nan" in gaps and any(gap != "nan" for gap in gaps)
+    assert len(chis) > 1
+

@@ -11,10 +11,11 @@ refset_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(refset_diff)
 
 SPEC = "ModelSpec(kind='shifter', copies=1, alpha=0.7)"
+HASHES = "chi=0123456789ab trace=ba9876543210"  # chi's and the trace's, ahead of the iterations
 ROWS = [
-    f"{SPEC} maxmix 300 True 0.9 nan 0.01",
-    f"{SPEC} random:1 12 True 0.9 1e-15 0.02",
-    f"{SPEC} random:2 40 False 0.8 nan 0.03",
+    f"{SPEC} maxmix {HASHES} 300 True 0.9 nan 0.01",
+    f"{SPEC} random:1 {HASHES} 12 True 0.9 1e-15 0.02",
+    f"{SPEC} random:2 {HASHES} 40 False 0.8 nan 0.03",
     f"{SPEC} maxmix: SingularLambdaError: Tr_K[R chi R] vanished; cannot continue iterating",
 ]
 
@@ -25,9 +26,9 @@ def test_same_rows_differ_nowhere():
 
 def test_only_iterations_or_converged_count_as_a_changed_outcome():
     new = [
-        f"{SPEC} maxmix 300 True 0.9000000000000001 nan 0.01",  # fidelity bits only
-        f"{SPEC} random:1 13 True 0.9 1e-15 0.02",  # iterations
-        f"{SPEC} random:2 40 True 0.8 nan 0.03",  # converged
+        f"{SPEC} maxmix {HASHES} 300 True 0.9000000000000001 nan 0.01",  # fidelity bits only
+        f"{SPEC} random:1 {HASHES} 13 True 0.9 1e-15 0.02",  # iterations
+        f"{SPEC} random:2 {HASHES} 40 True 0.8 nan 0.03",  # converged
         ROWS[3],
     ]
     lines = refset_diff.compare(ROWS, new)
@@ -35,8 +36,14 @@ def test_only_iterations_or_converged_count_as_a_changed_outcome():
     assert lines[1:] == [f"- {ROWS[0]}", f"+ {new[0]}", f"- {ROWS[1]}", f"+ {new[1]}", f"- {ROWS[2]}", f"+ {new[2]}"]
 
 
+def test_a_changed_channel_alone_is_a_difference():
+    new = [f"{SPEC} maxmix chi=0123456789ac trace=ba9876543210 300 True 0.9 nan 0.01", *ROWS[1:]]  # chi only
+    assert refset_diff.compare(ROWS, new)[0] == "rows = 4  differing = 1  in iterations or converged = 0"
+    assert refset_diff.largest_change(ROWS, new) == "largest change: F = 0  gap = 0  lambda_gap = 0"
+
+
 def test_lambda_gap_alone_is_a_difference():
-    new = [*ROWS[:2], f"{SPEC} random:2 40 False 0.8 nan 0.031", ROWS[3]]
+    new = [*ROWS[:2], f"{SPEC} random:2 {HASHES} 40 False 0.8 nan 0.031", ROWS[3]]
     assert refset_diff.compare(ROWS, new)[0] == "rows = 4  differing = 1  in iterations or converged = 0"
 
 
@@ -74,16 +81,16 @@ def test_change_between_two_row_values(a, b, expected):
 
 def test_largest_change_over_the_solves():
     new = [
-        f"{SPEC} maxmix 300 True 0.9000000000000001 nan 0.01",  # F moves 1.1e-16
-        f"{SPEC} random:1 12 True 0.9 3e-15 0.02",  # gap moves 2e-15
-        f"{SPEC} random:2 41 False 0.8 nan 0.0305",  # lambda_gap moves 5e-4
-        f"{SPEC} maxmix 9 True 0.5 nan 0.01",  # a raising row that now solves counts in no column
+        f"{SPEC} maxmix {HASHES} 300 True 0.9000000000000001 nan 0.01",  # F moves 1.1e-16
+        f"{SPEC} random:1 {HASHES} 12 True 0.9 3e-15 0.02",  # gap moves 2e-15
+        f"{SPEC} random:2 {HASHES} 41 False 0.8 nan 0.0305",  # lambda_gap moves 5e-4
+        f"{SPEC} maxmix {HASHES} 9 True 0.5 nan 0.01",  # a raising row that now solves counts in no column
     ]
     assert refset_diff.largest_change(ROWS, new) == "largest change: F = 1.11e-16  gap = 2e-15  lambda_gap = 0.0005"
 
 
 def test_a_gap_that_appears_is_an_infinite_change():
-    new = [f"{SPEC} maxmix 9 True 0.9 1e-15 0.01", *ROWS[1:]]
+    new = [f"{SPEC} maxmix {HASHES} 9 True 0.9 1e-15 0.01", *ROWS[1:]]
     assert refset_diff.largest_change(ROWS, new) == "largest change: F = 0  gap = inf  lambda_gap = 0"
 
 
@@ -92,7 +99,7 @@ def test_no_solves_change_nothing():
 
 
 def test_main_prints_the_largest_change_after_the_counts(monkeypatch, capsys):
-    new = [f"{SPEC} maxmix 300 True 0.9000000000000001 nan 0.01", *ROWS[1:]]
+    new = [f"{SPEC} maxmix {HASHES} 300 True 0.9000000000000001 nan 0.01", *ROWS[1:]]
     outputs = iter([ROWS, new])
     monkeypatch.setattr(refset_diff, "rows", lambda src, out: next(outputs))
     monkeypatch.setitem(sys.modules, "bench_pairs", types.SimpleNamespace(export=lambda ref, tree: None))

@@ -228,6 +228,12 @@ class TestSolve:
         # its eigenvalue gap collapses and the solution manifold is flat.
         assert solve(UNOT1).lambda_gap <= 1e-10
 
+    def test_one_input_has_no_lambda_gap(self):
+        # With dim_in = 1, lambda has one root and no two to compare.
+        result = solve(TargetOperator(1, 3, np.diag([0.5, 0.5, 0.0])))
+        assert result.converged and result.fidelity == pytest.approx(0.5, abs=1e-12)
+        assert result.lambda_gap == np.inf and type(result.lambda_gap) is float
+
     def test_trace_respects_bound(self):
         result = solve(analytic_r(ModelSpec("entangler_a")))
         assert all(f <= result.bound + 1e-9 for f in result.fidelity_trace)
@@ -1067,26 +1073,28 @@ def dense_lambda_gap(chi: ChoiOperator, r: TargetOperator) -> float:
 
 
 class TestRootsInAnyOrder:
-    # The block step's roots of lambda come in input order, the dense step's
-    # ascending; sorted, they agree, and lambda_gap sorts them once.
+    # On R's blocks lambda's roots come in input order, off them ascending;
+    # sorted, they agree, and lambda_gap sorts them once.
     @pytest.mark.parametrize("init", ["maxmix", "random:4"])
     @pytest.mark.parametrize("spec", ANALYTIC_SPECS, ids=str)
     def test_block_roots_sorted_equal_the_dense_roots(self, spec, init):
         r = analytic_r(spec)
-        chi = initial_choi(r, init).matrix
-        plan = r.blocks
-        block_roots, stack = solver_module._block_stack(plan, plan.gather(chi), r.dim_in)
-        block_step = plan.scatter(stack)
-        dense_roots, dense_step = solver_module._extremal_step(r.matrix @ chi @ r.matrix, r.dim_in, r.dim_out)
+        chi = initial_choi(r, init)
+        assert solver_module._blocks_of(chi, r) is not None
+        dense_step = solver_module._extremal_step(r.matrix @ chi.matrix @ r.matrix, r.dim_in, r.dim_out)
+        assert np.abs(iterate_once(chi, r).matrix - dense_step).max() <= 1e-13
+        block_roots, dense_roots = solver_module._roots(chi, r), solver_module._roots(chi, without_plan(r))
         assert np.abs(np.sort(block_roots) - dense_roots).max() <= 1e-13
-        assert np.abs(block_step - dense_step).max() <= 1e-13
 
-    def test_unsorted_block_roots(self):
+    def test_unsorted_block_roots(self, monkeypatch):
         # From maxmix on R = diag(.6, 0, 0, .4), Tr_K[R chi R] = diag(.18, .08) is not ascending by input.
         r = TargetOperator(2, 2, np.diag([0.6, 0, 0, 0.4]))
-        chi = maxmix_choi(r.dim_in, r.dim_out).matrix
-        roots = solver_module._block_stack(r.blocks, r.blocks.gather(chi), r.dim_in)[0]
+        chi = maxmix_choi(r.dim_in, r.dim_out)
+        want = reference_step(chi, r)
+        monkeypatch.setattr(solver_module, "_extremal_step", _refuse_dense_step)
+        roots = solver_module._roots(chi, r)
         assert not np.array_equal(roots, np.sort(roots))
+        assert np.abs(iterate_once(chi, r).matrix - want).max() <= 1e-13
 
     def test_an_all_zero_marginal_is_singular_on_both_paths(self, monkeypatch):
         r = analytic_r(ModelSpec("unot", copies=2))
@@ -1094,8 +1102,35 @@ class TestRootsInAnyOrder:
         with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
             solver_module._extremal_step(zero, r.dim_in, r.dim_out)
         monkeypatch.setattr(solver_module, "_extremal_step", _refuse_dense_step)
-        with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
-            solver_module._step(ChoiOperator(r.dim_in, r.dim_out, zero), r)
+        chi = ChoiOperator(r.dim_in, r.dim_out, zero)
+        for call in (solver_module._roots, iterate_once):
+            with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
+                call(chi, r)
+
+
+class TestRootsRefuseWhatTheStepRefuses:
+    # lambda_gap reads _roots, whose clip rule alone passes a NaN marginal
+    # (a NaN root); _roots refuses first by the step's own rule, on R's
+    # blocks and off them.  chi = diag(marginal) (x) 1_K / K is on any plan.
+    @pytest.mark.parametrize("hidden", [False, True], ids=["blocks", "without-plan"])
+    @pytest.mark.parametrize(
+        "marginal", [[1.0, -1.0, 1.0], [0.0, 0.0, 0.0], [np.nan, 1.0, 1.0]], ids=["negative", "all-zero", "nan"]
+    )
+    @pytest.mark.parametrize(
+        "target",
+        [lambda: TargetOperator(3, 2, np.eye(6) / 6), lambda: analytic_r(ModelSpec("unot", copies=2))],
+        ids=["diagonal", "unot-2"],
+    )
+    def test_same_error_as_the_step(self, target, marginal, hidden):
+        r = without_plan(target()) if hidden else target()
+        chi = ChoiOperator(3, 2, np.diag(np.repeat(marginal, 2) / 2))
+        assert (solver_module._blocks_of(chi, r) is None) == hidden
+        raised = []
+        for call in (solver_module._roots, iterate_once):
+            with pytest.raises(Exception) as info:
+                call(chi, r)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
 
 class TestEndgameOnTheBlocks:
@@ -1517,7 +1552,12 @@ class TestIterateOnceTrustsItsStep:
         r = build_r_montecarlo(model_family(spec), 500, 1) if sampled else analytic_r(spec)
         chi = random_choi(r.dim_in, r.dim_out, 7) if init is None else initial_choi(r, init)
         out = iterate_once(chi, r).matrix
-        want = ChoiOperator(r.dim_in, r.dim_out, solver_module._step(chi, r)[1].matrix).matrix
+        plan, m = solver_module._sandwich(chi, r)
+        if plan is None:
+            step = solver_module._extremal_step(m, r.dim_in, r.dim_out)
+        else:
+            step = plan.scatter(solver_module._normalized(plan, m, r.dim_in))
+        want = ChoiOperator(r.dim_in, r.dim_out, step).matrix
         assert same_bytes(out, want) and out.flags.c_contiguous == want.flags.c_contiguous
         assert not out.flags.writeable
         with pytest.raises(ValueError):
@@ -1731,7 +1771,7 @@ class TestRandomChoiBytes:
         rng = np.random.default_rng(seed)
         n = dims[0] * dims[1]
         w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        want = solver_module._extremal_step(w @ w.conj().T, *dims)[1]
+        want = solver_module._extremal_step(w @ w.conj().T, *dims)
         assert same_bytes(random_choi(*dims, seed).matrix, ChoiOperator(*dims, want).matrix)
 
 
@@ -1759,9 +1799,7 @@ class TestInverseRoots:
             with pytest.raises(SingularLambdaError, match=r"Tr_K\[R chi R\] vanished"):
                 solver_module._inverse_roots(w)
             return
-        got_roots, inv = solver_module._inverse_roots(w)
-        assert same_bytes(got_roots, roots)
-        assert same_bytes(inv, inverse_on_support(roots, PINV_CUTOFF))
+        assert same_bytes(solver_module._inverse_roots(w), inverse_on_support(roots, PINV_CUTOFF))
 
     @pytest.mark.parametrize("w", [[np.nan, np.nan], [np.nan, 1.0]], ids=str)
     def test_a_nan_spectrum_is_singular(self, w):
